@@ -3,17 +3,24 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt-check lint escapes escapes-baseline test test-race bench bench-smoke bench-json bench-compare bit-identity profile fmt fuzz-smoke fault-smoke serve-smoke fleet-smoke fastcap-smoke warm-smoke
+.PHONY: check build vet fmt-check lint escapes escapes-baseline test loadgen-test test-race bench bench-smoke bench-json bench-compare bit-identity profile fmt fuzz-smoke fault-smoke serve-smoke fleet-smoke fastcap-smoke warm-smoke
 
 ## check: the full gate — tier-1 verify + vet + gofmt + coscale-lint +
-## escape-analysis gate + the parallel-search bit-identity property tests
-check: build vet fmt-check lint escapes test bit-identity
+## escape-analysis gate + the load generator's own module tests + the
+## parallel-search and fleet-rebalancing bit-identity property tests
+check: build vet fmt-check lint escapes test loadgen-test bit-identity
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+## loadgen-test: the end-to-end benchmark library's tests, a module of its
+## own that `go test ./...` does not reach — including the smoke test whose
+## traced serial replica must match Rebalancer.Epoch bit for bit
+loadgen-test:
+	$(GO) -C internal/loadgen test ./...
 
 ## test-race: full suite under the race detector
 test-race:
@@ -34,14 +41,17 @@ bench-smoke:
 	$(MAKE) bench-compare
 
 ## bit-identity: the parallel-vs-serial determinism gate behind DESIGN.md §11
-## — the seeded property tests and batch-equivalence tests under the race
-## detector, at both GOMAXPROCS=1 (forced-serial lane resolution) and the
-## machine default, so scheduler width can never reach a decision bit
+## and §13 — the seeded property tests, batch-equivalence tests and the
+## fleet rebalancer's serial-replica test under the race detector, at both
+## GOMAXPROCS=1 (forced-serial lane resolution) and the machine default, so
+## scheduler width can never reach a decision bit
 bit-identity:
 	GOMAXPROCS=1 $(GO) test -race -count=1 \
 		-run 'ParallelBitIdentical|ParallelDisableTablesAgrees|BatchDecideMatchesSequential|DecideAllOneShot|SearchStatsUnderBatch' ./internal/core
 	$(GO) test -race -count=1 \
 		-run 'ParallelBitIdentical|ParallelDisableTablesAgrees|BatchDecideMatchesSequential|DecideAllOneShot|SearchStatsUnderBatch' ./internal/core
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica' ./internal/fastcap
+	$(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica' ./internal/fastcap
 
 ## bench-json: regenerate BENCH_baseline.json (ns/op, allocs/op, figure
 ## wall-times; see DESIGN.md §7 for the schema)
@@ -97,11 +107,13 @@ fleet-smoke:
 ## fastcap-smoke: the fleet-scale power-capping suite under the race
 ## detector — the fastcap allocator/frontier/rebalancer property tests
 ## (Float64bits-identical allocations across replays and node orderings,
-## budget conservation, allocation-free steady state) plus a reduced-grid
-## run of the -exp fastcap cap-event experiment (mirrors CI's fastcap-smoke
-## job; see DESIGN.md §13)
+## budget conservation, allocation-free steady state, the per-node fan-out
+## matching a serial replica at GOMAXPROCS=1 and the default) plus a
+## reduced-grid run of the -exp fastcap cap-event experiment (mirrors CI's
+## fastcap-smoke job; see DESIGN.md §13)
 fastcap-smoke:
 	$(GO) test -race -count=1 ./internal/fastcap
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica' ./internal/fastcap
 	$(GO) test -race -count=1 -run 'TestFastCap' ./internal/experiments
 	$(GO) run -race ./cmd/coscale-experiments -exp fastcap -fastcap-nodes 3 -fastcap-epochs 12
 

@@ -13,12 +13,14 @@ package coscale
 // numbers.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"coscale/internal/core"
 	"coscale/internal/dram"
 	"coscale/internal/experiments"
+	"coscale/internal/fastcap"
 	"coscale/internal/policy"
 	"coscale/internal/sim"
 	"coscale/internal/trace"
@@ -460,6 +462,48 @@ func BenchmarkPowerCap(b *testing.B) {
 		if i == 0 {
 			b.ReportMetric(res.Energy.Total()/res.WallTime, "avg-watts")
 			b.ReportMetric(capW, "cap-watts")
+		}
+	}
+}
+
+// BenchmarkPowerCapDecide measures one capped decision on its own: a 16-core
+// node of the fastcap study under a cap at 80% of its all-max power, on a
+// warm controller (the steady state the zero-alloc gate pins).
+func BenchmarkPowerCapDecide(b *testing.B) {
+	fx := must(experiments.FastCapBenchFleet(1))
+	pc := must(core.NewPowerCap(fx.Cfg, 0.8*fx.Provisioned))
+	if _, err := pc.DecideCapped(fx.Obs[0]); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pc.DecideCapped(fx.Obs[0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRebalancerEpoch measures one fleet rebalancing epoch: eight
+// 16-core nodes of the fastcap study under a budget at 80% of provisioned
+// power — frontier builds, the fair allocation and eight capped decisions.
+func BenchmarkRebalancerEpoch(b *testing.B) {
+	fx := must(experiments.FastCapBenchFleet(8))
+	r := fastcap.NewRebalancer(fastcap.Fair)
+	for n := range fx.Obs {
+		if err := r.AddNode(fmt.Sprintf("node-%02d", n), fx.Cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	eps, err := r.Epoch(0.8*fx.Provisioned, fx.Obs, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if eps, err = r.Epoch(0.8*fx.Provisioned, fx.Obs, eps[:0]); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

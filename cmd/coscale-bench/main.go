@@ -1,9 +1,11 @@
 // Command coscale-bench runs the headline performance benchmarks — the §3.1
 // search cost at 16-1024 cores (serial and sharded across -parallelism
 // worker lanes), batched DecideAll over the shared platform-table cache,
-// and the raw epoch-simulation throughput — plus a timed figure
-// regeneration, and writes the numbers as machine-readable JSON. The committed BENCH_baseline.json at the repository root is this
-// program's output; regenerate it with `make bench-json`.
+// one capped PowerCap decision and one fleet rebalancing epoch, and the raw
+// epoch-simulation throughput — plus a timed figure regeneration, and
+// writes the numbers as machine-readable JSON, with the host's CPU count
+// and GOMAXPROCS. The committed BENCH_baseline.json at the repository root
+// is this program's output; regenerate it with `make bench-json`.
 //
 // Diff mode compares a fresh run against a previous report and exits
 // non-zero on regression, so CI can gate hot-path changes:
@@ -39,6 +41,7 @@ import (
 	"coscale/internal/buildinfo"
 	"coscale/internal/core"
 	"coscale/internal/experiments"
+	"coscale/internal/fastcap"
 	"coscale/internal/policy"
 	"coscale/internal/sim"
 	"coscale/internal/workload"
@@ -48,6 +51,8 @@ import (
 type Report struct {
 	GoVersion  string      `json:"go_version"`
 	GOARCH     string      `json:"goarch"`
+	NumCPU     int         `json:"num_cpu"`
+	GOMAXPROCS int         `json:"gomaxprocs"`
 	Benchtime  string      `json:"benchtime"`
 	Benchmarks []BenchRow  `json:"benchmarks"`
 	Figures    []FigureRow `json:"figures"`
@@ -115,9 +120,11 @@ func main() {
 	}
 
 	rep := Report{
-		GoVersion: runtime.Version(),
-		GOARCH:    runtime.GOARCH,
-		Benchtime: benchtime.String(),
+		GoVersion:  runtime.Version(),
+		GOARCH:     runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Benchtime:  benchtime.String(),
 	}
 
 	for _, n := range []int{16, 64, 128, 256, 512, 1024} {
@@ -218,6 +225,49 @@ func main() {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			batch.Run(items)
+		}
+	}))
+	// Fleet power capping (DESIGN.md §13): one capped decision on a warm
+	// 16-core controller at 80% of its all-max power, and one rebalancing
+	// epoch of eight such nodes at 80% of provisioned power, whose per-node
+	// work fans out across min(GOMAXPROCS, 8) lanes.
+	rep.Benchmarks = append(rep.Benchmarks, bench("PowerCapDecide", func(b *testing.B) {
+		fx, err := experiments.FastCapBenchFleet(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pc, err := core.NewPowerCap(fx.Cfg, 0.8*fx.Provisioned)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pc.Decide(fx.Obs[0]) // warm: sizes every scratch buffer
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pc.Decide(fx.Obs[0])
+		}
+	}))
+	rep.Benchmarks = append(rep.Benchmarks, bench("RebalancerEpoch", func(b *testing.B) {
+		fx, err := experiments.FastCapBenchFleet(8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := fastcap.NewRebalancer(fastcap.Fair)
+		for n := range fx.Obs {
+			if err := r.AddNode(fmt.Sprintf("node-%02d", n), fx.Cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+		eps, err := r.Epoch(0.8*fx.Provisioned, fx.Obs, nil) // warm
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if eps, err = r.Epoch(0.8*fx.Provisioned, fx.Obs, eps[:0]); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}))
 	rep.Benchmarks = append(rep.Benchmarks, bench("EpochSimulation", func(b *testing.B) {

@@ -222,18 +222,18 @@ func (c *CoScale) Reset() {
 
 // threadsFor returns the thread-on-core mapping without allocating
 // (Observation.CoreThreads builds a fresh identity slice when ThreadIDs is
-// nil; the controller keeps its own).
+// nil; each controller keeps its own in *identity).
 //
 //hot:path
-func (c *CoScale) threadsFor(obs policy.Observation) []int {
+func threadsFor(identity *[]int, obs policy.Observation) []int {
 	if obs.ThreadIDs != nil {
 		return obs.ThreadIDs
 	}
-	c.identity = perf.ResizeInts(c.identity, len(obs.Cores))
-	for i := range c.identity {
-		c.identity[i] = i
+	*identity = perf.ResizeInts(*identity, len(obs.Cores))
+	for i := range *identity {
+		(*identity)[i] = i
 	}
-	return c.identity
+	return *identity
 }
 
 // Observe implements policy.Policy: end-of-epoch slack accounting against
@@ -249,7 +249,7 @@ func (c *CoScale) Observe(epoch policy.Observation) {
 	for i := range epoch.Cores {
 		c.tmax[i] = float64(epoch.Cores[i].Instructions) * base[i]
 	}
-	c.slack.RecordEpochFor(c.threadsFor(epoch), c.tmax, epoch.Window)
+	c.slack.RecordEpochFor(threadsFor(&c.identity, epoch), c.tmax, epoch.Window)
 }
 
 // Decide implements policy.Policy: the Figure 2 search. The returned
@@ -259,7 +259,7 @@ func (c *CoScale) Observe(epoch policy.Observation) {
 //hot:path
 func (c *CoScale) Decide(obs policy.Observation) policy.Decision {
 	c.ev.Reset(c.cfg, obs)
-	c.avail = c.slack.AvailableInto(c.avail, c.threadsFor(obs))
+	c.avail = c.slack.AvailableInto(c.avail, threadsFor(&c.identity, obs))
 	c.limits = c.cfg.LimitsInto(c.limits, c.avail)
 	c.scaled = policy.ScaleLimits(c.scaled, c.limits)
 	c.stats = SearchStats{}
@@ -415,7 +415,7 @@ func (c *CoScale) memoryMarginal(ev *policy.Evaluator, st *searchState) marginal
 			dPerf = d
 		}
 	}
-	return marginal{utility: utility(dPower, dPerf), dPower: dPower, dPerf: dPerf,
+	return marginal{utility: Utility(dPower, dPerf), dPower: dPower, dPerf: dPerf,
 		feasible: true}
 }
 
@@ -543,7 +543,7 @@ func (c *CoScale) bestGroup(st *searchState) (int, marginal) {
 	for i := 0; i < limit; i++ {
 		sumPower += st.coreList[i].dPower
 		dPerf := st.coreList[i].dPerf // worst in group: list is sorted ascending
-		u := utility(sumPower, dPerf)
+		u := Utility(sumPower, dPerf)
 		if u > bestU {
 			bestU, bestI = u, i
 			bestMarg = marginal{utility: u, dPower: sumPower, dPerf: dPerf, feasible: true}
@@ -657,10 +657,11 @@ func (c *CoScale) repairCoreList(ev *policy.Evaluator, st *searchState, groupLen
 	st.coreValid = true
 }
 
-// utility is Δpower/Δperformance with the degenerate cases pinned: a free
-// move (no performance loss) has infinite utility; a move that saves no
-// power has negative utility proportional to its cost.
-func utility(dPower, dPerf float64) float64 {
+// Utility is the Δpower/Δperformance score every greedy descent ranks moves
+// by — CoScale, PowerCap and the fastcap frontier walk — with the degenerate
+// cases pinned: a free move (no performance loss) has infinite utility; a
+// move that saves no power has negative utility proportional to its cost.
+func Utility(dPower, dPerf float64) float64 {
 	if dPerf <= 1e-15 {
 		if dPower > 0 {
 			return math.Inf(1)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"coscale/internal/perf"
 	"coscale/internal/policy"
 )
 
@@ -33,10 +34,28 @@ type PowerCap struct {
 	capW  float64
 	slack *policy.SlackBook
 
-	// minScratch is the reusable all-minimum step vector for the
-	// feasibility pre-check; it is cloned only on the cold infeasible
-	// return, keeping the hot Decide path free of per-call allocation.
-	minScratch []int
+	// Decision-time scratch, reused every call so DecideCapped allocates
+	// nothing in steady state (DESIGN.md §7). The Decision it returns
+	// aliases best and is valid until the next call, as for CoScale.Decide.
+	ev       policy.Evaluator // memoized-table path, reset per decision
+	eval     policy.Eval      // candidate prediction scratch
+	limits   []float64        // per-core slack, then slowdown limits in place
+	scaled   []float64        // limits with the WithinBound epsilon applied
+	identity []int            // thread mapping fallback when ThreadIDs is nil
+	steps    []int            // the walk's current step vector
+	best     []int            // best step vector found by the walk
+	cands    []capCand        // the current move's candidates, evaluated once
+}
+
+// capCand is one single-step-down candidate move, evaluated exactly once
+// per move: what the walk reads of its prediction plus its utility against
+// the current point and whether it keeps every core inside its limit.
+type capCand struct {
+	core   int // core stepped down; -1 is the memory move
+	power  float64
+	slow   float64
+	u      float64
+	within bool
 }
 
 // NewPowerCap builds a power-capping controller with the given full-system
@@ -48,10 +67,14 @@ func NewPowerCap(cfg policy.Config, capWatts float64) (*PowerCap, error) {
 	if capWatts <= 0 || math.IsNaN(capWatts) {
 		return nil, fmt.Errorf("core: power cap %g W must be positive", capWatts)
 	}
+	// The evaluator runs on the memoized-table path (bit-identical to the
+	// direct path, DESIGN.md §10): with Cfg.Tables wired in, sibling nodes
+	// of a capped fleet share one platform-column build per process.
 	return &PowerCap{
 		cfg:   cfg,
 		capW:  capWatts,
 		slack: policy.NewSlackBook(cfg.NCores, cfg.Gamma, cfg.Reserve),
+		ev:    policy.Evaluator{UseTables: true},
 	}, nil
 }
 
@@ -82,7 +105,9 @@ func (p *PowerCap) Observe(epoch policy.Observation) {
 // the moves that buy the most watts per unit of performance; among
 // cap-satisfying configurations choose the fastest (lowest worst slowdown).
 // Infeasibility is swallowed — the all-minimum clamp is still the right
-// actuation — so use DecideCapped when the violation itself matters.
+// actuation — so use DecideCapped when the violation itself matters. The
+// returned Decision aliases the controller's scratch and is valid until the
+// next call; retain with Clone.
 func (p *PowerCap) Decide(obs policy.Observation) policy.Decision {
 	d, _ := p.DecideCapped(obs)
 	return d
@@ -92,118 +117,137 @@ func (p *PowerCap) Decide(obs policy.Observation) policy.Decision {
 // platform's minimum achievable power for this observation, the returned
 // decision is the all-minimum-frequency configuration and the error wraps
 // ErrCapInfeasible (carrying the cap and the floor). A feasible cap returns
-// a nil error.
+// a nil error. The returned CoreSteps alias the controller's scratch and are
+// valid until the next call; retain with Clone.
+//
+//hot:path
 func (p *PowerCap) DecideCapped(obs policy.Observation) (policy.Decision, error) {
-	// The evaluator runs on the memoized-table path (bit-identical to the
-	// direct path, DESIGN.md §10): with Cfg.Tables wired in, sibling nodes
-	// of a capped fleet share one platform-column build per process.
-	ev := &policy.Evaluator{UseTables: true}
+	ev := &p.ev
 	ev.Reset(p.cfg, obs)
 	n := p.cfg.NCores
+	p.best = perf.ResizeInts(p.best, n)
 
 	// Feasibility pre-check at the ladder floor. Below it the old walk
 	// thrashed through every intermediate configuration only to fall back;
 	// now the clamp is immediate and typed.
-	if cap(p.minScratch) < n {
-		p.minScratch = make([]int, n) //hot:alloc-ok capacity miss: grow-only scratch, amortized to zero in steady state
-	}
-	minSteps := p.minScratch[:n]
-	for i := range minSteps {
-		minSteps[i] = p.cfg.CoreLadder.Steps() - 1
+	for i := range p.best {
+		p.best[i] = p.cfg.CoreLadder.Steps() - 1
 	}
 	minMem := p.cfg.MemLadder.Steps() - 1
-	minEval := ev.Evaluate(minSteps, minMem)
-	if minEval.Power.Total > p.capW {
-		return policy.Decision{CoreSteps: append([]int(nil), minSteps...), MemStep: minMem},
-			fmt.Errorf("%w: cap %g W below minimum achievable %g W",
-				ErrCapInfeasible, p.capW, minEval.Power.Total)
+	ev.EvaluateInto(&p.eval, p.best, minMem)
+	if floor := p.eval.Power.Total; floor > p.capW {
+		return policy.Decision{CoreSteps: p.best, MemStep: minMem},
+			fmt.Errorf("%w: cap %g W below minimum achievable %g W", ErrCapInfeasible, p.capW, floor)
 	}
 
 	// Performance limits still apply when Gamma > 0: a cap should shed
 	// watts, not starve one program beyond its SLO if avoidable.
-	limits := p.cfg.Limits(p.slack.AvailableFor(obs.CoreThreads()))
+	p.limits = p.slack.AvailableInto(p.limits, threadsFor(&p.identity, obs))
+	p.limits = p.cfg.LimitsInto(p.limits, p.limits)
+	p.scaled = policy.ScaleLimits(p.scaled, p.limits)
 
-	steps := policy.ZeroSteps(n)
+	// The walk reads only the current point's total power and worst
+	// slowdown; it starts at the all-max baseline Reset already solved.
+	p.steps = perf.ResizeInts(p.steps, n)
 	memStep := 0
-	cur := ev.Evaluate(steps, memStep)
+	base := ev.Baseline()
+	curPower, curSlow := base.Power.Total, base.MaxSlow
 
-	best := policy.Decision{CoreSteps: append([]int(nil), steps...), MemStep: memStep}
+	copy(p.best, p.steps)
+	bestMem := memStep
 	bestSlow := math.Inf(1)
-	bestPower := cur.Power.Total
-	found := cur.Power.Total <= p.capW
+	bestPower := curPower
+	found := curPower <= p.capW
 	if found {
-		bestSlow = cur.MaxSlow
+		bestSlow = curSlow
 	}
 
 	maxIters := p.cfg.MemLadder.Steps() + p.cfg.CoreLadder.Steps()*n
-	for iter := 0; iter < maxIters && cur.Power.Total > p.capW; iter++ {
-		move, ok := p.bestMove(ev, steps, memStep, cur, limits)
-		if !ok {
+	for iter := 0; iter < maxIters && curPower > p.capW; iter++ {
+		k := p.bestMove(memStep, curPower, curSlow)
+		if k < 0 {
 			break
 		}
-		steps, memStep, cur = move.steps, move.memStep, move.eval
-		under := cur.Power.Total <= p.capW
+		c := p.cands[k]
+		if c.core < 0 {
+			memStep++
+		} else {
+			p.steps[c.core]++
+		}
+		curPower, curSlow = c.power, c.slow
+		under := curPower <= p.capW
 		switch {
-		case under && cur.MaxSlow < bestSlow:
-			bestSlow = cur.MaxSlow
-			best = policy.Decision{CoreSteps: append([]int(nil), steps...), MemStep: memStep}
+		case under && curSlow < bestSlow:
+			bestSlow = curSlow
+			copy(p.best, p.steps)
+			bestMem = memStep
 			found = true
-		case !found && cur.Power.Total < bestPower:
+		case !found && curPower < bestPower:
 			// Track the lowest-power configuration as a fallback.
-			bestPower = cur.Power.Total
-			best = policy.Decision{CoreSteps: append([]int(nil), steps...), MemStep: memStep}
+			bestPower = curPower
+			copy(p.best, p.steps)
+			bestMem = memStep
 		}
 	}
-	return best, nil
+	return policy.Decision{CoreSteps: p.best, MemStep: bestMem}, nil
 }
 
-type capMove struct {
-	steps   []int
-	memStep int
-	eval    policy.Eval
-}
-
-// bestMove evaluates one memory step down and one step down for the most
-// scalable core, taking whichever sheds the most power per unit slowdown.
-// Slack limits are ignored once the system is over cap with no compliant
-// move available — capping takes precedence over the SLO.
-func (p *PowerCap) bestMove(ev *policy.Evaluator, steps []int, memStep int, cur policy.Eval, limits []float64) (capMove, bool) {
-	var cands []capMove
+// bestMove evaluates one memory step down and one step down for each core
+// — each candidate exactly once, by stepping one entry of the walk's step
+// vector down and back — and returns the index in p.cands of the move that
+// sheds the most power per unit slowdown, or -1 when every ladder is at its
+// bottom. Moves within the slack bound are preferred; when none is
+// available the choice falls back to every candidate, because capping
+// takes precedence over the SLO. Candidate order is fixed (memory first,
+// then cores ascending) and the first of equal utilities wins.
+//
+//hot:path
+func (p *PowerCap) bestMove(memStep int, curPower, curSlow float64) int {
+	p.cands = p.cands[:0]
 	if !p.cfg.MemLadder.Bottom(memStep) {
-		cands = append(cands, capMove{steps: append([]int(nil), steps...), memStep: memStep + 1})
+		p.score(-1, memStep+1, curPower, curSlow)
 	}
-	for i := range steps {
-		if p.cfg.CoreLadder.Bottom(steps[i]) {
+	for i, s := range p.steps {
+		if p.cfg.CoreLadder.Bottom(s) {
 			continue
 		}
-		s := append([]int(nil), steps...)
-		s[i]++
-		cands = append(cands, capMove{steps: s, memStep: memStep})
+		p.steps[i]++
+		p.score(i, memStep, curPower, curSlow)
+		p.steps[i]--
 	}
-	if len(cands) == 0 {
-		return capMove{}, false
+	if k := p.pick(true); k >= 0 {
+		return k
 	}
-	bestU := math.Inf(-1)
-	var best capMove
-	var bestOK bool
-	// Prefer moves within the slack bound; fall back to any move if the
-	// cap cannot otherwise be met.
-	for pass := 0; pass < 2 && !bestOK; pass++ {
-		for _, c := range cands {
-			e := ev.Evaluate(c.steps, c.memStep)
-			if pass == 0 && !policy.WithinBound(e, limits) {
-				continue
-			}
-			dPower := cur.Power.Total - e.Power.Total
-			dPerf := e.MaxSlow - cur.MaxSlow
-			u := utility(dPower, dPerf)
-			if u > bestU {
-				bestU = u
-				c.eval = e
-				best = c
-				bestOK = true
-			}
+	return p.pick(false)
+}
+
+// score evaluates p.steps at memory step mem and records the candidate.
+//
+//hot:path
+func (p *PowerCap) score(core, mem int, curPower, curSlow float64) {
+	p.ev.EvaluateInto(&p.eval, p.steps, mem)
+	p.cands = append(p.cands, capCand{
+		core:   core,
+		power:  p.eval.Power.Total,
+		slow:   p.eval.MaxSlow,
+		u:      Utility(curPower-p.eval.Power.Total, p.eval.MaxSlow-curSlow),
+		within: policy.WithinBoundScaled(p.eval, p.scaled),
+	})
+}
+
+// pick returns the index of the highest-utility candidate (within the
+// slack bound only, when withinOnly is set), or -1 if there is none.
+//
+//hot:path
+func (p *PowerCap) pick(withinOnly bool) int {
+	best, bestU := -1, math.Inf(-1)
+	for k, c := range p.cands {
+		if withinOnly && !c.within {
+			continue
+		}
+		if c.u > bestU {
+			best, bestU = k, c.u
 		}
 	}
-	return best, bestOK
+	return best
 }

@@ -65,9 +65,9 @@ func fastCapSegment(e, epochs int) (string, float64) {
 }
 
 // fastCapNodeCfg is the per-node platform: the paper's 16-core defaults,
-// sharing the runner's table cache so the whole fleet reuses one
-// platform-column build per process.
-func (r *Runner) fastCapNodeCfg(nCores int) policy.Config {
+// sharing one table cache so the whole fleet reuses one platform-column
+// build per process.
+func fastCapNodeCfg(nCores int, tables *policy.TableCache) policy.Config {
 	return policy.Config{
 		NCores:     nCores,
 		CoreLadder: freq.DefaultCoreLadder(),
@@ -76,7 +76,7 @@ func (r *Runner) fastCapNodeCfg(nCores int) policy.Config {
 		Power:      power.DefaultSystem(nCores),
 		Gamma:      0.10,
 		EpochLen:   5 * time.Millisecond,
-		Tables:     r.Tables(),
+		Tables:     tables,
 	}
 }
 
@@ -165,47 +165,9 @@ func (r *Runner) FastCap(nodes, epochs int) ([]FastCapRow, error) {
 		return nil, fmt.Errorf("experiments: fastcap needs ≥1 node and ≥6 epochs, got %d/%d", nodes, epochs)
 	}
 
-	// Per-node workload mixes and phase trajectories.
-	nodeMixes := make([]workload.Mix, nodes)
-	start := make([]float64, nodes)
-	rate := make([]float64, nodes)
-	var cfg policy.Config
-	for n := 0; n < nodes; n++ {
-		m, err := workload.Get(fastCapMixes[n%len(fastCapMixes)])
-		if err != nil {
-			return nil, err
-		}
-		nodeMixes[n] = m
-		if n == 0 {
-			cfg = r.fastCapNodeCfg(m.Cores())
-		} else if m.Cores() != cfg.NCores {
-			return nil, fmt.Errorf("experiments: mix %s has %d cores, fleet needs %d", m.Name, m.Cores(), cfg.NCores)
-		}
-		start[n] = fastCapUnit(fault.Mix64(FastCapSeed ^ uint64(n)<<1))
-		rate[n] = 0.02 + 0.04*fastCapUnit(fault.Mix64(FastCapSeed^uint64(n)<<1^1))
-	}
-
-	// Observations are precomputed once and shared read-only by the three
-	// strategy runs, so their inputs are identical by construction.
-	llc := cache.NewShareModel(cache.DefaultSizeMB)
-	sv := perf.NewSolver(cfg.Mem)
-	obs := make([][]policy.Observation, epochs)
-	for e := 0; e < epochs; e++ {
-		obs[e] = make([]policy.Observation, nodes)
-		for n := 0; n < nodes; n++ {
-			frac := math.Mod(start[n]+rate[n]*float64(e), 1)
-			o, err := fastCapObs(cfg, nodeMixes[n], llc, sv, frac)
-			if err != nil {
-				return nil, err
-			}
-			obs[e][n] = o
-		}
-	}
-
-	// Provisioned power: the fleet running all-max at epoch 0.
-	provisioned := 0.0
-	for n := 0; n < nodes; n++ {
-		provisioned += policy.NewEvaluator(cfg, obs[0][n]).Baseline().Power.Total
+	cfg, obs, provisioned, err := fastCapFleet(r.Tables(), nodes, epochs)
+	if err != nil {
+		return nil, err
 	}
 
 	strategies := []fastcap.Strategy{fastcap.Fair, fastcap.Greedy, fastcap.Uniform}
@@ -213,7 +175,7 @@ func (r *Runner) FastCap(nodes, epochs int) ([]FastCapRow, error) {
 	rows := make([]FastCapRow, len(strategies)*len(segments))
 	epochSec := cfg.EpochLen.Seconds()
 
-	err := r.forEach(len(strategies), func(si int) error {
+	err = r.forEach(len(strategies), func(si int) error {
 		reb := fastcap.NewRebalancer(strategies[si])
 		for n := 0; n < nodes; n++ {
 			if err := reb.AddNode(fmt.Sprintf("node-%02d", n), cfg); err != nil {
@@ -267,6 +229,74 @@ func (r *Runner) FastCap(nodes, epochs int) ([]FastCapRow, error) {
 		return nil
 	})
 	return rows, err
+}
+
+// fastCapFleet builds the study's inputs for a nodes-node fleet: the
+// per-node platform, every epoch's per-node observations (precomputed once
+// and shared read-only, so every consumer sees identical inputs) and the
+// provisioned power — the fleet running all-max at epoch 0.
+func fastCapFleet(tables *policy.TableCache, nodes, epochs int) (policy.Config, [][]policy.Observation, float64, error) {
+	// Per-node workload mixes and phase trajectories.
+	nodeMixes := make([]workload.Mix, nodes)
+	start := make([]float64, nodes)
+	rate := make([]float64, nodes)
+	var cfg policy.Config
+	for n := 0; n < nodes; n++ {
+		m, err := workload.Get(fastCapMixes[n%len(fastCapMixes)])
+		if err != nil {
+			return cfg, nil, 0, err
+		}
+		nodeMixes[n] = m
+		if n == 0 {
+			cfg = fastCapNodeCfg(m.Cores(), tables)
+		} else if m.Cores() != cfg.NCores {
+			return cfg, nil, 0, fmt.Errorf("experiments: mix %s has %d cores, fleet needs %d", m.Name, m.Cores(), cfg.NCores)
+		}
+		start[n] = fastCapUnit(fault.Mix64(FastCapSeed ^ uint64(n)<<1))
+		rate[n] = 0.02 + 0.04*fastCapUnit(fault.Mix64(FastCapSeed^uint64(n)<<1^1))
+	}
+
+	llc := cache.NewShareModel(cache.DefaultSizeMB)
+	sv := perf.NewSolver(cfg.Mem)
+	obs := make([][]policy.Observation, epochs)
+	for e := 0; e < epochs; e++ {
+		obs[e] = make([]policy.Observation, nodes)
+		for n := 0; n < nodes; n++ {
+			frac := math.Mod(start[n]+rate[n]*float64(e), 1)
+			o, err := fastCapObs(cfg, nodeMixes[n], llc, sv, frac)
+			if err != nil {
+				return cfg, nil, 0, err
+			}
+			obs[e][n] = o
+		}
+	}
+
+	provisioned := 0.0
+	for n := 0; n < nodes; n++ {
+		provisioned += policy.NewEvaluator(cfg, obs[0][n]).Baseline().Power.Total
+	}
+	return cfg, obs, provisioned, nil
+}
+
+// FastCapBench is the input of the PowerCapDecide and RebalancerEpoch
+// benchmarks: the fastcap study's per-node platform (all nodes sharing one
+// table cache), its first epoch's per-node observations and the fleet's
+// provisioned (all-max) power.
+type FastCapBench struct {
+	Cfg         policy.Config
+	Obs         []policy.Observation
+	Provisioned float64
+}
+
+// FastCapBenchFleet returns the benchmark input for a nodes-node fleet of
+// 16-core nodes. One definition keeps `go test -bench` and cmd/coscale-bench
+// measuring the same workload.
+func FastCapBenchFleet(nodes int) (FastCapBench, error) {
+	cfg, obs, provisioned, err := fastCapFleet(&policy.TableCache{}, nodes, 1)
+	if err != nil {
+		return FastCapBench{}, err
+	}
+	return FastCapBench{Cfg: cfg, Obs: obs[0], Provisioned: provisioned}, nil
 }
 
 // FormatFastCap renders the fleet capping study as a strategy × segment

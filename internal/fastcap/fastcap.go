@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 
+	"coscale/internal/core"
 	"coscale/internal/policy"
 )
 
@@ -187,7 +188,7 @@ func (b *Builder) bestMove(cfg policy.Config, memStep int) (int, bool) {
 	found := false
 	if !cfg.MemLadder.Bottom(memStep) {
 		b.ev.EvaluateInto(&b.cand, b.steps, memStep+1)
-		bestU = marginalUtility(b.cur.Power.Total-b.cand.Power.Total, b.cand.MaxSlow-b.cur.MaxSlow)
+		bestU = core.Utility(b.cur.Power.Total-b.cand.Power.Total, b.cand.MaxSlow-b.cur.MaxSlow)
 		b.best, b.cand = b.cand, b.best
 		found = true
 	}
@@ -199,7 +200,7 @@ func (b *Builder) bestMove(cfg policy.Config, memStep int) (int, bool) {
 		}
 		b.trial[i]++
 		b.ev.EvaluateInto(&b.cand, b.trial, memStep)
-		u := marginalUtility(b.cur.Power.Total-b.cand.Power.Total, b.cand.MaxSlow-b.cur.MaxSlow)
+		u := core.Utility(b.cur.Power.Total-b.cand.Power.Total, b.cand.MaxSlow-b.cur.MaxSlow)
 		if u > bestU || !found {
 			bestU = u
 			bestCore = i
@@ -216,19 +217,6 @@ func (b *Builder) bestMove(cfg policy.Config, memStep int) (int, bool) {
 	}
 	b.steps[bestCore]++
 	return memStep, true
-}
-
-// marginalUtility mirrors the CoScale search's Δpower/Δperformance score: a
-// move that sheds power for free (no slowdown increase) has infinite
-// utility; otherwise utility is watts saved per unit of slowdown added.
-func marginalUtility(dPower, dPerf float64) float64 {
-	if dPerf <= 1e-15 {
-		if dPower > 0 {
-			return math.Inf(1)
-		}
-		return 0
-	}
-	return dPower / dPerf
 }
 
 // JainIndex returns Jain's fairness index (Σx)² / (n·Σx²) over the given

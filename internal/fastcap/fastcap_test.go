@@ -2,6 +2,7 @@ package fastcap
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -360,6 +361,98 @@ func TestRebalancerReplayBitIdentical(t *testing.T) {
 				math.Float64bits(a.Power) != math.Float64bits(b.Power) ||
 				math.Float64bits(a.MaxSlow) != math.Float64bits(b.MaxSlow) {
 				t.Fatalf("epoch %d node %d diverged: %+v vs %+v", e, i, a, b)
+			}
+		}
+	}
+}
+
+// TestRebalancerMatchesSerialReplica is the determinism gate of the
+// per-node fan-out: eight nodes run the replay budget trace (steady, cut,
+// dip) through Rebalancer.Epoch and through a serial replica made of the
+// public calls — one shared Builder building every frontier in node order,
+// Allocate, then SetCap and DecideCapped node by node — and every outcome
+// must be Float64bits-identical. The nodes share one platform-table cache,
+// as a fleet's do. make bit-identity runs it under -race at GOMAXPROCS=1
+// and at the machine default.
+func TestRebalancerMatchesSerialReplica(t *testing.T) {
+	const nodes, epochs = 8, 8
+	cfg := testCfg(8)
+	cfg.Tables = &policy.TableCache{}
+	obsAt := func(e int) []policy.Observation {
+		obs := make([]policy.Observation, nodes)
+		for i := range obs {
+			obs[i] = mixObs(cfg, math.Mod(0.17*float64(i)+0.29*float64(e), 1))
+		}
+		return obs
+	}
+	full := float64(nodes) * policy.NewEvaluator(cfg, mixObs(cfg, 0)).Baseline().Power.Total
+	budgetAt := func(e int) float64 {
+		switch {
+		case e < 3:
+			return full
+		case e == 5:
+			return full * 0.6 // transient dip
+		default:
+			return full * 0.8
+		}
+	}
+
+	r := NewRebalancer(Fair)
+	ids := make([]string, nodes)
+	caps := make([]*core.PowerCap, nodes)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("node-%02d", i)
+		if err := r.AddNode(ids[i], cfg); err != nil {
+			t.Fatal(err)
+		}
+		pc, err := core.NewPowerCap(cfg, math.MaxFloat64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		caps[i] = pc
+	}
+	var b Builder
+	alloc := Allocator{Strategy: Fair}
+	fronts := make([]Frontier, nodes)
+	var got []NodeEpoch
+	for e := 0; e < epochs; e++ {
+		obs := obsAt(e)
+		var err error
+		got, err = r.Epoch(budgetAt(e), obs, got[:0])
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		anodes := make([]Node, nodes)
+		for i := range fronts {
+			if err := b.Build(&fronts[i], cfg, obs[i]); err != nil {
+				t.Fatal(err)
+			}
+			anodes[i] = Node{ID: ids[i], F: &fronts[i]}
+		}
+		assigns, aerr := alloc.Allocate(budgetAt(e), anodes, nil)
+		if aerr != nil {
+			t.Fatal(aerr)
+		}
+		for i := range caps {
+			if err := caps[i].SetCap(assigns[i].Watts); err != nil {
+				t.Fatal(err)
+			}
+			d, derr := caps[i].DecideCapped(obs[i])
+			if derr != nil && !errors.Is(derr, core.ErrCapInfeasible) {
+				t.Fatal(derr)
+			}
+			ev := policy.Evaluator{UseTables: true}
+			ev.Reset(cfg, obs[i])
+			var want policy.Eval
+			ev.EvaluateInto(&want, d.CoreSteps, d.MemStep)
+			g := got[i]
+			if g.ID != ids[i] || g.Clamped != (derr != nil) ||
+				math.Float64bits(g.Assigned) != math.Float64bits(assigns[i].Watts) ||
+				math.Float64bits(g.Power) != math.Float64bits(want.Power.Total) ||
+				math.Float64bits(g.MaxSlow) != math.Float64bits(want.MaxSlow) {
+				t.Fatalf("epoch %d node %d: rebalancer %+v, serial replica {Assigned:%v Power:%v MaxSlow:%v Clamped:%t}",
+					e, i, g, assigns[i].Watts, want.Power.Total, want.MaxSlow, derr != nil)
 			}
 		}
 	}

@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"coscale/internal/core"
 	"coscale/internal/policy"
@@ -23,14 +26,23 @@ type NodeEpoch struct {
 }
 
 // rbNode is one managed node. Nodes live in a slice in Add order — no maps,
-// so iteration order is deterministic by construction.
+// so iteration order is deterministic by construction. Everything a node's
+// per-epoch work touches — builder, frontier, controller, evaluator and its
+// result and error slots — is its own, so nodes can be processed
+// concurrently without sharing any mutable state.
 type rbNode struct {
 	id   string
 	cfg  policy.Config
 	cap  *core.PowerCap
-	ev   *policy.Evaluator
+	b    Builder
+	ev   policy.Evaluator
 	f    Frontier
 	prev uint64 // Float64bits of last epoch's assignment
+
+	// Per-epoch slots, written only by the lane that claimed this node.
+	eval    policy.Eval
+	clamped bool // DecideCapped reported ErrCapInfeasible
+	err     error
 }
 
 // Rebalancer runs the fleet-level epoch loop: each epoch it rebuilds every
@@ -40,14 +52,12 @@ type rbNode struct {
 // for concurrent use.
 type Rebalancer struct {
 	alloc Allocator
-	b     Builder
 
 	nodes []rbNode
 
 	// Scratch reused across epochs.
 	anodes  []Node
 	assigns []Assignment
-	eval    policy.Eval
 
 	rebalances int64
 	epochs     int64
@@ -87,7 +97,7 @@ func (r *Rebalancer) AddNode(id string, cfg policy.Config) error {
 		id:  id,
 		cfg: cfg,
 		cap: pc,
-		ev:  &policy.Evaluator{UseTables: true},
+		ev:  policy.Evaluator{UseTables: true},
 	})
 	return nil
 }
@@ -118,6 +128,13 @@ func (r *Rebalancer) NodeIDs(dst []string) []string {
 // budget cannot cover the fleet's all-minimum floors, every node is
 // clamped to its floor and the error wraps ErrBudgetInfeasible; the
 // returned epochs are still valid actuations.
+//
+// Each node's frontier and capped decision depend on that node's own
+// observation alone; only the allocation couples the nodes. So the frontier
+// builds and the per-node decisions run concurrently across nodes, the
+// allocation runs serially between them, and the results are reduced in
+// node order afterwards: the outcome is bit-identical to a serial pass at
+// any GOMAXPROCS, and a failure is reported for the lowest failing node.
 func (r *Rebalancer) Epoch(budget float64, obs []policy.Observation, out []NodeEpoch) ([]NodeEpoch, error) {
 	if len(obs) != len(r.nodes) {
 		return out, fmt.Errorf("fastcap: %d observations for %d nodes", len(obs), len(r.nodes))
@@ -126,11 +143,14 @@ func (r *Rebalancer) Epoch(budget float64, obs []policy.Observation, out []NodeE
 		return out, nil
 	}
 
+	r.forEachNode(func(i int, n *rbNode) {
+		n.err = n.b.Build(&n.f, n.cfg, obs[i])
+	})
 	r.anodes = r.anodes[:0]
 	for i := range r.nodes {
 		n := &r.nodes[i]
-		if err := r.b.Build(&n.f, n.cfg, obs[i]); err != nil {
-			return out, fmt.Errorf("fastcap: node %q: %w", n.id, err)
+		if n.err != nil {
+			return out, fmt.Errorf("fastcap: node %q: %w", n.id, n.err)
 		}
 		r.anodes = append(r.anodes, Node{ID: n.id, F: &n.f})
 	}
@@ -141,35 +161,40 @@ func (r *Rebalancer) Epoch(budget float64, obs []policy.Observation, out []NodeE
 		return out, err
 	}
 
-	changed := false
-	for i := range r.nodes {
-		n := &r.nodes[i]
-		asg := r.assigns[i]
-		clamped := err != nil // global infeasibility clamps everyone
-
-		// Drive the node's controller against its slice. The frontier's
-		// floor watts and PowerCap's own min-eval are bit-identical (both
-		// run the memoized table path), so an assignment at the floor is
-		// feasible at the boundary rather than spuriously infeasible.
-		if serr := n.cap.SetCap(asg.Watts); serr != nil {
-			return out, fmt.Errorf("fastcap: node %q: %w", n.id, serr)
+	// Drive each node's controller against its slice. The frontier's floor
+	// watts and PowerCap's own min-eval are bit-identical (both run the
+	// memoized table path), so an assignment at the floor is feasible at
+	// the boundary rather than spuriously infeasible.
+	r.forEachNode(func(i int, n *rbNode) {
+		n.clamped = false
+		if n.err = n.cap.SetCap(r.assigns[i].Watts); n.err != nil {
+			return
 		}
 		d, derr := n.cap.DecideCapped(obs[i])
 		if derr != nil {
 			if !errors.Is(derr, core.ErrCapInfeasible) {
-				return out, fmt.Errorf("fastcap: node %q: %w", n.id, derr)
+				n.err = derr
+				return
 			}
-			clamped = true
+			n.clamped = true
 		}
 		n.ev.Reset(n.cfg, obs[i])
-		n.ev.EvaluateInto(&r.eval, d.CoreSteps, d.MemStep)
+		n.ev.EvaluateInto(&n.eval, d.CoreSteps, d.MemStep)
+	})
 
+	changed := false
+	for i := range r.nodes {
+		n := &r.nodes[i]
+		if n.err != nil {
+			return out, fmt.Errorf("fastcap: node %q: %w", n.id, n.err)
+		}
+		asg := r.assigns[i]
 		out = append(out, NodeEpoch{
 			ID:       n.id,
 			Assigned: asg.Watts,
-			Power:    r.eval.Power.Total,
-			MaxSlow:  r.eval.MaxSlow,
-			Clamped:  clamped,
+			Power:    n.eval.Power.Total,
+			MaxSlow:  n.eval.MaxSlow,
+			Clamped:  err != nil || n.clamped, // global infeasibility clamps everyone
 		})
 		bits := math.Float64bits(asg.Watts)
 		if r.epochs > 0 && bits != n.prev {
@@ -182,4 +207,31 @@ func (r *Rebalancer) Epoch(budget float64, obs []policy.Observation, out []NodeE
 	}
 	r.epochs++
 	return out, err
+}
+
+// forEachNode runs fn once for every node, across min(GOMAXPROCS, nodes)
+// lanes that claim node indices from a shared counter; the calling
+// goroutine is one of the lanes, and the call returns after every node is
+// done. fn must touch only node i's own state and shared read-only inputs.
+func (r *Rebalancer) forEachNode(fn func(i int, n *rbNode)) {
+	lanes := min(runtime.GOMAXPROCS(0), len(r.nodes))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(lanes)
+	lane := func() {
+		defer wg.Done()
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(r.nodes) {
+				return
+			}
+			fn(i, &r.nodes[i])
+		}
+	}
+	for range lanes - 1 {
+		//lint:ignore dettaint deterministic by construction: each node index is claimed by exactly one lane, which writes only that node's own builder, controller, evaluator and result slots from read-only inputs, and the caller reads the slots in node order only after the join — which lane ran a node, and when, cannot reach any output bit (DESIGN.md §13)
+		go lane()
+	}
+	lane()
+	wg.Wait()
 }
