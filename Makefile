@@ -7,7 +7,7 @@ GO ?= go
 
 ## check: the full gate — tier-1 verify + vet + gofmt + coscale-lint +
 ## escape-analysis gate + the load generator's own module tests + the
-## parallel-search and fleet-rebalancing bit-identity property tests
+## fleet rebalancer's serial-replica bit-identity test
 check: build vet fmt-check lint escapes test loadgen-test bit-identity
 
 build:
@@ -40,16 +40,11 @@ bench-smoke:
 	$(GO) test -bench 'BenchmarkSearch16Cores|BenchmarkEpochSimulation' -benchtime=1x -benchmem -run='^$$' .
 	$(MAKE) bench-compare
 
-## bit-identity: the parallel-vs-serial determinism gate behind DESIGN.md §11
-## and §13 — the seeded property tests, batch-equivalence tests and the
-## fleet rebalancer's serial-replica test under the race detector, at both
-## GOMAXPROCS=1 (forced-serial lane resolution) and the machine default, so
-## scheduler width can never reach a decision bit
+## bit-identity: the determinism gate behind DESIGN.md §13 — the fleet
+## rebalancer's per-node fan-out against its serial replica under the race
+## detector, at both GOMAXPROCS=1 and the machine default, so scheduler
+## width can never reach an assignment bit
 bit-identity:
-	GOMAXPROCS=1 $(GO) test -race -count=1 \
-		-run 'ParallelBitIdentical|ParallelDisableTablesAgrees|BatchDecideMatchesSequential|DecideAllOneShot|SearchStatsUnderBatch' ./internal/core
-	$(GO) test -race -count=1 \
-		-run 'ParallelBitIdentical|ParallelDisableTablesAgrees|BatchDecideMatchesSequential|DecideAllOneShot|SearchStatsUnderBatch' ./internal/core
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica' ./internal/fastcap
 	$(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica' ./internal/fastcap
 
@@ -119,11 +114,11 @@ fastcap-smoke:
 
 ## warm-smoke: the warm-start search suite under the race detector — the
 ## controller-level warm property tests (bound re-validation, Reset bit
-## identity, parallel-lane bit identity, zero-alloc steady state), the
-## sim-level golden replay, the ablation gates, and a reduced-budget run of
-## the -exp warmstart ablation (mirrors CI's warm-smoke job; DESIGN.md §14)
+## identity, zero-alloc steady state), the sim-level golden replay, the
+## ablation gates, and a reduced-budget run of the -exp warmstart ablation
+## (mirrors CI's warm-smoke job; DESIGN.md §14)
 warm-smoke:
-	$(GO) test -race -count=1 -run 'TestWarm|TestMinParallelItems|TestRelDelta' ./internal/core ./internal/sim
+	$(GO) test -race -count=1 -run 'TestWarm|TestRelDelta' ./internal/core ./internal/sim
 	$(GO) test -race -count=1 -run 'TestWarmStart' ./internal/experiments
 	$(GO) run -race ./cmd/coscale-experiments -exp warmstart -budget 100000000
 

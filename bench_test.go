@@ -288,6 +288,7 @@ func searchBenchObs(n int) (policy.Config, policy.Observation) {
 func benchSearch(b *testing.B, n int) {
 	cfg, obs := searchBenchObs(n)
 	cs := must(core.New(cfg))
+	cs.Decide(obs) // untimed: sizes the first-call scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cs.Decide(obs)
@@ -341,56 +342,6 @@ func benchSearchWarm(b *testing.B, n int) {
 func BenchmarkSearchWarm128Cores(b *testing.B)  { benchSearchWarm(b, 128) }
 func BenchmarkSearchWarm512Cores(b *testing.B)  { benchSearchWarm(b, 512) }
 func BenchmarkSearchWarm1024Cores(b *testing.B) { benchSearchWarm(b, 1024) }
-
-// benchSearchParallel measures the sharded marginal scans (DESIGN.md §11):
-// the same decision as benchSearch, with candidate scoring fanned across
-// Options.Parallelism worker lanes. Decisions are bit-identical to the
-// serial walk, so the delta against BenchmarkSearchNNNCores is pure
-// scan-execution cost — a speedup on multicore hosts, a channel-handshake
-// tax on GOMAXPROCS=1 (where resolveLanes keeps the serial path anyway
-// under the default Parallelism 0; the explicit lane counts here force the
-// fan-out machinery so it gets measured everywhere).
-func benchSearchParallel(b *testing.B, n, lanes int) {
-	cfg, obs := searchBenchObs(n)
-	cs := must(core.NewWithOptions(cfg, core.Options{Parallelism: lanes}))
-	defer cs.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cs.Decide(obs)
-	}
-	b.StopTimer()
-	reportPerMove(b, cs)
-}
-
-func BenchmarkSearchParallel512Cores(b *testing.B)  { benchSearchParallel(b, 512, 4) }
-func BenchmarkSearchParallel1024Cores(b *testing.B) { benchSearchParallel(b, 1024, 4) }
-
-// BenchmarkDecideAll8x128 measures the batched entry point: eight 128-core
-// controllers (distinct observations, identical platform) deciding one
-// epoch through a persistent Batcher — coscale-serve's worker-pool shape.
-// The shared policy.TableCache means the platform tables behind all eight
-// controllers were built once, before the timer.
-func BenchmarkDecideAll8x128(b *testing.B) {
-	var tables policy.TableCache
-	items := make([]core.DecideItem, 8)
-	for j := range items {
-		cfg, obs := experiments.SearchBenchObsSeed(128, 11+uint64(j))
-		cfg.Tables = &tables
-		items[j] = core.DecideItem{C: must(core.New(cfg)), Obs: obs}
-	}
-	batch := core.NewBatcher(0)
-	defer batch.Close()
-	batch.Run(items) // warm: builds shared tables, sizes every scratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		batch.Run(items)
-	}
-	b.StopTimer()
-	if builds, _ := tables.Stats(); builds != 1 {
-		b.Fatalf("platform builds = %d, want 1 (identical platforms share one build)", builds)
-	}
-}
 
 // BenchmarkSearchNoTables quantifies the memoized prediction tables
 // (DESIGN.md §10) by running the same search with direct model evaluation.

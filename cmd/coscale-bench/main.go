@@ -1,8 +1,7 @@
 // Command coscale-bench runs the headline performance benchmarks — the §3.1
-// search cost at 16-1024 cores (serial and sharded across -parallelism
-// worker lanes), batched DecideAll over the shared platform-table cache,
-// one capped PowerCap decision and one fleet rebalancing epoch, and the raw
-// epoch-simulation throughput — plus a timed figure regeneration, and
+// search cost at 16-1024 cores (cold and warm-started), one capped PowerCap
+// decision and one fleet rebalancing epoch, and the raw epoch-simulation
+// throughput — plus a timed figure regeneration, and
 // writes the numbers as machine-readable JSON, with the host's CPU count
 // and GOMAXPROCS. The committed BENCH_baseline.json at the repository root
 // is this program's output; regenerate it with `make bench-json`.
@@ -42,7 +41,6 @@ import (
 	"coscale/internal/core"
 	"coscale/internal/experiments"
 	"coscale/internal/fastcap"
-	"coscale/internal/policy"
 	"coscale/internal/sim"
 	"coscale/internal/workload"
 )
@@ -90,7 +88,6 @@ func main() {
 		figureBudget = flag.Uint64("figure-budget", 10_000_000, "instructions per app for the timed figure regeneration")
 		compare      = flag.String("compare", "", "previous report to diff against; exit 1 on regression")
 		threshold    = flag.Float64("threshold", 3.0, "ns/op regression factor tolerated in -compare mode")
-		parallelism  = flag.Int("parallelism", 0, "worker lanes for the SearchParallel/DecideAll rows (0 = GOMAXPROCS)")
 		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile of the benchmark run here")
 		memprofile   = flag.String("memprofile", "", "write an allocation profile of the benchmark run here")
 		version      = flag.Bool("version", false, "print the version and exit")
@@ -133,6 +130,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		cs.Decide(obs) // untimed: sizes the first-call scratch
 		row := bench(fmt.Sprintf("Search%dCores", n), func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -175,58 +173,6 @@ func main() {
 		rep.Benchmarks = append(rep.Benchmarks, row)
 	}
 
-	// Sharded marginal scans (DESIGN.md §11): the same 512- and 1024-core
-	// decisions with candidate scoring fanned across -parallelism lanes.
-	// Bit-identical to the serial rows above, so the delta is pure scan
-	// execution: a speedup on multicore hosts, a handshake tax at one lane.
-	for _, n := range []int{512, 1024} {
-		cfg, obs := experiments.SearchBenchObs(n)
-		cs, err := core.NewWithOptions(cfg, core.Options{Parallelism: *parallelism})
-		if err != nil {
-			log.Fatal(err)
-		}
-		row := bench(fmt.Sprintf("SearchParallel%dCores", n), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cs.Decide(obs)
-			}
-		})
-		if st := cs.SearchStats(); st.Moves > 0 {
-			row.Moves = st.Moves
-			row.NsPerMove = row.NsPerOp / float64(st.Moves)
-		}
-		rep.Benchmarks = append(rep.Benchmarks, row)
-		cs.Close()
-	}
-
-	// Batched decisions over the shared per-platform table cache: eight
-	// 128-core controllers (distinct observations, one platform) deciding an
-	// epoch through a persistent Batcher — the coscale-serve worker shape.
-	rep.Benchmarks = append(rep.Benchmarks, bench("DecideAll8x128", func(b *testing.B) {
-		var tables policy.TableCache
-		items := make([]core.DecideItem, 8)
-		for j := range items {
-			cfg, obs := experiments.SearchBenchObsSeed(128, 11+uint64(j))
-			cfg.Tables = &tables
-			cs, err := core.New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			items[j] = core.DecideItem{C: cs, Obs: obs}
-		}
-		batch := core.NewBatcher(*parallelism)
-		defer batch.Close()
-		batch.Run(items) // warm: builds the shared tables, sizes scratch
-		if builds, _ := tables.Stats(); builds != 1 {
-			b.Fatalf("platform builds = %d, want 1", builds)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			batch.Run(items)
-		}
-	}))
 	// Fleet power capping (DESIGN.md §13): one capped decision on a warm
 	// 16-core controller at 80% of its all-max power, and one rebalancing
 	// epoch of eight such nodes at 80% of provisioned power, whose per-node

@@ -26,6 +26,7 @@ import (
 
 	"coscale/internal/perf"
 	"coscale/internal/policy"
+	"coscale/internal/power"
 )
 
 // Options tune CoScale variants used by the ablation studies.
@@ -41,21 +42,6 @@ type Options struct {
 	// by construction, so this exists for the cross-check property test and
 	// for measuring the tables' speedup, not as a behavioral variant.
 	DisableTables bool
-	// Parallelism is the number of lanes the marginal scans shard across
-	// (DESIGN.md §11): 0 resolves to runtime.GOMAXPROCS(0) at construction,
-	// and any value <= 1 keeps the serial path — the ablation baseline and
-	// the right setting for many controllers sharing a machine (the serve
-	// worker pool already fills the cores with concurrent decisions).
-	// Decisions are bit-identical at every setting.
-	Parallelism int
-	// MinParallelItems is the fan-out floor for the sharded scans: scans
-	// with fewer items run inline on the caller because the per-scan
-	// channel handshake costs more than a few hundred kernel evaluations.
-	// 0 keeps the built-in default (192, estimated on a single-CPU box —
-	// DESIGN.md §11 documents the re-tuning procedure for multicore
-	// hosts). The floor only chooses who executes the kernel, never what
-	// it computes, so any setting is bit-identical.
-	MinParallelItems int
 	// WarmStart seeds each epoch's search from the previous epoch's
 	// accepted solution when the phase detector classifies the epoch as
 	// stable, re-scoring only cores whose counters moved (warm.go;
@@ -80,9 +66,7 @@ type Options struct {
 // moves grows with the core count, so total Decide time conflates walk
 // length with per-step cost (DESIGN.md §10). CoreEvals is the number of
 // per-core local marginal evaluations the eligibility scans ran (rebuild +
-// repair, bottom-step cores excluded); under parallel scans it is summed
-// from per-lane counters after the join, so it is race-free and equal to
-// the serial path's count at any parallelism.
+// repair, bottom-step cores excluded).
 // The warm-start counters record the decision's outcome when
 // Options.WarmStart is on (warm.go): per Decide at most one of WarmHits and
 // ColdSearches is 1, and WarmFallbacks additionally marks a cold search that
@@ -129,14 +113,7 @@ type CoScale struct {
 	merged   []coreMarg // repairCoreList scratch: merge output
 	tmax     []float64  // all-max reference times for slack accounting
 	identity []int      // thread mapping fallback when ThreadIDs is nil
-
-	// Parallel marginal scans (parallel.go). pool is nil when the
-	// controller is serial (Options.Parallelism resolved to one lane).
-	pool        *workerPool
-	sc          scanCtx    // per-scan snapshot the lanes read
-	scanOut     []coreMarg // fixed per-item output slots
-	scanEvals   []int      // per-lane kernel-evaluation counts
-	minParallel int        // fan-out threshold; 0 = minParallelItems (tests lower it)
+	sc       scanCtx    // walk state the marginal kernel reads, hoisted per scan
 
 	// Warm-start state (warm.go; active when opts.WarmStart).
 	warmRec     bool        // record marginal snapshots during the scans
@@ -181,13 +158,15 @@ func NewWithOptions(cfg policy.Config, opts Options) (*CoScale, error) {
 		merged:   make([]coreMarg, 0, n),
 		tmax:     make([]float64, n),
 		identity: make([]int, n),
-		scanOut:  make([]coreMarg, n),
 	}
-	c.minParallel = opts.MinParallelItems
 	c.initWarm()
-	c.attachPool(opts.Parallelism)
 	return c, nil
 }
+
+// Close releases nothing: the search runs on the caller's goroutine and the
+// controller holds only memory. It exists for callers that manage
+// controllers alongside resources that do need closing.
+func (c *CoScale) Close() {}
 
 // Name implements policy.Policy.
 func (c *CoScale) Name() string {
@@ -422,19 +401,19 @@ func (c *CoScale) memoryMarginal(ev *policy.Evaluator, st *searchState) marginal
 // rebuildCoreList recomputes the Figure 3 eligibility list from scratch into
 // st.coreList. (Incremental repair after a group move is handled by
 // repairCoreList; a full rebuild happens only on the first iteration or with
-// caching disabled.) The marginal scan runs through runScan — serial or
-// sharded per Options.Parallelism — into fixed per-core slots; compacting
-// the slots in core-index order below reproduces exactly the serial append
-// order, so the sort input is identical at any parallelism.
+// caching disabled.) Eligible marginals are appended in core-index order.
 //
 //hot:path
 func (c *CoScale) rebuildCoreList(ev *policy.Evaluator, st *searchState) {
-	n := c.cfg.NCores
-	c.runScan(ev, st, scanRebuild, n)
+	c.setupScan(ev, st)
 	list := st.coreList[:0]
-	for j := 0; j < n; j++ {
-		if c.scanOut[j].core >= 0 {
-			list = append(list, c.scanOut[j])
+	for i := 0; i < c.cfg.NCores; i++ {
+		m, evaluated := c.marginalFor(i, 0)
+		if evaluated {
+			c.stats.CoreEvals++
+		}
+		if m.core >= 0 {
+			list = append(list, m)
 		}
 	}
 	st.coreList = list
@@ -458,14 +437,54 @@ func cmpDTPI(a, b coreMarg) int {
 	}
 }
 
+// scanCtx is the walk state the marginal kernel reads during one scan,
+// hoisted once by setupScan.
+type scanCtx struct {
+	steps     []int     // st.steps (current per-core ladder positions)
+	base      []float64 // all-max baseline TPI per core
+	lat       float64   // current joint memory latency
+	cpuScale  float64
+	useTables bool
+	tbl       *perf.StepTable
+	ptbl      *power.CoreTable
+	ev        *policy.Evaluator // direct-path model access (DisableTables)
+
+	// Warm-start signature source (warm.go), hoisted only when the
+	// controller records marginal snapshots (Options.WarmStart).
+	stats []perf.CoreStats // ev.Stats(): per-core counter-derived statistics
+}
+
+// setupScan hoists the walk state the kernel reads into c.sc. Within one
+// scan every hoisted value is constant (the walk mutates st only between
+// scans), so hoisting is exact.
+//
+//hot:path
+func (c *CoScale) setupScan(ev *policy.Evaluator, st *searchState) {
+	sc := &c.sc
+	sc.steps = st.steps
+	sc.base = ev.BaselineTPI()
+	sc.lat = st.cur.MemLoad.Latency
+	cpuScale := c.cfg.Power.CPUScale
+	if cpuScale <= 0 {
+		cpuScale = 1
+	}
+	sc.cpuScale = cpuScale
+	sc.useTables = ev.UseTables
+	sc.ev = ev
+	if ev.UseTables {
+		sc.tbl, sc.ptbl = ev.Tables()
+	}
+	if c.warmRec {
+		sc.stats = ev.Stats()
+	}
+}
+
 // marginalFor is the marginal-scan kernel: it locally estimates the effect
-// of stepping core i down once, holding the memory system at the scan
-// snapshot's modelled latency (c.sc, hoisted by setupScan). Both the serial
-// and the sharded executors run exactly this kernel over exactly this
-// snapshot, which is what makes the parallel scan bit-identical. An
-// ineligible core returns the core = -1 sentinel so the result can occupy a
-// fixed output slot; the bool reports whether the kernel evaluated the core
-// at all (false only at the ladder bottom), which feeds SearchStats.CoreEvals.
+// of stepping core i down once, holding the memory system at the scan's
+// modelled latency (c.sc, hoisted by setupScan). An ineligible core returns
+// the core = -1 sentinel; the bool reports whether the kernel evaluated the
+// core at all (false only at the ladder bottom), which feeds
+// SearchStats.CoreEvals.
 //
 //hot:path
 func (c *CoScale) marginalFor(i int, pos int32) (coreMarg, bool) {
@@ -600,14 +619,16 @@ func (c *CoScale) applyGroup(ev *policy.Evaluator, st *searchState, groupLen int
 //hot:path
 func (c *CoScale) repairCoreList(ev *policy.Evaluator, st *searchState, groupLen int) {
 	kept := st.coreList[groupLen:]
-	// Scan the moved prefix through the same fixed-slot machinery as the
-	// rebuild (the kernel reads st.coreList[j].core and stamps pos = j);
-	// compacting in slot order reproduces the serial append order exactly.
-	c.runScan(ev, st, scanRepair, groupLen)
+	// Re-score the moved prefix in list order, stamping pos = j.
+	c.setupScan(ev, st)
 	fresh := c.fresh[:0]
-	for j := 0; j < groupLen; j++ {
-		if c.scanOut[j].core >= 0 {
-			fresh = append(fresh, c.scanOut[j])
+	for j, moved := range st.coreList[:groupLen] {
+		m, evaluated := c.marginalFor(int(moved.core), int32(j))
+		if evaluated {
+			c.stats.CoreEvals++
+		}
+		if m.core >= 0 {
+			fresh = append(fresh, m)
 		}
 	}
 	c.fresh = fresh

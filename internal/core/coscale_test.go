@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -279,4 +280,26 @@ func TestSearchHandlesTinyLadders(t *testing.T) {
 	if d.MemStep < 0 || d.MemStep > 1 {
 		t.Errorf("MemStep %d out of ladder", d.MemStep)
 	}
+}
+
+// TestDecideStartsNoGoroutines: the search runs entirely on the caller's
+// goroutine. A 1024-core controller deciding and observing several epochs
+// on a multi-CPU scheduler must leave the goroutine count unchanged.
+func TestDecideStartsNoGoroutines(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	before := runtime.NumGoroutine()
+	cfg := propCfg(1024, 10, 8)
+	cs := must(New(cfg))
+	rng := trace.NewRand(99)
+	for k := 0; k < 4; k++ {
+		obs := randObs(rng, cfg.NCores)
+		cs.Decide(obs)
+		cs.Observe(obs)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("goroutines %d -> %d across Decide/Observe, want unchanged", before, after)
+	}
+	runtime.KeepAlive(cs)
 }

@@ -253,4 +253,7 @@ func TestSearchStatsCounts(t *testing.T) {
 	if st.Moves < d.MemStep {
 		t.Errorf("Moves %d < MemStep %d: each memory step is one move", st.Moves, d.MemStep)
 	}
+	if st.Moves > 0 && st.CoreEvals == 0 {
+		t.Errorf("committed %d moves with zero core evaluations", st.Moves)
+	}
 }

@@ -44,13 +44,9 @@ import (
 // can therefore only misorder the walk (costing optimality, bounded by the
 // ablation's energy gate), never violate the slowdown bound.
 //
-// Determinism: the snapshot table is written by the same kernel that
-// computes the scan outputs — one slot per (core, step), each scan item
-// touching exactly one core, so sharded lanes write disjoint slots — and
-// the warm list is assembled serially in core-index order. The decision
-// sequence stays a pure function of (trace, options) at any lane count,
-// and Reset clears the table and the phase signature so replays are
-// bit-identical to a fresh controller.
+// Determinism: the snapshot table is written only by the scan kernel, and
+// Reset clears it together with the phase signature, so replays after Reset
+// are bit-identical to a fresh controller.
 
 // defaultPhaseEpsilon is the phase detector's relative counter-delta
 // threshold when Options.PhaseEpsilon is zero. 5% absorbs sampling noise
@@ -188,9 +184,7 @@ func (c *CoScale) snapshotPhase(obs policy.Observation) {
 }
 
 // recordWarm snapshots a just-scored marginal into the (core, step) slot,
-// anchored to the counter signature it was scored under. Race-free under
-// sharded scans: every scan item maps to exactly one core, so lanes write
-// disjoint slots.
+// anchored to the counter signature it was scored under.
 //
 //hot:path
 func (c *CoScale) recordWarm(i, step int, tpiCur, tpiNext, dPower float64, flags uint8) {
@@ -240,9 +234,8 @@ func (c *CoScale) searchWarm(ev *policy.Evaluator) (policy.Decision, bool) {
 // leak through. Cores recorded as bound-limited skip for free while they
 // stay ineligible; one that becomes eligible again is not handled here
 // (its dPower was never computed) and falls through to a full re-score,
-// which refreshes the snapshot anchor. Deterministic at any lane count:
-// the reuse decision is a pure per-item function of the table and the
-// scan snapshot, and it writes nothing.
+// which refreshes the snapshot anchor. The reuse decision is a pure
+// function of the table and the scan state, and it writes nothing.
 //
 //hot:path
 func (c *CoScale) warmReuse(i, step int, pos int32) (coreMarg, bool) {

@@ -7,16 +7,13 @@ import (
 	"coscale/internal/policy"
 )
 
-// warmCS builds a WarmStart controller with the given parallelism, forcing
-// fan-out at test-sized core counts, and registers cleanup.
-func warmCS(t *testing.T, cfg policy.Config, parallelism int) *CoScale {
+// warmCS builds a WarmStart controller.
+func warmCS(t *testing.T, cfg policy.Config) *CoScale {
 	t.Helper()
-	cs, err := NewWithOptions(cfg, Options{WarmStart: true, Parallelism: parallelism})
+	cs, err := NewWithOptions(cfg, Options{WarmStart: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs.minParallel = 1
-	t.Cleanup(cs.Close)
 	return cs
 }
 
@@ -46,7 +43,7 @@ func TestWarmName(t *testing.T) {
 func TestWarmStableHit(t *testing.T) {
 	cfg := testCfg(16)
 	obs := synthObs(cfg, uniform(cfg.NCores, compute))
-	cs := warmCS(t, cfg, 0)
+	cs := warmCS(t, cfg)
 
 	d := cs.Decide(obs)
 	s := cs.SearchStats()
@@ -75,7 +72,7 @@ func TestWarmStableHit(t *testing.T) {
 // no WarmFallbacks, since no warm attempt was made.
 func TestWarmPhaseBreakFallsBack(t *testing.T) {
 	cfg := testCfg(16)
-	cs := warmCS(t, cfg, 0)
+	cs := warmCS(t, cfg)
 
 	a := synthObs(cfg, uniform(cfg.NCores, compute))
 	cs.Decide(a)
@@ -106,7 +103,7 @@ func TestWarmPhaseBreakFallsBack(t *testing.T) {
 func TestWarmSeedViolationFallsBack(t *testing.T) {
 	cfg := testCfg(8)
 	obs := synthObs(cfg, uniform(cfg.NCores, compute))
-	cs := warmCS(t, cfg, 0)
+	cs := warmCS(t, cfg)
 
 	d := cs.Decide(obs)
 	scaledSome := false
@@ -160,11 +157,11 @@ func TestWarmResetBitIdentity(t *testing.T) {
 		return ds, ss
 	}
 
-	cs := warmCS(t, cfg, 0)
+	cs := warmCS(t, cfg)
 	first, firstStats := run(cs)
 	cs.Reset()
 	replay, replayStats := run(cs)
-	fresh, freshStats := run(warmCS(t, cfg, 0))
+	fresh, freshStats := run(warmCS(t, cfg))
 
 	check := func(name string, ds []policy.Decision, ss []SearchStats) {
 		t.Helper()
@@ -185,48 +182,6 @@ func TestWarmResetBitIdentity(t *testing.T) {
 	}
 	check("replay after Reset", replay, replayStats)
 	check("fresh controller", fresh, freshStats)
-}
-
-// TestWarmParallelBitIdentical: with WarmStart on, sharded marginal scans
-// must not reach a single decision or counter bit — warm snapshots are
-// written to disjoint (core, step) slots by whichever lane scores the core,
-// and the warm list is assembled serially.
-func TestWarmParallelBitIdentical(t *testing.T) {
-	cfg := testCfg(16)
-	a := synthObs(cfg, uniform(cfg.NCores, compute))
-	b := synthObs(cfg, uniform(cfg.NCores, memory))
-	seq := []policy.Observation{a, a, b, a, a, a}
-
-	run := func(par int) ([]policy.Decision, []SearchStats) {
-		cs := warmCS(t, cfg, par)
-		ds := make([]policy.Decision, 0, len(seq))
-		ss := make([]SearchStats, 0, len(seq))
-		for _, obs := range seq {
-			ds = append(ds, cs.Decide(obs).Clone())
-			ss = append(ss, cs.SearchStats())
-			cs.Observe(obs)
-		}
-		return ds, ss
-	}
-
-	wantD, wantS := run(-1) // forced serial
-	for _, par := range []int{2, 8} {
-		gotD, gotS := run(par)
-		for k := range wantD {
-			if gotS[k] != wantS[k] {
-				t.Errorf("par=%d epoch %d stats = %+v, want %+v", par, k, gotS[k], wantS[k])
-			}
-			if gotD[k].MemStep != wantD[k].MemStep {
-				t.Errorf("par=%d epoch %d MemStep = %d, want %d", par, k, gotD[k].MemStep, wantD[k].MemStep)
-			}
-			for i := range wantD[k].CoreSteps {
-				if gotD[k].CoreSteps[i] != wantD[k].CoreSteps[i] {
-					t.Errorf("par=%d epoch %d core %d = %d, want %d",
-						par, k, i, gotD[k].CoreSteps[i], wantD[k].CoreSteps[i])
-				}
-			}
-		}
-	}
 }
 
 // TestWarmDecideZeroAllocSteadyState is the warm path's AllocsPerRun gate:
@@ -257,35 +212,6 @@ func TestWarmDefaultEpsilonAndOverride(t *testing.T) {
 	cs = must(NewWithOptions(cfg, Options{WarmStart: true, PhaseEpsilon: 0.2}))
 	if cs.phaseEps != 0.2 {
 		t.Errorf("phaseEps = %v, want 0.2", cs.phaseEps)
-	}
-}
-
-// TestMinParallelItemsOption: the promoted fan-out floor must reach the
-// scan threshold and must not change decisions (it only chooses who
-// executes the kernel).
-func TestMinParallelItemsOption(t *testing.T) {
-	cfg := testCfg(8)
-	obs := synthObs(cfg, uniform(cfg.NCores, compute))
-
-	low := must(NewWithOptions(cfg, Options{Parallelism: 4, MinParallelItems: 1}))
-	t.Cleanup(low.Close)
-	if low.minParallel != 1 {
-		t.Fatalf("minParallel = %d, want 1", low.minParallel)
-	}
-	serial := must(New(cfg))
-
-	want := serial.Decide(obs)
-	got := low.Decide(obs) // 8 items >= floor 1: the scan fans out
-	if got.MemStep != want.MemStep {
-		t.Errorf("MemStep = %d, want %d", got.MemStep, want.MemStep)
-	}
-	for i := range want.CoreSteps {
-		if got.CoreSteps[i] != want.CoreSteps[i] {
-			t.Errorf("core %d = %d, want %d", i, got.CoreSteps[i], want.CoreSteps[i])
-		}
-	}
-	if s, w := low.SearchStats(), serial.SearchStats(); s != w {
-		t.Errorf("stats = %+v, want %+v", s, w)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"coscale/internal/perf"
 )
 
 // Strategy selects how the Allocator splits the global budget.
@@ -96,7 +98,7 @@ func (a *Allocator) Allocate(budget float64, nodes []Node, out []Assignment) ([]
 	}
 
 	n := len(nodes)
-	a.order = resizeInts(a.order, n)
+	a.order = perf.ResizeInts(a.order, n)
 	for i := range a.order {
 		a.order[i] = i
 	}
@@ -112,10 +114,7 @@ func (a *Allocator) Allocate(budget float64, nodes []Node, out []Assignment) ([]
 		}
 	}
 
-	a.cur = resizeInts(a.cur, n)
-	for i := range a.cur {
-		a.cur[i] = 0
-	}
+	a.cur = perf.ResizeInts(a.cur, n)
 
 	// Floors first, summed in ID order for permutation invariance. The sum
 	// is formed before comparing so a budget exactly equal to the fleet

@@ -29,6 +29,7 @@ import (
 	"math"
 
 	"coscale/internal/core"
+	"coscale/internal/perf"
 	"coscale/internal/policy"
 )
 
@@ -97,10 +98,7 @@ func (b *Builder) Build(dst *Frontier, cfg policy.Config, obs policy.Observation
 	b.ev.Reset(cfg, obs)
 
 	n := cfg.NCores
-	b.steps = resizeInts(b.steps, n)
-	for i := range b.steps {
-		b.steps[i] = 0
-	}
+	b.steps = perf.ResizeInts(b.steps, n)
 	memStep := 0
 	b.ev.EvaluateBaselineInto(&b.cur)
 
@@ -112,7 +110,7 @@ func (b *Builder) Build(dst *Frontier, cfg policy.Config, obs policy.Observation
 		b.walkW = append(b.walkW, e.Power.Total)
 		b.walkS = append(b.walkS, e.MaxSlow)
 		if nVisited < len(b.walkSteps) {
-			b.walkSteps[nVisited] = resizeInts(b.walkSteps[nVisited], n)
+			b.walkSteps[nVisited] = perf.ResizeInts(b.walkSteps[nVisited], n)
 		} else {
 			b.walkSteps = append(b.walkSteps, make([]int, n))
 		}
@@ -139,7 +137,7 @@ func (b *Builder) Build(dst *Frontier, cfg policy.Config, obs policy.Observation
 	// points are sorted by watts (stable insertion sort; the walk is
 	// nearly sorted already) and swept keeping only strict improvements:
 	// watts strictly ascending, slowdown strictly decreasing.
-	b.idx = resizeInts(b.idx, nVisited)
+	b.idx = perf.ResizeInts(b.idx, nVisited)
 	for i := range b.idx {
 		b.idx[i] = nVisited - 1 - i // reverse: roughly ascending watts
 	}
@@ -160,9 +158,9 @@ func (b *Builder) Build(dst *Frontier, cfg policy.Config, obs policy.Observation
 	}
 
 	nPoints := len(b.keep)
-	dst.Watts = resizeFloats(dst.Watts, nPoints)
-	dst.Slow = resizeFloats(dst.Slow, nPoints)
-	dst.mems = resizeInts(dst.mems, nPoints)
+	dst.Watts = perf.GrowFloats(dst.Watts, nPoints)
+	dst.Slow = perf.GrowFloats(dst.Slow, nPoints)
+	dst.mems = perf.ResizeInts(dst.mems, nPoints)
 	if cap(dst.steps) < nPoints {
 		dst.steps = make([][]int, nPoints)
 	}
@@ -171,7 +169,7 @@ func (b *Builder) Build(dst *Frontier, cfg policy.Config, obs policy.Observation
 		dst.Watts[i] = b.walkW[id]
 		dst.Slow[i] = b.walkS[id]
 		dst.mems[i] = b.walkMems[id]
-		dst.steps[i] = resizeInts(dst.steps[i], n)
+		dst.steps[i] = perf.ResizeInts(dst.steps[i], n)
 		copy(dst.steps[i], b.walkSteps[id])
 	}
 	return nil
@@ -192,7 +190,7 @@ func (b *Builder) bestMove(cfg policy.Config, memStep int) (int, bool) {
 		b.best, b.cand = b.cand, b.best
 		found = true
 	}
-	b.trial = resizeInts(b.trial, len(b.steps))
+	b.trial = perf.ResizeInts(b.trial, len(b.steps))
 	copy(b.trial, b.steps)
 	for i := range b.steps {
 		if cfg.CoreLadder.Bottom(b.steps[i]) {
@@ -235,20 +233,4 @@ func JainIndex(xs []float64) float64 {
 		return 0
 	}
 	return sum * sum / (float64(len(xs)) * sq)
-}
-
-// resizeFloats and resizeInts reuse scratch backing arrays without zeroing:
-// every element is fully overwritten before it is read.
-func resizeFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func resizeInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
 }

@@ -20,7 +20,7 @@ import (
 //     rules partition the closure without double-reporting;
 //   - goroutine launches anywhere in the closure: goroutine completion
 //     order is scheduler-dependent, so results folded in arrival order
-//     diverge run to run. Parallelism on a determinism-critical path needs
+//     diverge run to run. Concurrency on a determinism-critical path needs
 //     a fixed reduction order and a reasoned //lint:ignore.
 //
 // The same conservative call-graph treatment as hotprop applies: interface

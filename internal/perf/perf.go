@@ -369,9 +369,8 @@ func ResizeInts(s []int, n int) []int {
 // struct-of-arrays: every step's column lives in one flat backing array at
 // stride n, so a marginal scan walking cores [lo, hi) at one step reads a
 // single contiguous run of float64 lanes and adjacent columns prefetch
-// linearly. A StepTable is not safe for concurrent mutation; after Prebuild,
-// TPIAt/TPIPairAt/FixedCol are pure reads and safe to share across scanning
-// goroutines until the next Reset.
+// linearly. A StepTable is not safe for concurrent use: a lookup may build
+// a column.
 type StepTable struct {
 	stats []CoreStats // per-core statistics (aliases the caller's epoch buffer)
 	hz    []float64   // candidate core frequency per ladder step
@@ -458,21 +457,6 @@ func (t *StepTable) buildCol(s int) {
 		col[i] = c.CPIBase/hz + c.Alpha*c.StallL2
 	}
 	t.built[s] = true
-}
-
-// Prebuild materializes every column, so subsequent TPIAt/TPIPairAt/FixedCol
-// calls are pure reads. Sharded marginal scans call it before fanning out —
-// the lazy first-use build is a data race when shards touch one unbuilt
-// column concurrently. Column contents are a pure function of (stats, hz),
-// so build order — eager or lazy — cannot change a single bit of them.
-//
-//hot:path
-func (t *StepTable) Prebuild() {
-	for s := range t.built {
-		if !t.built[s] {
-			t.buildCol(s)
-		}
-	}
 }
 
 // TPIAt predicts core i's TPI at ladder step s under memory latency lat —

@@ -59,8 +59,8 @@ func BuildPlatformTables(cfg Config) *PlatformTables {
 }
 
 // TableCache memoizes PlatformTables per platform, so a process running many
-// evaluators over identical platforms — coscale-serve's worker pool, a
-// batched DecideAll over sibling engines — builds each platform's tables
+// evaluators over identical platforms — coscale-serve's worker pool, an
+// experiments sweep — builds each platform's tables
 // once instead of once per evaluator. Keys are canonical value strings of
 // the ladder points and memory parameters (not pointer identities), so two
 // configs that describe the same platform share one build even when their

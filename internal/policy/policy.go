@@ -43,8 +43,7 @@ type Config struct {
 	// on the table path fetch their platform-derived columns (ladder
 	// Hz/Volts tables, per-step memory queueing models) from it instead of
 	// rebuilding them, so sibling controllers over one platform — a sweep
-	// job's cells, a batched DecideAll — build those tables once per
-	// process. Nil keeps the private per-evaluator build; results are
+	// job's cells — build those tables once per process. Nil keeps the private per-evaluator build; results are
 	// bit-identical either way.
 	Tables *TableCache
 }
