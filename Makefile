@@ -7,7 +7,7 @@ GO ?= go
 
 ## check: the full gate — tier-1 verify + vet + gofmt + coscale-lint +
 ## escape-analysis gate + the load generator's own module tests + the
-## fleet rebalancer's serial-replica bit-identity test
+## fleet rebalancer's serial-replica and reuse bit-identity tests
 check: build vet fmt-check lint escapes test loadgen-test bit-identity
 
 build:
@@ -35,18 +35,19 @@ bench:
 ## coscale-bench diff against the committed baseline (mirrors CI's
 ## bench-smoke)
 bench-smoke:
-	$(GO) test -run 'ZeroAlloc|DeterministicUnderReuse|GoldenBitIdentical' -count=1 . ./internal/sim
-	GOMAXPROCS=1 $(GO) test -run 'ZeroAlloc|DeterministicUnderReuse|GoldenBitIdentical' -count=1 . ./internal/sim
+	$(GO) test -run 'ZeroAlloc|DeterministicUnderReuse|GoldenBitIdentical' -count=1 . ./internal/sim ./internal/fastcap
+	GOMAXPROCS=1 $(GO) test -run 'ZeroAlloc|DeterministicUnderReuse|GoldenBitIdentical' -count=1 . ./internal/sim ./internal/fastcap
 	$(GO) test -bench 'BenchmarkSearch16Cores|BenchmarkEpochSimulation' -benchtime=1x -benchmem -run='^$$' .
 	$(MAKE) bench-compare
 
 ## bit-identity: the determinism gate behind DESIGN.md §13 — the fleet
-## rebalancer's per-node fan-out against its serial replica under the race
-## detector, at both GOMAXPROCS=1 and the machine default, so scheduler
-## width can never reach an assignment bit
+## rebalancer's per-node fan-out against its serial replica, and its
+## frontier and decision reuse against a rebuild-everything replica, under
+## the race detector at both GOMAXPROCS=1 and the machine default, so
+## neither scheduler width nor reuse can reach an assignment bit
 bit-identity:
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica' ./internal/fastcap
-	$(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica' ./internal/fastcap
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica|RebalancerReuseMatchesRebuild' ./internal/fastcap
+	$(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica|RebalancerReuseMatchesRebuild' ./internal/fastcap
 
 ## bench-json: regenerate BENCH_baseline.json (ns/op, allocs/op, figure
 ## wall-times; see DESIGN.md §7 for the schema)
@@ -103,12 +104,13 @@ fleet-smoke:
 ## detector — the fastcap allocator/frontier/rebalancer property tests
 ## (Float64bits-identical allocations across replays and node orderings,
 ## budget conservation, allocation-free steady state, the per-node fan-out
-## matching a serial replica at GOMAXPROCS=1 and the default) plus a
+## matching a serial replica and frontier/decision reuse matching a full
+## rebuild, at GOMAXPROCS=1 and the default) plus a
 ## reduced-grid run of the -exp fastcap cap-event experiment (mirrors CI's
 ## fastcap-smoke job; see DESIGN.md §13)
 fastcap-smoke:
 	$(GO) test -race -count=1 ./internal/fastcap
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica' ./internal/fastcap
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica|RebalancerReuseMatchesRebuild' ./internal/fastcap
 	$(GO) test -race -count=1 -run 'TestFastCap' ./internal/experiments
 	$(GO) run -race ./cmd/coscale-experiments -exp fastcap -fastcap-nodes 3 -fastcap-epochs 12
 

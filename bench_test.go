@@ -435,10 +435,20 @@ func BenchmarkPowerCapDecide(b *testing.B) {
 	}
 }
 
-// BenchmarkRebalancerEpoch measures one fleet rebalancing epoch: eight
+// BenchmarkRebalancerEpoch measures one cold fleet rebalancing epoch: eight
 // 16-core nodes of the fastcap study under a budget at 80% of provisioned
-// power — frontier builds, the fair allocation and eight capped decisions.
-func BenchmarkRebalancerEpoch(b *testing.B) {
+// power — eight frontier builds, the fair allocation and eight capped
+// decisions. Iterations alternate between the fixture's two observation
+// sets, which differ on every node, so no node can keep its frontier.
+func BenchmarkRebalancerEpoch(b *testing.B) { benchRebalancerEpoch(b, false) }
+
+// BenchmarkRebalancerEpochStable measures the same fleet epoch while every
+// node holds its phase and the budget holds: each node keeps its frontier
+// and its capped decision, so the epoch is the observation compares plus
+// the allocation.
+func BenchmarkRebalancerEpochStable(b *testing.B) { benchRebalancerEpoch(b, true) }
+
+func benchRebalancerEpoch(b *testing.B, stable bool) {
 	fx := must(experiments.FastCapBenchFleet(8))
 	r := fastcap.NewRebalancer(fastcap.Fair)
 	for n := range fx.Obs {
@@ -446,14 +456,21 @@ func BenchmarkRebalancerEpoch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	eps, err := r.Epoch(0.8*fx.Provisioned, fx.Obs, nil)
-	if err != nil {
-		b.Fatal(err)
+	sets := [2][]policy.Observation{fx.Later, fx.Obs}
+	if stable {
+		sets[0] = fx.Obs
+	}
+	var eps []fastcap.NodeEpoch
+	var err error
+	for _, obs := range [...][]policy.Observation{fx.Obs, fx.Later, fx.Obs} { // warm: grows scratch for both sets
+		if eps, err = r.Epoch(0.8*fx.Provisioned, obs, eps[:0]); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if eps, err = r.Epoch(0.8*fx.Provisioned, fx.Obs, eps[:0]); err != nil {
+		if eps, err = r.Epoch(0.8*fx.Provisioned, sets[i%2], eps[:0]); err != nil {
 			b.Fatal(err)
 		}
 	}

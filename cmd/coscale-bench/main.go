@@ -1,6 +1,7 @@
 // Command coscale-bench runs the headline performance benchmarks — the §3.1
 // search cost at 16-1024 cores (cold and warm-started), one capped PowerCap
-// decision and one fleet rebalancing epoch, and the raw epoch-simulation
+// decision, one fleet rebalancing epoch (cold, and with every node holding
+// its phase), and the raw epoch-simulation
 // throughput — plus a timed figure regeneration, and
 // writes the numbers as machine-readable JSON, with the host's CPU count
 // and GOMAXPROCS. The committed BENCH_baseline.json at the repository root
@@ -41,6 +42,7 @@ import (
 	"coscale/internal/core"
 	"coscale/internal/experiments"
 	"coscale/internal/fastcap"
+	"coscale/internal/policy"
 	"coscale/internal/sim"
 	"coscale/internal/workload"
 )
@@ -176,7 +178,10 @@ func main() {
 	// Fleet power capping (DESIGN.md §13): one capped decision on a warm
 	// 16-core controller at 80% of its all-max power, and one rebalancing
 	// epoch of eight such nodes at 80% of provisioned power, whose per-node
-	// work fans out across min(GOMAXPROCS, 8) lanes.
+	// work fans out across min(GOMAXPROCS, 8) lanes. RebalancerEpoch
+	// alternates two observation sets that differ on every node, so every
+	// epoch rebuilds all eight frontiers; RebalancerEpochStable repeats one
+	// set under one budget, so every node keeps its frontier and decision.
 	rep.Benchmarks = append(rep.Benchmarks, bench("PowerCapDecide", func(b *testing.B) {
 		fx, err := experiments.FastCapBenchFleet(1)
 		if err != nil {
@@ -193,29 +198,41 @@ func main() {
 			pc.Decide(fx.Obs[0])
 		}
 	}))
-	rep.Benchmarks = append(rep.Benchmarks, bench("RebalancerEpoch", func(b *testing.B) {
-		fx, err := experiments.FastCapBenchFleet(8)
-		if err != nil {
-			b.Fatal(err)
+	for _, stable := range []bool{false, true} {
+		name := "RebalancerEpoch"
+		if stable {
+			name += "Stable"
 		}
-		r := fastcap.NewRebalancer(fastcap.Fair)
-		for n := range fx.Obs {
-			if err := r.AddNode(fmt.Sprintf("node-%02d", n), fx.Cfg); err != nil {
+		rep.Benchmarks = append(rep.Benchmarks, bench(name, func(b *testing.B) {
+			fx, err := experiments.FastCapBenchFleet(8)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-		eps, err := r.Epoch(0.8*fx.Provisioned, fx.Obs, nil) // warm
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if eps, err = r.Epoch(0.8*fx.Provisioned, fx.Obs, eps[:0]); err != nil {
-				b.Fatal(err)
+			sets := [2][]policy.Observation{fx.Later, fx.Obs}
+			if stable {
+				sets[0] = fx.Obs
 			}
-		}
-	}))
+			r := fastcap.NewRebalancer(fastcap.Fair)
+			for n := range fx.Obs {
+				if err := r.AddNode(fmt.Sprintf("node-%02d", n), fx.Cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var eps []fastcap.NodeEpoch
+			for _, obs := range [...][]policy.Observation{fx.Obs, fx.Later, fx.Obs} { // warm: grows scratch for both sets
+				if eps, err = r.Epoch(0.8*fx.Provisioned, obs, eps[:0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if eps, err = r.Epoch(0.8*fx.Provisioned, sets[i%2], eps[:0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}))
+	}
 	rep.Benchmarks = append(rep.Benchmarks, bench("EpochSimulation", func(b *testing.B) {
 		// Steady-state form: engine and controller are built once and
 		// rewound per iteration, so the measurement is simulation

@@ -417,3 +417,60 @@ func TestPowerCapDecideZeroAllocSteadyState(t *testing.T) {
 		t.Errorf("DecideCapped allocates %.1f times per call in steady state, want 0", avg)
 	}
 }
+
+// TestPowerCapContracts states PowerCap's two budget contracts as
+// properties over the oracle test's grid — all 16 mixes, caps from 40% to
+// 105% of the all-max power, Gamma 0 and 0.10, slack varying along the
+// sequence: DecideCapped returns ErrCapInfeasible exactly when the
+// all-minimum configuration's predicted power exceeds the cap, and under a
+// feasible cap the returned decision's predicted power never exceeds it.
+// The floor and the decision's power come from an independent evaluator
+// on the direct path.
+func TestPowerCapContracts(t *testing.T) {
+	rng := trace.NewRand(2012)
+	llc := cache.NewShareModel(cache.DefaultSizeMB)
+	feasible, infeasible := 0, 0
+	for _, name := range workload.Names() {
+		mix := must(workload.Get(name))
+		for _, gamma := range []float64{0, 0.10} {
+			cfg := testCfg(mix.Cores())
+			cfg.Gamma = gamma
+			p := must(NewPowerCap(cfg, 1))
+			minSteps := make([]int, cfg.NCores)
+			for i := range minSteps {
+				minSteps[i] = cfg.CoreLadder.Steps() - 1
+			}
+			for k := 0; k <= 13; k++ {
+				frac := 0.40 + 0.05*float64(k)
+				obs := capMixObs(cfg, mix, llc, rng.Float64())
+				ev := policy.NewEvaluator(cfg, obs)
+				capW := ev.Baseline().Power.Total * frac
+				floor := ev.Evaluate(minSteps, cfg.MemLadder.Steps()-1).Power.Total
+				if err := p.SetCap(capW); err != nil {
+					t.Fatal(err)
+				}
+				d, err := p.DecideCapped(obs)
+				ctx := fmt.Sprintf("%s gamma=%g cap=%.2f", name, gamma, frac)
+				if errors.Is(err, ErrCapInfeasible) != (floor > capW) {
+					t.Fatalf("%s: err = %v with floor %.6f W and cap %.6f W", ctx, err, floor, capW)
+				}
+				switch {
+				case err == nil:
+					feasible++
+					if got := ev.Evaluate(d.CoreSteps, d.MemStep).Power.Total; got > capW {
+						t.Errorf("%s: decision predicted at %.6f W over the feasible %.6f W cap", ctx, got, capW)
+					}
+				case errors.Is(err, ErrCapInfeasible):
+					infeasible++
+				default:
+					t.Fatalf("%s: %v", ctx, err)
+				}
+				obs.Window *= 0.9 + 0.2*rng.Float64()
+				p.Observe(obs)
+			}
+		}
+	}
+	if feasible == 0 || infeasible == 0 {
+		t.Fatalf("grid reached %d feasible and %d infeasible caps; want both", feasible, infeasible)
+	}
+}

@@ -280,23 +280,42 @@ func fastCapFleet(tables *policy.TableCache, nodes, epochs int) (policy.Config, 
 
 // FastCapBench is the input of the PowerCapDecide and RebalancerEpoch
 // benchmarks: the fastcap study's per-node platform (all nodes sharing one
-// table cache), its first epoch's per-node observations and the fleet's
-// provisioned (all-max) power.
+// table cache), two per-node observation sets and the fleet's provisioned
+// (all-max) power. Obs is the study's first epoch. Later differs from Obs
+// bit for bit on every node, so a rebalancer fed Obs and Later in turn
+// rebuilds every frontier each epoch.
 type FastCapBench struct {
 	Cfg         policy.Config
 	Obs         []policy.Observation
+	Later       []policy.Observation
 	Provisioned float64
 }
+
+// fastCapBenchLater is the study epoch Later is drawn from.
+const fastCapBenchLater = 24
 
 // FastCapBenchFleet returns the benchmark input for a nodes-node fleet of
 // 16-core nodes. One definition keeps `go test -bench` and cmd/coscale-bench
 // measuring the same workload.
+//
+// Later is the study's epoch-24 observations rotated by one node: node n
+// takes node n+1's. Some mixes hold a single phase, so a node's own
+// trajectory can stay bit-identical forever; every node shares one
+// platform, so a neighbour's observation is an equally valid input. It is
+// an error for any node's two observations to be bit-equal.
 func FastCapBenchFleet(nodes int) (FastCapBench, error) {
-	cfg, obs, provisioned, err := fastCapFleet(&policy.TableCache{}, nodes, 1)
+	cfg, obs, provisioned, err := fastCapFleet(&policy.TableCache{}, nodes, fastCapBenchLater+1)
 	if err != nil {
 		return FastCapBench{}, err
 	}
-	return FastCapBench{Cfg: cfg, Obs: obs[0], Provisioned: provisioned}, nil
+	fx := FastCapBench{Cfg: cfg, Obs: obs[0], Later: make([]policy.Observation, nodes), Provisioned: provisioned}
+	for n := range fx.Later {
+		fx.Later[n] = obs[fastCapBenchLater][(n+1)%nodes]
+		if fx.Later[n].BitEqual(&fx.Obs[n]) {
+			return FastCapBench{}, fmt.Errorf("experiments: node %d's benchmark observations are bit-equal", n)
+		}
+	}
+	return fx, nil
 }
 
 // FormatFastCap renders the fleet capping study as a strategy × segment

@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+
+	"coscale/internal/fastcap"
+	"coscale/internal/policy"
 )
 
 func fastCapRow(t *testing.T, rows []FastCapRow, strategy, segment string) FastCapRow {
@@ -120,6 +124,59 @@ func TestFormatFastCap(t *testing.T) {
 	for _, want := range []string{"strategy", "fair", "greedy", "uniform", "cut", "dip", "jain"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("formatted table missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestFastCapContracts checks the rebalancer's budget contracts on every
+// epoch of the committed -exp fastcap trajectory (6 nodes, 36 epochs,
+// steady/cut/dip) under each strategy: the assignments never sum above the
+// global budget, and no node whose decision was not clamped is predicted
+// to draw more than its assignment. The trajectory is built here, so the
+// property lives beside it rather than in internal/fastcap.
+func TestFastCapContracts(t *testing.T) {
+	const nodes, epochs = 6, 36
+	cfg, obs, provisioned, err := fastCapFleet(&policy.TableCache{}, nodes, epochs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []fastcap.Strategy{fastcap.Fair, fastcap.Greedy, fastcap.Uniform} {
+		reb := fastcap.NewRebalancer(s)
+		for n := range nodes {
+			if err := reb.AddNode(fmt.Sprintf("node-%02d", n), cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var eps []fastcap.NodeEpoch
+		for e := range epochs {
+			seg, frac := fastCapSegment(e, epochs)
+			budget := provisioned * frac
+			if eps, err = reb.Epoch(budget, obs[e], eps[:0]); err != nil {
+				t.Fatalf("%s epoch %d (%s): %v", s, e, seg, err)
+			}
+			sum := 0.0
+			for _, ne := range eps {
+				sum += ne.Assigned
+				if !ne.Clamped && ne.Power > ne.Assigned {
+					t.Errorf("%s epoch %d (%s): %s predicted at %.6f W over its %.6f W assignment, unclamped",
+						s, e, seg, ne.ID, ne.Power, ne.Assigned)
+				}
+			}
+			if sum > budget {
+				t.Errorf("%s epoch %d (%s): assignments sum to %.6f W over the %.6f W budget", s, e, seg, sum, budget)
+			}
+		}
+	}
+}
+
+// TestFastCapBenchFleetObservationsDiffer checks that the benchmark
+// fixture builds at both fleet sizes the benchmarks use: its constructor
+// fails when any node's two observation sets are bit-equal, which would
+// let the cold RebalancerEpoch row keep a frontier.
+func TestFastCapBenchFleetObservationsDiffer(t *testing.T) {
+	for _, nodes := range []int{1, 8} {
+		if _, err := FastCapBenchFleet(nodes); err != nil {
+			t.Errorf("%d nodes: %v", nodes, err)
 		}
 	}
 }

@@ -14,8 +14,10 @@
 // worst off — Greedy spends each watt where it buys the most slowdown
 // reduction anywhere in the fleet, and Uniform is the static budget/N
 // reference split. The Rebalancer ties the pieces into the epoch loop:
-// rebuild frontiers as workload mixes shift, reallocate, then run each
-// node's core.PowerCap against its assigned slice.
+// rebuild frontiers as workload mixes shift — a node whose observation is
+// bit-identical to its previous one keeps its frontier, and under an
+// unchanged assignment its decision too — reallocate, then run each node's
+// core.PowerCap against its assigned slice.
 //
 // Determinism is load-bearing (the package is in the determinism lint
 // scope): identical inputs produce Float64bits-identical assignments

@@ -27,9 +27,10 @@ type NodeEpoch struct {
 
 // rbNode is one managed node. Nodes live in a slice in Add order — no maps,
 // so iteration order is deterministic by construction. Everything a node's
-// per-epoch work touches — builder, frontier, controller, evaluator and its
-// result and error slots — is its own, so nodes can be processed
-// concurrently without sharing any mutable state.
+// per-epoch work touches — builder, frontier, controller, evaluator, the
+// copy of its last observation and its result and error slots — is its
+// own, so nodes can be processed concurrently without sharing any mutable
+// state.
 type rbNode struct {
 	id   string
 	cfg  policy.Config
@@ -39,15 +40,25 @@ type rbNode struct {
 	f    Frontier
 	prev uint64 // Float64bits of last epoch's assignment
 
+	// Reuse keys. seen is an owned deep copy of the observation f was
+	// built from (valid while built); eval and clamped hold the decision
+	// for seen under the cap whose Float64bits are capBits (valid while
+	// decided). The controller never sees Observe, so both results are
+	// pure functions of these keys.
+	seen    policy.Observation
+	built   bool
+	decided bool
+	capBits uint64
+
 	// Per-epoch slots, written only by the lane that claimed this node.
 	eval    policy.Eval
 	clamped bool // DecideCapped reported ErrCapInfeasible
 	err     error
 }
 
-// Rebalancer runs the fleet-level epoch loop: each epoch it rebuilds every
-// node's frontier from that node's fresh observation, reallocates the
-// global budget across the frontiers, and drives each node's core.PowerCap
+// Rebalancer runs the fleet-level epoch loop: each epoch it rebuilds the
+// frontier of every node whose observation changed, reallocates the global
+// budget across the frontiers, and drives each node's core.PowerCap
 // against its assigned slice. One Rebalancer per strategy; it is not safe
 // for concurrent use.
 type Rebalancer struct {
@@ -58,8 +69,10 @@ type Rebalancer struct {
 	// Scratch reused across epochs.
 	anodes  []Node
 	assigns []Assignment
+	work    []int // indices of the nodes a phase must process
 
 	rebalances int64
+	builds     int64
 	epochs     int64
 }
 
@@ -77,6 +90,11 @@ func (r *Rebalancer) Len() int { return len(r.nodes) }
 // Rebalances returns how many epochs changed at least one node's
 // assignment (Float64bits comparison against the previous epoch).
 func (r *Rebalancer) Rebalances() int64 { return r.rebalances }
+
+// Builds returns how many frontier builds Epoch has run. A node whose
+// observation is bit-identical to its previous one keeps its frontier, so
+// this grows by fewer than Len per epoch while workloads hold a phase.
+func (r *Rebalancer) Builds() int64 { return r.builds }
 
 // AddNode registers a node. The initial per-node cap is a placeholder —
 // the first Epoch call overwrites it with the node's real assignment.
@@ -130,11 +148,15 @@ func (r *Rebalancer) NodeIDs(dst []string) []string {
 // returned epochs are still valid actuations.
 //
 // Each node's frontier and capped decision depend on that node's own
-// observation alone; only the allocation couples the nodes. So the frontier
-// builds and the per-node decisions run concurrently across nodes, the
-// allocation runs serially between them, and the results are reduced in
-// node order afterwards: the outcome is bit-identical to a serial pass at
-// any GOMAXPROCS, and a failure is reported for the lowest failing node.
+// observation (and, for the decision, its assignment) alone; only the
+// allocation couples the nodes. So the frontier builds and the per-node
+// decisions run concurrently across nodes, the allocation runs serially
+// between them, and the results are reduced in node order afterwards: the
+// outcome is bit-identical to a serial pass at any GOMAXPROCS, and a
+// failure is reported for the lowest failing node. A node whose
+// observation matches its previous one field for field (floats by
+// Float64bits) keeps its frontier, and if its assignment bits match too,
+// its decision; an epoch that changes nothing starts no goroutines.
 func (r *Rebalancer) Epoch(budget float64, obs []policy.Observation, out []NodeEpoch) ([]NodeEpoch, error) {
 	if len(obs) != len(r.nodes) {
 		return out, fmt.Errorf("fastcap: %d observations for %d nodes", len(obs), len(r.nodes))
@@ -143,9 +165,27 @@ func (r *Rebalancer) Epoch(budget float64, obs []policy.Observation, out []NodeE
 		return out, nil
 	}
 
-	r.forEachNode(func(i int, n *rbNode) {
-		n.err = n.b.Build(&n.f, n.cfg, obs[i])
-	})
+	r.work = r.work[:0]
+	for i := range r.nodes {
+		n := &r.nodes[i]
+		n.err = nil
+		if n.built && n.seen.BitEqual(&obs[i]) {
+			continue
+		}
+		n.built, n.decided = false, false
+		r.work = append(r.work, i)
+	}
+	// Both phases test for work before building their closure: it escapes
+	// to the lanes, so building it allocates.
+	if len(r.work) > 0 {
+		r.builds += int64(len(r.work))
+		r.forEachNode(func(i int, n *rbNode) {
+			if n.err = n.b.Build(&n.f, n.cfg, obs[i]); n.err == nil {
+				obs[i].CloneInto(&n.seen)
+				n.built = true
+			}
+		})
+	}
 	r.anodes = r.anodes[:0]
 	for i := range r.nodes {
 		n := &r.nodes[i]
@@ -165,22 +205,35 @@ func (r *Rebalancer) Epoch(budget float64, obs []policy.Observation, out []NodeE
 	// watts and PowerCap's own min-eval are bit-identical (both run the
 	// memoized table path), so an assignment at the floor is feasible at
 	// the boundary rather than spuriously infeasible.
-	r.forEachNode(func(i int, n *rbNode) {
-		n.clamped = false
-		if n.err = n.cap.SetCap(r.assigns[i].Watts); n.err != nil {
-			return
+	r.work = r.work[:0]
+	for i := range r.nodes {
+		n := &r.nodes[i]
+		if n.decided && n.capBits == math.Float64bits(r.assigns[i].Watts) {
+			continue
 		}
-		d, derr := n.cap.DecideCapped(obs[i])
-		if derr != nil {
-			if !errors.Is(derr, core.ErrCapInfeasible) {
-				n.err = derr
+		n.decided = false
+		r.work = append(r.work, i)
+	}
+	if len(r.work) > 0 {
+		r.forEachNode(func(i int, n *rbNode) {
+			n.clamped = false
+			w := r.assigns[i].Watts
+			if n.err = n.cap.SetCap(w); n.err != nil {
 				return
 			}
-			n.clamped = true
-		}
-		n.ev.Reset(n.cfg, obs[i])
-		n.ev.EvaluateInto(&n.eval, d.CoreSteps, d.MemStep)
-	})
+			d, derr := n.cap.DecideCapped(obs[i])
+			if derr != nil {
+				if !errors.Is(derr, core.ErrCapInfeasible) {
+					n.err = derr
+					return
+				}
+				n.clamped = true
+			}
+			n.ev.Reset(n.cfg, obs[i])
+			n.ev.EvaluateInto(&n.eval, d.CoreSteps, d.MemStep)
+			n.decided, n.capBits = true, math.Float64bits(w)
+		})
+	}
 
 	changed := false
 	for i := range r.nodes {
@@ -209,27 +262,29 @@ func (r *Rebalancer) Epoch(budget float64, obs []policy.Observation, out []NodeE
 	return out, err
 }
 
-// forEachNode runs fn once for every node, across min(GOMAXPROCS, nodes)
-// lanes that claim node indices from a shared counter; the calling
-// goroutine is one of the lanes, and the call returns after every node is
-// done. fn must touch only node i's own state and shared read-only inputs.
+// forEachNode runs fn once for every node listed in r.work, across
+// min(GOMAXPROCS, len(r.work)) lanes that claim list positions from a
+// shared counter; the calling goroutine is one of the lanes, and the call
+// returns after every listed node is done. fn must touch only node i's own
+// state and shared read-only inputs.
 func (r *Rebalancer) forEachNode(fn func(i int, n *rbNode)) {
-	lanes := min(runtime.GOMAXPROCS(0), len(r.nodes))
+	lanes := min(runtime.GOMAXPROCS(0), len(r.work))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(lanes)
 	lane := func() {
 		defer wg.Done()
 		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(r.nodes) {
+			k := int(next.Add(1)) - 1
+			if k >= len(r.work) {
 				return
 			}
+			i := r.work[k]
 			fn(i, &r.nodes[i])
 		}
 	}
 	for range lanes - 1 {
-		//lint:ignore dettaint deterministic by construction: each node index is claimed by exactly one lane, which writes only that node's own builder, controller, evaluator and result slots from read-only inputs, and the caller reads the slots in node order only after the join — which lane ran a node, and when, cannot reach any output bit (DESIGN.md §13)
+		//lint:ignore dettaint deterministic by construction: each node index is claimed by exactly one lane, which writes only that node's own builder, controller, evaluator, observation copy and result slots from read-only inputs, and the caller reads the slots in node order only after the join — which lane ran a node, and when, cannot reach any output bit (DESIGN.md §13)
 		go lane()
 	}
 	lane()

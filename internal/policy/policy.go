@@ -12,6 +12,7 @@ package policy
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"coscale/internal/freq"
@@ -136,6 +137,57 @@ func (o Observation) Clone() Observation {
 	o.Cores = append([]CoreObs(nil), o.Cores...)
 	return o
 }
+
+// CloneInto deep-copies o into dst, reusing dst's slices, so a steady
+// stream of same-shaped observations is retained without allocating. A nil
+// slice of o stays nil in dst.
+func (o *Observation) CloneInto(dst *Observation) {
+	coreSteps, threads, cores := dst.CoreSteps, dst.ThreadIDs, dst.Cores
+	*dst = *o
+	dst.CoreSteps = copyInto(coreSteps, o.CoreSteps)
+	dst.ThreadIDs = copyInto(threads, o.ThreadIDs)
+	dst.Cores = copyInto(cores, o.Cores)
+}
+
+func copyInto[T any](dst, src []T) []T {
+	if src == nil {
+		return nil
+	}
+	return append(dst[:0], src...)
+}
+
+// BitEqual reports whether o and b are identical field by field: floats
+// compare by Float64bits, so +0 differs from -0 and a NaN field never
+// equals anything, and a nil slice differs from an empty one. Every
+// decision is a function of the observation's fields, so two BitEqual
+// observations lead a deterministic controller to the same bits.
+func (o *Observation) BitEqual(b *Observation) bool {
+	if !sameBits(o.Window, b.Window) || o.MemStep != b.MemStep ||
+		!sameBits(o.MemRate, b.MemRate) || !sameBits(o.MemLatency, b.MemLatency) ||
+		!sameBits(o.UtilBus, b.UtilBus) || !sameBits(o.BusyFrac, b.BusyFrac) ||
+		!sameInts(o.CoreSteps, b.CoreSteps) || !sameInts(o.ThreadIDs, b.ThreadIDs) ||
+		(o.Cores == nil) != (b.Cores == nil) || len(o.Cores) != len(b.Cores) {
+		return false
+	}
+	for i := range o.Cores {
+		x, y := &o.Cores[i], &b.Cores[i]
+		if x.Instructions != y.Instructions ||
+			!sameBits(x.Stats.CPIBase, y.Stats.CPIBase) || !sameBits(x.Stats.Alpha, y.Stats.Alpha) ||
+			!sameBits(x.Stats.StallL2, y.Stats.StallL2) || !sameBits(x.Stats.Beta, y.Stats.Beta) ||
+			!sameBits(x.Stats.MemPerInstr, y.Stats.MemPerInstr) || !sameBits(x.Stats.MLP, y.Stats.MLP) ||
+			!sameBits(x.L2PerInstr, y.L2PerInstr) ||
+			!sameBits(x.Mix.ALU, y.Mix.ALU) || !sameBits(x.Mix.FPU, y.Mix.FPU) ||
+			!sameBits(x.Mix.Branch, y.Mix.Branch) || !sameBits(x.Mix.LoadStore, y.Mix.LoadStore) ||
+			!sameBits(x.IPS, y.IPS) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) && !math.IsNaN(a) }
+
+func sameInts(a, b []int) bool { return (a == nil) == (b == nil) && slices.Equal(a, b) }
 
 // CoreThreads returns the thread-on-core mapping, defaulting to identity.
 func (o Observation) CoreThreads() []int {

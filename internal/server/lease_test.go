@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -182,13 +184,33 @@ func (l smallWriteBufListener) Accept() (net.Conn, error) {
 	return c, err
 }
 
+// dropSignal is a log sink that closes done at the server's first
+// "stream dropped" line, so a test can block on the drop itself.
+type dropSignal struct {
+	once sync.Once
+	done chan struct{}
+}
+
+func (d *dropSignal) Write(p []byte) (int, error) {
+	if strings.Contains(string(p), "stream dropped") {
+		d.once.Do(func() { close(d.done) })
+	}
+	return len(p), nil
+}
+
 // TestStreamWriteDeadlineDropsStalledClient connects a client that requests
 // an NDJSON stream and then never reads it. Once the socket buffers fill,
 // the per-write deadline must trip, the handler must exit (freeing its
 // goroutine), and the drop must surface as coscale_streams_dropped_total.
-// The job itself keeps running and stays cancellable.
+// The job itself keeps running and stays cancellable. The test blocks on
+// the server's drop log line rather than polling against a wall clock:
+// the job streams lines until cancelled, so the buffers always fill, and
+// the deadline trips in either a line's write or the batch's flush —
+// both end in a counted drop.
 func TestStreamWriteDeadlineDropsStalledClient(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 4, StreamWriteTimeout: 250 * time.Millisecond})
+	sig := &dropSignal{done: make(chan struct{})}
+	s := New(Config{Workers: 1, QueueDepth: 4, StreamWriteTimeout: 250 * time.Millisecond,
+		Logger: log.New(sig, "", 0)})
 	ts := httptest.NewUnstartedServer(s.Handler())
 	ts.Listener = smallWriteBufListener{ts.Listener}
 	ts.Start()
@@ -216,16 +238,10 @@ func TestStreamWriteDeadlineDropsStalledClient(t *testing.T) {
 	}
 	fmt.Fprintf(conn, "GET /v1/jobs/%s/stream HTTP/1.1\r\nHost: stalled\r\n\r\n", job.ID)
 
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		_, mbody := getJSON(t, client, ts.URL+"/metrics")
-		if metricValue(t, string(mbody), "coscale_streams_dropped_total") >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("stream never dropped: write deadline did not trip for a stalled client")
-		}
-		time.Sleep(20 * time.Millisecond)
+	<-sig.done
+	_, mbody := getJSON(t, client, ts.URL+"/metrics")
+	if n := metricValue(t, string(mbody), "coscale_streams_dropped_total"); n != 1 {
+		t.Fatalf("coscale_streams_dropped_total = %g after the drop, want 1", n)
 	}
 
 	// The drop severed the stream, not the job.

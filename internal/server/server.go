@@ -587,7 +587,10 @@ func epochLine(rec sim.EpochRecord) streamLine {
 // (Config.StreamWriteTimeout): a client that stalls its receive window —
 // connected but not reading — is dropped once the kernel buffers fill and
 // the deadline trips, so it cannot pin this handler goroutine forever.
-// Such drops are counted as coscale_streams_dropped_total.
+// Such drops are counted as coscale_streams_dropped_total, whether the
+// deadline trips in a line's write or in the batch's flush: a failed
+// flush also cancels the request context, so its error must be read here
+// or the drop would end the stream uncounted.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) error {
 	j, ok := s.jobByID(r.PathValue("id"))
 	if !ok {
@@ -595,7 +598,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) error {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
 	rc := http.NewResponseController(w)
 	renewDeadline := func() {
 		if s.cfg.StreamWriteTimeout > 0 {
@@ -610,6 +612,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) error {
 			s.logf("job %s: stream dropped (client stalled past %s)", j.ID, s.cfg.StreamWriteTimeout)
 		}
 		return nil // in either case the stream is over; the job keeps running
+	}
+	flush := func() error {
+		if err := rc.Flush(); err != nil && !errors.Is(err, http.ErrNotSupported) {
+			return err
+		}
+		return nil
 	}
 	enc := json.NewEncoder(w)
 	sent := 0
@@ -639,13 +647,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) error {
 			if err := enc.Encode(final); err != nil {
 				return streamErr(err)
 			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			return nil
+			return streamErr(flush())
 		}
-		if flusher != nil {
-			flusher.Flush()
+		if err := flush(); err != nil {
+			return streamErr(err)
 		}
 		select {
 		case <-r.Context().Done():
