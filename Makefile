@@ -41,13 +41,14 @@ bench-smoke:
 	$(MAKE) bench-compare
 
 ## bit-identity: the determinism gate behind DESIGN.md §13 — the fleet
-## rebalancer's per-node fan-out against its serial replica, and its
-## frontier and decision reuse against a rebuild-everything replica, under
-## the race detector at both GOMAXPROCS=1 and the machine default, so
-## neither scheduler width nor reuse can reach an assignment bit
+## rebalancer's per-node fan-out against its serial replica, its frontier
+## and decision reuse against a rebuild-everything replica, and the
+## frontier walk against its reference walk, under the race detector at
+## both GOMAXPROCS=1 and the machine default, so neither scheduler width,
+## reuse nor the shared capped walk can reach an assignment bit
 bit-identity:
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica|RebalancerReuseMatchesRebuild' ./internal/fastcap
-	$(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica|RebalancerReuseMatchesRebuild' ./internal/fastcap
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica|RebalancerReuseMatchesRebuild|BuilderMatchesReferenceWalk' ./internal/fastcap
+	$(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica|RebalancerReuseMatchesRebuild|BuilderMatchesReferenceWalk' ./internal/fastcap
 
 ## bench-json: regenerate BENCH_baseline.json (ns/op, allocs/op, figure
 ## wall-times; see DESIGN.md §7 for the schema)
@@ -104,13 +105,14 @@ fleet-smoke:
 ## detector — the fastcap allocator/frontier/rebalancer property tests
 ## (Float64bits-identical allocations across replays and node orderings,
 ## budget conservation, allocation-free steady state, the per-node fan-out
-## matching a serial replica and frontier/decision reuse matching a full
-## rebuild, at GOMAXPROCS=1 and the default) plus a
+## matching a serial replica, frontier/decision reuse matching a full
+## rebuild and frontiers matching the reference walk, at GOMAXPROCS=1 and
+## the default) plus a
 ## reduced-grid run of the -exp fastcap cap-event experiment (mirrors CI's
 ## fastcap-smoke job; see DESIGN.md §13)
 fastcap-smoke:
 	$(GO) test -race -count=1 ./internal/fastcap
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica|RebalancerReuseMatchesRebuild' ./internal/fastcap
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica|RebalancerReuseMatchesRebuild|BuilderMatchesReferenceWalk' ./internal/fastcap
 	$(GO) test -race -count=1 -run 'TestFastCap' ./internal/experiments
 	$(GO) run -race ./cmd/coscale-experiments -exp fastcap -fastcap-nodes 3 -fastcap-epochs 12
 

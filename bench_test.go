@@ -343,19 +343,6 @@ func BenchmarkSearchWarm128Cores(b *testing.B)  { benchSearchWarm(b, 128) }
 func BenchmarkSearchWarm512Cores(b *testing.B)  { benchSearchWarm(b, 512) }
 func BenchmarkSearchWarm1024Cores(b *testing.B) { benchSearchWarm(b, 1024) }
 
-// BenchmarkSearchNoTables quantifies the memoized prediction tables
-// (DESIGN.md §10) by running the same search with direct model evaluation.
-func BenchmarkSearchNoTables128Cores(b *testing.B) {
-	cfg, obs := searchBenchObs(128)
-	cs := must(core.NewWithOptions(cfg, core.Options{DisableTables: true}))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cs.Decide(obs)
-	}
-	b.StopTimer()
-	reportPerMove(b, cs)
-}
-
 // BenchmarkSearchNoCache quantifies the Figure 2 marginal-caching savings.
 func BenchmarkSearchNoCache16Cores(b *testing.B) {
 	cfg, obs := searchBenchObs(16)

@@ -37,11 +37,6 @@ type Options struct {
 	// DisableMarginalCache recomputes every marginal on every iteration,
 	// for measuring the value of the Figure 2 caching.
 	DisableMarginalCache bool
-	// DisableTables evaluates candidates directly instead of through the
-	// memoized per-epoch prediction tables (DESIGN.md §10) — bit-identical
-	// by construction, so this exists for the cross-check property test and
-	// for measuring the tables' speedup, not as a behavioral variant.
-	DisableTables bool
 	// WarmStart seeds each epoch's search from the previous epoch's
 	// accepted solution when the phase detector classifies the epoch as
 	// stable, re-scoring only cores whose counters moved (warm.go;
@@ -49,12 +44,6 @@ type Options struct {
 	// slowdown bound with the full evaluator; a failed validation or a
 	// phase break falls back to the cold full search.
 	WarmStart bool
-	// PhaseEpsilon is the relative counter-delta threshold of the warm-
-	// start phase detector: a per-core signature (CPI, memory traffic per
-	// instruction) moving by more than this fraction marks the core
-	// as changed, and too many changed cores (or an aggregate memory
-	// traffic/latency shift) breaks the phase. 0 means the default 0.05.
-	PhaseEpsilon float64
 }
 
 // SearchStats counts the work of the most recent Decide call's search walk,
@@ -117,7 +106,6 @@ type CoScale struct {
 
 	// Warm-start state (warm.go; active when opts.WarmStart).
 	warmRec     bool        // record marginal snapshots during the scans
-	phaseEps    float64     // resolved Options.PhaseEpsilon
 	warmStride  int         // CoreLadder.Steps(): warmTab row width
 	warmTab     []warmEntry // (core, step)-indexed marginal snapshots
 	prevCPI     []float64   // previous Decide's per-core phase signature
@@ -145,8 +133,8 @@ func NewWithOptions(cfg policy.Config, opts Options) (*CoScale, error) {
 		opts:  opts,
 		slack: policy.NewSlackBook(n, cfg.Gamma, cfg.Reserve),
 		last:  policy.Decision{CoreSteps: policy.ZeroSteps(n)},
-		ev:    &policy.Evaluator{UseTables: !opts.DisableTables},
-		obsEv: &policy.Evaluator{UseTables: !opts.DisableTables},
+		ev:    &policy.Evaluator{UseTables: true},
+		obsEv: &policy.Evaluator{UseTables: true},
 		st: searchState{
 			steps:    make([]int, n),
 			coreList: make([]coreMarg, 0, n),
@@ -177,8 +165,6 @@ func (c *CoScale) Name() string {
 		return "CoScale-NoGrouping"
 	case c.opts.DisableMarginalCache:
 		return "CoScale-NoCache"
-	case c.opts.DisableTables:
-		return "CoScale-NoTables"
 	default:
 		return "CoScale"
 	}
@@ -440,14 +426,12 @@ func cmpDTPI(a, b coreMarg) int {
 // scanCtx is the walk state the marginal kernel reads during one scan,
 // hoisted once by setupScan.
 type scanCtx struct {
-	steps     []int     // st.steps (current per-core ladder positions)
-	base      []float64 // all-max baseline TPI per core
-	lat       float64   // current joint memory latency
-	cpuScale  float64
-	useTables bool
-	tbl       *perf.StepTable
-	ptbl      *power.CoreTable
-	ev        *policy.Evaluator // direct-path model access (DisableTables)
+	steps    []int     // st.steps (current per-core ladder positions)
+	base     []float64 // all-max baseline TPI per core
+	lat      float64   // current joint memory latency
+	cpuScale float64
+	tbl      *perf.StepTable
+	ptbl     *power.CoreTable
 
 	// Warm-start signature source (warm.go), hoisted only when the
 	// controller records marginal snapshots (Options.WarmStart).
@@ -469,11 +453,7 @@ func (c *CoScale) setupScan(ev *policy.Evaluator, st *searchState) {
 		cpuScale = 1
 	}
 	sc.cpuScale = cpuScale
-	sc.useTables = ev.UseTables
-	sc.ev = ev
-	if ev.UseTables {
-		sc.tbl, sc.ptbl = ev.Tables()
-	}
+	sc.tbl, sc.ptbl = ev.Tables()
 	if c.warmRec {
 		sc.stats = ev.Stats()
 	}
@@ -501,18 +481,11 @@ func (c *CoScale) marginalFor(i int, pos int32) (coreMarg, bool) {
 			return m, false
 		}
 	}
-	lat := sc.lat
-	var tpiCur, tpiNext, pCur, pNext float64
-	if sc.useTables {
-		// Memoized path: the pair lookup computes the shared latency term
-		// once and is bit-identical to the direct CoreStats.TPI/
-		// CoreModel.Power calls below (DESIGN.md §10).
-		tpiCur, tpiNext = sc.tbl.TPIPairAt(i, step, lat)
-	} else {
-		stats := sc.ev.Stats()[i]
-		tpiCur = stats.TPI(c.cfg.CoreLadder.Hz(step), lat)
-		tpiNext = stats.TPI(c.cfg.CoreLadder.Hz(step+1), lat)
-	}
+	// The pair lookup computes the shared latency term once and is
+	// bit-identical to direct CoreStats.TPI calls at Hz(step) and
+	// Hz(step+1), as the PowerAt lookups below are to CoreModel.Power
+	// (DESIGN.md §10; tables_prop_test.go).
+	tpiCur, tpiNext := sc.tbl.TPIPairAt(i, step, sc.lat)
 	base := sc.base[i]
 	slowAfter := tpiNext / base
 	if slowAfter > c.scaled[i] {
@@ -521,14 +494,8 @@ func (c *CoScale) marginalFor(i int, pos int32) (coreMarg, bool) {
 		}
 		return coreMarg{core: -1}, true
 	}
-	if sc.useTables {
-		pCur = sc.ptbl.PowerAt(step, i, 1/tpiCur)
-		pNext = sc.ptbl.PowerAt(step+1, i, 1/tpiNext)
-	} else {
-		mix := sc.ev.ObsCore(i).Mix
-		pCur = c.cfg.Power.Core.Power(c.cfg.CoreLadder.Volts(step), c.cfg.CoreLadder.Hz(step), 1/tpiCur, mix)
-		pNext = c.cfg.Power.Core.Power(c.cfg.CoreLadder.Volts(step+1), c.cfg.CoreLadder.Hz(step+1), 1/tpiNext, mix)
-	}
+	pCur := sc.ptbl.PowerAt(step, i, 1/tpiCur)
+	pNext := sc.ptbl.PowerAt(step+1, i, 1/tpiNext)
 	dPower := (pCur - pNext) * sc.cpuScale
 	if c.warmRec {
 		c.recordWarm(i, step, tpiCur, tpiNext, dPower, warmEligible)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"runtime"
 	"testing"
@@ -289,6 +290,7 @@ func TestDecideStartsNoGoroutines(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	}
+	awaitFinishedTestGoroutines(t)
 	before := runtime.NumGoroutine()
 	cfg := propCfg(1024, 10, 8)
 	cs := must(New(cfg))
@@ -302,4 +304,22 @@ func TestDecideStartsNoGoroutines(t *testing.T) {
 		t.Errorf("goroutines %d -> %d across Decide/Observe, want unchanged", before, after)
 	}
 	runtime.KeepAlive(cs)
+}
+
+// awaitFinishedTestGoroutines waits, for at most 10 s, until the only
+// goroutine the test runner started is this test's own. A finished test
+// reports itself done to the runner from its deferred cleanup and only then
+// exits, so the previous test's goroutine can still be alive, and counted,
+// when the next test starts; under -race or a loaded CPU it often is. The
+// package runs no parallel tests or subtests, so any other such goroutine
+// is one of those exiting.
+func awaitFinishedTestGoroutines(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if bytes.Count(buf[:runtime.Stack(buf, true)], []byte("created by testing.(*T).Run")) == 1 {
+			return
+		}
+	}
+	t.Fatal("a finished test's goroutine was still exiting after 10 s")
 }

@@ -37,25 +37,13 @@ type PowerCap struct {
 	// Decision-time scratch, reused every call so DecideCapped allocates
 	// nothing in steady state (DESIGN.md §7). The Decision it returns
 	// aliases best and is valid until the next call, as for CoScale.Decide.
-	ev       policy.Evaluator // memoized-table path, reset per decision
-	eval     policy.Eval      // candidate prediction scratch
-	limits   []float64        // per-core slack, then slowdown limits in place
-	scaled   []float64        // limits with the WithinBound epsilon applied
-	identity []int            // thread mapping fallback when ThreadIDs is nil
-	steps    []int            // the walk's current step vector
-	best     []int            // best step vector found by the walk
-	cands    []capCand        // the current move's candidates, evaluated once
-}
-
-// capCand is one single-step-down candidate move, evaluated exactly once
-// per move: what the walk reads of its prediction plus its utility against
-// the current point and whether it keeps every core inside its limit.
-type capCand struct {
-	core   int // core stepped down; -1 is the memory move
-	power  float64
-	slow   float64
-	u      float64
-	within bool
+	walk     CapWalk   // the shared capped walk, reset per decision
+	limits   []float64 // per-core slack, then slowdown limits in place
+	scaled   []float64 // limits with the WithinBound epsilon applied
+	identity []int     // thread mapping fallback when ThreadIDs is nil
+	best     []int     // the decision's step vector
+	watts    float64   // the decision's predicted total power
+	slow     float64   // the decision's predicted worst slowdown
 }
 
 // NewPowerCap builds a power-capping controller with the given full-system
@@ -67,14 +55,13 @@ func NewPowerCap(cfg policy.Config, capWatts float64) (*PowerCap, error) {
 	if capWatts <= 0 || math.IsNaN(capWatts) {
 		return nil, fmt.Errorf("core: power cap %g W must be positive", capWatts)
 	}
-	// The evaluator runs on the memoized-table path (bit-identical to the
-	// direct path, DESIGN.md §10): with Cfg.Tables wired in, sibling nodes
-	// of a capped fleet share one platform-column build per process.
+	// The walk evaluates on the memoized-table path: with Cfg.Tables wired
+	// in, sibling nodes of a capped fleet share one platform-column build
+	// per process.
 	return &PowerCap{
 		cfg:   cfg,
 		capW:  capWatts,
 		slack: policy.NewSlackBook(cfg.NCores, cfg.Gamma, cfg.Reserve),
-		ev:    policy.Evaluator{UseTables: true},
 	}, nil
 }
 
@@ -122,132 +109,55 @@ func (p *PowerCap) Decide(obs policy.Observation) policy.Decision {
 //
 //hot:path
 func (p *PowerCap) DecideCapped(obs policy.Observation) (policy.Decision, error) {
-	ev := &p.ev
-	ev.Reset(p.cfg, obs)
-	n := p.cfg.NCores
-	p.best = perf.ResizeInts(p.best, n)
-
-	// Feasibility pre-check at the ladder floor. Below it the old walk
-	// thrashed through every intermediate configuration only to fall back;
-	// now the clamp is immediate and typed.
-	for i := range p.best {
-		p.best[i] = p.cfg.CoreLadder.Steps() - 1
-	}
-	minMem := p.cfg.MemLadder.Steps() - 1
-	ev.EvaluateInto(&p.eval, p.best, minMem)
-	if floor := p.eval.Power.Total; floor > p.capW {
-		return policy.Decision{CoreSteps: p.best, MemStep: minMem},
-			fmt.Errorf("%w: cap %g W below minimum achievable %g W", ErrCapInfeasible, p.capW, floor)
-	}
-
 	// Performance limits still apply when Gamma > 0: a cap should shed
 	// watts, not starve one program beyond its SLO if avoidable.
 	p.limits = p.slack.AvailableInto(p.limits, threadsFor(&p.identity, obs))
 	p.limits = p.cfg.LimitsInto(p.limits, p.limits)
 	p.scaled = policy.ScaleLimits(p.scaled, p.limits)
+	w := &p.walk
+	w.Reset(p.cfg, obs, p.scaled)
 
-	// The walk reads only the current point's total power and worst
-	// slowdown; it starts at the all-max baseline Reset already solved.
-	p.steps = perf.ResizeInts(p.steps, n)
-	memStep := 0
-	base := ev.Baseline()
-	curPower, curSlow := base.Power.Total, base.MaxSlow
+	// Feasibility pre-check at the ladder floor: an infeasible cap clamps
+	// at once instead of walking every configuration to find the floor.
+	p.best = perf.ResizeInts(p.best, p.cfg.NCores)
+	for i := range p.best {
+		p.best[i] = p.cfg.CoreLadder.Steps() - 1
+	}
+	minMem := p.cfg.MemLadder.Steps() - 1
+	p.watts, p.slow = w.Evaluate(p.best, minMem)
+	if p.watts > p.capW {
+		return policy.Decision{CoreSteps: p.best, MemStep: minMem},
+			fmt.Errorf("%w: cap %g W below minimum achievable %g W", ErrCapInfeasible, p.capW, p.watts)
+	}
 
-	copy(p.best, p.steps)
-	bestMem := memStep
+	// Walk down from all-max until the cap is met. Until a point fits, the
+	// decision tracks the lowest-power point visited as a fallback.
+	steps, bestMem := w.Point()
+	copy(p.best, steps)
+	curPower, curSlow := w.Predicted()
+	p.watts, p.slow = curPower, curSlow
 	bestSlow := math.Inf(1)
-	bestPower := curPower
 	found := curPower <= p.capW
 	if found {
 		bestSlow = curSlow
 	}
-
-	maxIters := p.cfg.MemLadder.Steps() + p.cfg.CoreLadder.Steps()*n
-	for iter := 0; iter < maxIters && curPower > p.capW; iter++ {
-		k := p.bestMove(memStep, curPower, curSlow)
-		if k < 0 {
-			break
-		}
-		c := p.cands[k]
-		if c.core < 0 {
-			memStep++
-		} else {
-			p.steps[c.core]++
-		}
-		curPower, curSlow = c.power, c.slow
-		under := curPower <= p.capW
+	for curPower > p.capW && w.Step() {
+		curPower, curSlow = w.Predicted()
 		switch {
-		case under && curSlow < bestSlow:
-			bestSlow = curSlow
-			copy(p.best, p.steps)
-			bestMem = memStep
-			found = true
-		case !found && curPower < bestPower:
-			// Track the lowest-power configuration as a fallback.
-			bestPower = curPower
-			copy(p.best, p.steps)
-			bestMem = memStep
+		case curPower <= p.capW && curSlow < bestSlow:
+			bestSlow, found = curSlow, true
+		case !found && curPower < p.watts: // a new lowest-power fallback
+		default:
+			continue
 		}
+		steps, bestMem = w.Point()
+		copy(p.best, steps)
+		p.watts, p.slow = curPower, curSlow
 	}
 	return policy.Decision{CoreSteps: p.best, MemStep: bestMem}, nil
 }
 
-// bestMove evaluates one memory step down and one step down for each core
-// — each candidate exactly once, by stepping one entry of the walk's step
-// vector down and back — and returns the index in p.cands of the move that
-// sheds the most power per unit slowdown, or -1 when every ladder is at its
-// bottom. Moves within the slack bound are preferred; when none is
-// available the choice falls back to every candidate, because capping
-// takes precedence over the SLO. Candidate order is fixed (memory first,
-// then cores ascending) and the first of equal utilities wins.
-//
-//hot:path
-func (p *PowerCap) bestMove(memStep int, curPower, curSlow float64) int {
-	p.cands = p.cands[:0]
-	if !p.cfg.MemLadder.Bottom(memStep) {
-		p.score(-1, memStep+1, curPower, curSlow)
-	}
-	for i, s := range p.steps {
-		if p.cfg.CoreLadder.Bottom(s) {
-			continue
-		}
-		p.steps[i]++
-		p.score(i, memStep, curPower, curSlow)
-		p.steps[i]--
-	}
-	if k := p.pick(true); k >= 0 {
-		return k
-	}
-	return p.pick(false)
-}
-
-// score evaluates p.steps at memory step mem and records the candidate.
-//
-//hot:path
-func (p *PowerCap) score(core, mem int, curPower, curSlow float64) {
-	p.ev.EvaluateInto(&p.eval, p.steps, mem)
-	p.cands = append(p.cands, capCand{
-		core:   core,
-		power:  p.eval.Power.Total,
-		slow:   p.eval.MaxSlow,
-		u:      Utility(curPower-p.eval.Power.Total, p.eval.MaxSlow-curSlow),
-		within: policy.WithinBoundScaled(p.eval, p.scaled),
-	})
-}
-
-// pick returns the index of the highest-utility candidate (within the
-// slack bound only, when withinOnly is set), or -1 if there is none.
-//
-//hot:path
-func (p *PowerCap) pick(withinOnly bool) int {
-	best, bestU := -1, math.Inf(-1)
-	for k, c := range p.cands {
-		if withinOnly && !c.within {
-			continue
-		}
-		if c.u > bestU {
-			best, bestU = k, c.u
-		}
-	}
-	return best
-}
+// Predicted returns the predicted total power and worst per-core slowdown
+// of the decision the last DecideCapped call returned — the walk's own
+// evaluation of that point, for the infeasible clamp too.
+func (p *PowerCap) Predicted() (watts, maxSlow float64) { return p.watts, p.slow }

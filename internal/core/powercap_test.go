@@ -333,7 +333,9 @@ func capMixObs(cfg policy.Config, mix workload.Mix, llc *cache.ShareModel, frac 
 // TestPowerCapMatchesReferenceOracle is the equivalence property of the
 // single-evaluation walk: over all 16 mixes, caps from 40% to 105% of the
 // all-max power and Gamma 0 and 0.10, DecideCapped must return exactly the
-// reference oracle's step vectors, memory step and infeasibility outcome.
+// reference oracle's step vectors, memory step and infeasibility outcome,
+// and Predicted must report the Float64bits of a fresh evaluation of the
+// returned point.
 // Both controllers Observe a seeded epoch after every decision, so the
 // slack limits vary along the sequence. The grid must reach both the
 // infeasible clamp and the fallback to moves outside the slack bound.
@@ -341,6 +343,8 @@ func TestPowerCapMatchesReferenceOracle(t *testing.T) {
 	rng := trace.NewRand(2012)
 	llc := cache.NewShareModel(cache.DefaultSizeMB)
 	decisions, infeasible, fallbacks := 0, 0, 0
+	fresh := policy.Evaluator{UseTables: true}
+	var freshEval policy.Eval
 	for _, name := range workload.Names() {
 		mix := must(workload.Get(name))
 		for _, gamma := range []float64{0, 0.10} {
@@ -371,6 +375,13 @@ func TestPowerCapMatchesReferenceOracle(t *testing.T) {
 					if d.CoreSteps[i] != want.CoreSteps[i] {
 						t.Fatalf("%s: core %d step %d, reference %d", ctx, i, d.CoreSteps[i], want.CoreSteps[i])
 					}
+				}
+				fresh.Reset(cfg, obs)
+				fresh.EvaluateInto(&freshEval, d.CoreSteps, d.MemStep)
+				if watts, slow := got.Predicted(); math.Float64bits(watts) != math.Float64bits(freshEval.Power.Total) ||
+					math.Float64bits(slow) != math.Float64bits(freshEval.MaxSlow) {
+					t.Fatalf("%s: Predicted() = (%v W, %v), fresh evaluation (%v W, %v)",
+						ctx, watts, slow, freshEval.Power.Total, freshEval.MaxSlow)
 				}
 				decisions++
 				if wantErr != nil {

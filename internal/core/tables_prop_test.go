@@ -9,6 +9,7 @@ package core
 // iteration number printed on failure.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -108,13 +109,17 @@ func requireBitsEqual(t *testing.T, ctx string, tab, dir policy.Eval) {
 	}
 }
 
-// TestTablesBitIdenticalToDirect is the memoization cross-check: a CoScale
-// controller on the table path and one with DisableTables must choose the
-// exact same frequencies (steps, not approximately equal Hz) on every random
-// observation, and the evaluators behind them must predict bit-identical
-// energy at both the chosen point and a random off-decision point. Both
-// controllers also Observe every epoch so accumulated slack — and with it
-// the search's feasibility frontier — varies across iterations.
+// TestTablesBitIdenticalToDirect is the memoization cross-check. CoScale's
+// marginal kernel reads the tables through exactly two lookups, so both are
+// checked against the direct model for every core and every non-bottom
+// step: StepTable.TPIPairAt(i, s, lat) must equal CoreStats.TPI at Hz(s)
+// and Hz(s+1), and CoreTable.PowerAt must equal CoreModel.Power at steps s
+// and s+1 for the instruction rates the kernel feeds it — at the joint
+// latencies of the all-max point and of the decision point, which the walk
+// visits, and at a random one. The full
+// evaluators must also predict bit-identically at the controller's
+// decision point and at a random point. The controller Observes every
+// epoch so accumulated slack, and with it the decision point, varies.
 func TestTablesBitIdenticalToDirect(t *testing.T) {
 	rng := trace.NewRand(2026)
 	const perCombo = 35
@@ -122,32 +127,23 @@ func TestTablesBitIdenticalToDirect(t *testing.T) {
 	for _, n := range []int{4, 16, 64, 128} {
 		for _, lad := range []struct{ core, mem int }{{10, 10}, {5, 3}, {16, 8}} {
 			cfg := propCfg(n, lad.core, lad.mem)
-			csTab := must(New(cfg))
-			csDir := must(NewWithOptions(cfg, Options{DisableTables: true}))
+			cs := must(New(cfg))
 			evTab := &policy.Evaluator{UseTables: true}
 			evDir := &policy.Evaluator{}
 			for k := 0; k < perCombo; k++ {
 				iters++
+				ctx := fmt.Sprintf("iter %d (n=%d ladders %d/%d)", iters, n, lad.core, lad.mem)
 				obs := randObs(rng, n)
-				dTab := csTab.Decide(obs)
-				dDir := csDir.Decide(obs)
-				if dTab.MemStep != dDir.MemStep {
-					t.Fatalf("iter %d (n=%d ladders %d/%d): MemStep %d vs %d",
-						iters, n, lad.core, lad.mem, dTab.MemStep, dDir.MemStep)
-				}
-				for i := range dDir.CoreSteps {
-					if dTab.CoreSteps[i] != dDir.CoreSteps[i] {
-						t.Fatalf("iter %d (n=%d ladders %d/%d): CoreSteps[%d] %d vs %d",
-							iters, n, lad.core, lad.mem, i, dTab.CoreSteps[i], dDir.CoreSteps[i])
-					}
-				}
+				d := cs.Decide(obs)
 
 				evTab.Reset(cfg, obs)
 				evDir.Reset(cfg, obs)
 				var eTab, eDir policy.Eval
-				evTab.EvaluateInto(&eTab, dTab.CoreSteps, dTab.MemStep)
-				evDir.EvaluateInto(&eDir, dDir.CoreSteps, dDir.MemStep)
-				requireBitsEqual(t, "decision point", eTab, eDir)
+				evTab.EvaluateInto(&eTab, d.CoreSteps, d.MemStep)
+				evDir.EvaluateInto(&eDir, d.CoreSteps, d.MemStep)
+				requireBitsEqual(t, ctx+" decision point", eTab, eDir)
+				lats := []float64{evTab.Baseline().MemLoad.Latency, eTab.MemLoad.Latency, 20e-9 + rng.Float64()*200e-9}
+				requireLookupsEqual(t, ctx, cfg, evTab, lats)
 
 				steps := make([]int, n)
 				for i := range steps {
@@ -156,16 +152,47 @@ func TestTablesBitIdenticalToDirect(t *testing.T) {
 				memStep := int(rng.Intn(uint64(cfg.MemLadder.Steps())))
 				evTab.EvaluateInto(&eTab, steps, memStep)
 				evDir.EvaluateInto(&eDir, steps, memStep)
-				requireBitsEqual(t, "random point", eTab, eDir)
+				requireBitsEqual(t, ctx+" random point", eTab, eDir)
 
-				// Keep both controllers' slack books in lockstep.
-				csTab.Observe(obs)
-				csDir.Observe(obs)
+				cs.Observe(obs)
 			}
 		}
 	}
 	if iters < 400 {
 		t.Fatalf("only %d property iterations, want >= 400", iters)
+	}
+}
+
+// requireLookupsEqual checks the marginal kernel's two table lookups
+// against the direct model, by Float64bits, for every core and every
+// non-bottom step at each latency.
+func requireLookupsEqual(t *testing.T, ctx string, cfg policy.Config, ev *policy.Evaluator, lats []float64) {
+	t.Helper()
+	tbl, ptbl := ev.Tables()
+	lad := cfg.CoreLadder
+	bits := math.Float64bits
+	for _, lat := range lats {
+		for i, st := range ev.Stats() {
+			mix := ev.ObsCore(i).Mix
+			for s := 0; !lad.Bottom(s); s++ {
+				cur, next := tbl.TPIPairAt(i, s, lat)
+				wantCur, wantNext := st.TPI(lad.Hz(s), lat), st.TPI(lad.Hz(s+1), lat)
+				if bits(cur) != bits(wantCur) || bits(next) != bits(wantNext) {
+					t.Fatalf("%s: core %d step %d lat %v: TPIPairAt (%v, %v), direct (%v, %v)",
+						ctx, i, s, lat, cur, next, wantCur, wantNext)
+				}
+				for _, p := range []struct {
+					step int
+					ips  float64
+				}{{s, 1 / cur}, {s + 1, 1 / next}} {
+					got := ptbl.PowerAt(p.step, i, p.ips)
+					want := cfg.Power.Core.Power(lad.Volts(p.step), lad.Hz(p.step), p.ips, mix)
+					if bits(got) != bits(want) {
+						t.Fatalf("%s: core %d step %d ips %v: PowerAt %v, direct %v", ctx, i, p.step, p.ips, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

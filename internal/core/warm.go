@@ -22,7 +22,7 @@ import (
 //     of the signatures deliberately: it tracks the applied frequency, so
 //     the controller's own decisions would read as phase changes. A snapshot is reused
 //     only while the current signature still matches its anchor within
-//     PhaseEpsilon, so staleness cannot accumulate across epochs: drifting
+//     phaseEpsilon, so staleness cannot accumulate across epochs: drifting
 //     cores are re-scored and their anchor refreshed.
 //   - the previous decision (c.last, already kept for transitions) as the
 //     warm seed, plus the previous epoch's per-core counter signature for
@@ -48,11 +48,13 @@ import (
 // Reset clears it together with the phase signature, so replays after Reset
 // are bit-identical to a fresh controller.
 
-// defaultPhaseEpsilon is the phase detector's relative counter-delta
-// threshold when Options.PhaseEpsilon is zero. 5% absorbs sampling noise
-// within a program phase while real phase transitions in the trace mixes
-// move CPI/MPKI by far more.
-const defaultPhaseEpsilon = 0.05
+// phaseEpsilon is the phase detector's relative counter-delta threshold: a
+// per-core signature (CPI, memory traffic per instruction) moving by more
+// than this fraction marks the core as changed, and too many changed cores
+// (or an aggregate memory traffic/latency shift) breaks the phase. 5%
+// absorbs sampling noise within a program phase while real phase
+// transitions in the trace mixes move CPI/MPKI by far more.
+const phaseEpsilon = 0.05
 
 // Snapshot states of a warmTab entry.
 const (
@@ -80,10 +82,6 @@ func (c *CoScale) initWarm() {
 		return
 	}
 	c.warmRec = true
-	c.phaseEps = c.opts.PhaseEpsilon
-	if c.phaseEps <= 0 {
-		c.phaseEps = defaultPhaseEpsilon
-	}
 	n := c.cfg.NCores
 	c.warmStride = c.cfg.CoreLadder.Steps()
 	c.warmTab = make([]warmEntry, n*c.warmStride)
@@ -149,16 +147,15 @@ func (c *CoScale) phaseStable(obs policy.Observation) bool {
 	if !c.prevValid || len(obs.Cores) != n {
 		return false
 	}
-	eps := c.phaseEps
-	if relDelta(c.prevMemRate, obs.MemRate) > eps ||
-		relDelta(c.prevMemLat, obs.MemLatency) > eps {
+	if relDelta(c.prevMemRate, obs.MemRate) > phaseEpsilon ||
+		relDelta(c.prevMemLat, obs.MemLatency) > phaseEpsilon {
 		return false
 	}
 	moved := 0
 	for i := range obs.Cores {
 		co := &obs.Cores[i]
-		if relDelta(c.prevCPI[i], co.Stats.CPIBase) > eps ||
-			relDelta(c.prevMPI[i], co.Stats.MemPerInstr) > eps {
+		if relDelta(c.prevCPI[i], co.Stats.CPIBase) > phaseEpsilon ||
+			relDelta(c.prevMPI[i], co.Stats.MemPerInstr) > phaseEpsilon {
 			moved++
 		}
 	}
@@ -228,7 +225,7 @@ func (c *CoScale) searchWarm(ev *policy.Evaluator) (policy.Decision, bool) {
 
 // warmReuse is the scan kernel's cross-epoch memoization: if the (core,
 // step) snapshot's counter signature still matches the current counters
-// within PhaseEpsilon, the recorded marginal is served instead of re-scored
+// within phaseEpsilon, the recorded marginal is served instead of re-scored
 // — after rechecking the slowdown bound against THIS epoch's limits using
 // the snapshot's predicted post-step TPI, so stale eligibility can never
 // leak through. Cores recorded as bound-limited skip for free while they
@@ -241,11 +238,10 @@ func (c *CoScale) searchWarm(ev *policy.Evaluator) (policy.Decision, bool) {
 func (c *CoScale) warmReuse(i, step int, pos int32) (coreMarg, bool) {
 	sc := &c.sc
 	e := &c.warmTab[i*c.warmStride+step]
-	eps := c.phaseEps
 	if e.flags == warmNone ||
-		relDelta(e.sigCPI, sc.stats[i].CPIBase) > eps ||
-		relDelta(e.sigMPI, sc.stats[i].MemPerInstr) > eps ||
-		relDelta(e.sigLat, sc.lat) > eps {
+		relDelta(e.sigCPI, sc.stats[i].CPIBase) > phaseEpsilon ||
+		relDelta(e.sigMPI, sc.stats[i].MemPerInstr) > phaseEpsilon ||
+		relDelta(e.sigLat, sc.lat) > phaseEpsilon {
 		return coreMarg{}, false
 	}
 	if e.tpiNext/sc.base[i] > c.scaled[i] {

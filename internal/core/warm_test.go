@@ -68,7 +68,7 @@ func TestWarmStableHit(t *testing.T) {
 }
 
 // TestWarmPhaseBreakFallsBack: an observation whose counters moved far past
-// PhaseEpsilon must be classified as a phase break and decided cold — with
+// phaseEpsilon must be classified as a phase break and decided cold — with
 // no WarmFallbacks, since no warm attempt was made.
 func TestWarmPhaseBreakFallsBack(t *testing.T) {
 	cfg := testCfg(16)
@@ -202,16 +202,23 @@ func TestWarmDecideZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestWarmDefaultEpsilonAndOverride pins the PhaseEpsilon resolution rule.
+// TestWarmDefaultEpsilonAndOverride pins the phase detector's threshold at
+// phaseEpsilon: an aggregate memory-traffic shift just inside it keeps the
+// phase, one just past it breaks the phase.
 func TestWarmDefaultEpsilonAndOverride(t *testing.T) {
 	cfg := testCfg(4)
 	cs := must(NewWithOptions(cfg, Options{WarmStart: true}))
-	if cs.phaseEps != defaultPhaseEpsilon {
-		t.Errorf("default phaseEps = %v, want %v", cs.phaseEps, defaultPhaseEpsilon)
-	}
-	cs = must(NewWithOptions(cfg, Options{WarmStart: true, PhaseEpsilon: 0.2}))
-	if cs.phaseEps != 0.2 {
-		t.Errorf("phaseEps = %v, want 0.2", cs.phaseEps)
+	obs := synthObs(cfg, uniform(4, compute))
+	cs.Decide(obs)
+	for _, tc := range []struct {
+		scale  float64
+		stable bool
+	}{{1 + 0.9*phaseEpsilon, true}, {1 + 1.2*phaseEpsilon, false}} {
+		shifted := obs
+		shifted.MemRate *= tc.scale
+		if got := cs.phaseStable(shifted); got != tc.stable {
+			t.Errorf("MemRate x%v: phaseStable = %t, want %t", tc.scale, got, tc.stable)
+		}
 	}
 }
 

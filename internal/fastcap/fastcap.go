@@ -4,11 +4,11 @@
 // the single-node core.PowerCap controller to a datacenter-scale problem.
 //
 // Each node is summarized by a power/performance Frontier: the Pareto menu
-// of (watts, worst slowdown) operating points a PowerCap-style
-// marginal-utility walk visits between all-max and all-min frequencies,
-// built over the node's evaluator (and, through policy.Config.Tables, the
-// shared per-platform table cache — one platform-column build per process
-// for the whole fleet). The Allocator then splits the budget over those
+// of (watts, worst slowdown) operating points that core.CapWalk, the
+// marginal-utility walk PowerCap runs, visits between all-max and all-min
+// frequencies (through policy.Config.Tables the walks share one
+// per-platform table cache — one platform-column build per process for the
+// whole fleet). The Allocator then splits the budget over those
 // menus: Fair runs max-min water-filling over normalized slowdown —
 // repeatedly buying the next frontier step for whichever node is currently
 // worst off — Greedy spends each watt where it buys the most slowdown
@@ -28,7 +28,6 @@ package fastcap
 
 import (
 	"fmt"
-	"math"
 
 	"coscale/internal/core"
 	"coscale/internal/perf"
@@ -63,13 +62,7 @@ func (f *Frontier) Point(i int) (coreSteps []int, memStep int) {
 // Builder constructs frontiers, reusing every work array across builds so a
 // per-epoch rebuild settles into zero allocations once scratch is warm.
 type Builder struct {
-	ev policy.Evaluator
-
-	cur   policy.Eval
-	cand  policy.Eval
-	best  policy.Eval
-	steps []int
-	trial []int
+	walk core.CapWalk
 
 	// Walk recording (roughly descending watts); Pareto-filtered into the
 	// Frontier.
@@ -82,11 +75,12 @@ type Builder struct {
 }
 
 // Build derives a node's frontier from its configuration and a profiling
-// observation, writing into dst (grow-only scratch reuse). The walk is the
-// PowerCap descent run to the very bottom with every visited configuration
-// recorded: starting from all-max it repeatedly takes the move with the best
-// Δpower/Δperformance utility, which yields the marginal-utility-ordered
-// chain the water-filling allocator climbs back up.
+// observation, writing into dst (grow-only scratch reuse). The frontier is
+// the visited sequence of core.CapWalk, the walk PowerCap runs, taken to
+// the ladder floor without slack limits: starting from all-max it
+// repeatedly takes the move with the best Δpower/Δperformance utility,
+// which yields the marginal-utility-ordered chain the water-filling
+// allocator climbs back up.
 func (b *Builder) Build(dst *Frontier, cfg policy.Config, obs policy.Observation) error {
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("fastcap: %w", err)
@@ -94,23 +88,18 @@ func (b *Builder) Build(dst *Frontier, cfg policy.Config, obs policy.Observation
 	if len(obs.Cores) != cfg.NCores {
 		return fmt.Errorf("fastcap: observation has %d cores, config %d", len(obs.Cores), cfg.NCores)
 	}
-	// The table path is bit-identical to the direct path (DESIGN.md §10)
-	// and turns each candidate evaluation into an incremental gather.
-	b.ev.UseTables = true
-	b.ev.Reset(cfg, obs)
+	b.walk.Reset(cfg, obs, nil)
 
 	n := cfg.NCores
-	b.steps = perf.ResizeInts(b.steps, n)
-	memStep := 0
-	b.ev.EvaluateBaselineInto(&b.cur)
-
 	b.walkW = b.walkW[:0]
 	b.walkS = b.walkS[:0]
 	b.walkMems = b.walkMems[:0]
 	nVisited := 0
-	record := func(steps []int, mem int, e *policy.Eval) {
-		b.walkW = append(b.walkW, e.Power.Total)
-		b.walkS = append(b.walkS, e.MaxSlow)
+	for {
+		steps, mem := b.walk.Point()
+		watts, slow := b.walk.Predicted()
+		b.walkW = append(b.walkW, watts)
+		b.walkS = append(b.walkS, slow)
 		if nVisited < len(b.walkSteps) {
 			b.walkSteps[nVisited] = perf.ResizeInts(b.walkSteps[nVisited], n)
 		} else {
@@ -119,18 +108,9 @@ func (b *Builder) Build(dst *Frontier, cfg policy.Config, obs policy.Observation
 		copy(b.walkSteps[nVisited], steps)
 		b.walkMems = append(b.walkMems, mem)
 		nVisited++
-	}
-	record(b.steps, memStep, &b.cur)
-
-	maxIters := cfg.MemLadder.Steps() + cfg.CoreLadder.Steps()*n
-	for iter := 0; iter < maxIters; iter++ {
-		mem, ok := b.bestMove(cfg, memStep)
-		if !ok {
+		if !b.walk.Step() {
 			break
 		}
-		memStep = mem
-		b.cur, b.best = b.best, b.cur // adopt the chosen move's evaluation
-		record(b.steps, memStep, &b.cur)
 	}
 
 	// Pareto-filter the visited set. The walk's watts are not strictly
@@ -175,48 +155,6 @@ func (b *Builder) Build(dst *Frontier, cfg policy.Config, obs policy.Observation
 		copy(dst.steps[i], b.walkSteps[id])
 	}
 	return nil
-}
-
-// bestMove mutates b.steps (and returns the new memory step) to the
-// single-step-down move with the best marginal utility, leaving its
-// evaluation in b.best. Candidate order is fixed — memory first, then cores
-// ascending — and ties keep the first candidate, so the walk is
-// deterministic. It reports false when every ladder is at its bottom.
-func (b *Builder) bestMove(cfg policy.Config, memStep int) (int, bool) {
-	bestU := math.Inf(-1)
-	bestCore := -1 // -1 = memory move
-	found := false
-	if !cfg.MemLadder.Bottom(memStep) {
-		b.ev.EvaluateInto(&b.cand, b.steps, memStep+1)
-		bestU = core.Utility(b.cur.Power.Total-b.cand.Power.Total, b.cand.MaxSlow-b.cur.MaxSlow)
-		b.best, b.cand = b.cand, b.best
-		found = true
-	}
-	b.trial = perf.ResizeInts(b.trial, len(b.steps))
-	copy(b.trial, b.steps)
-	for i := range b.steps {
-		if cfg.CoreLadder.Bottom(b.steps[i]) {
-			continue
-		}
-		b.trial[i]++
-		b.ev.EvaluateInto(&b.cand, b.trial, memStep)
-		u := core.Utility(b.cur.Power.Total-b.cand.Power.Total, b.cand.MaxSlow-b.cur.MaxSlow)
-		if u > bestU || !found {
-			bestU = u
-			bestCore = i
-			b.best, b.cand = b.cand, b.best
-			found = true
-		}
-		b.trial[i]--
-	}
-	if !found {
-		return memStep, false
-	}
-	if bestCore < 0 {
-		return memStep + 1, true
-	}
-	b.steps[bestCore]++
-	return memStep, true
 }
 
 // JainIndex returns Jain's fairness index (Σx)² / (n·Σx²) over the given

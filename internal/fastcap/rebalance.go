@@ -27,32 +27,31 @@ type NodeEpoch struct {
 
 // rbNode is one managed node. Nodes live in a slice in Add order — no maps,
 // so iteration order is deterministic by construction. Everything a node's
-// per-epoch work touches — builder, frontier, controller, evaluator, the
-// copy of its last observation and its result and error slots — is its
-// own, so nodes can be processed concurrently without sharing any mutable
-// state.
+// per-epoch work touches — builder, frontier, controller, the copy of its
+// last observation and its result and error slots — is its own, so nodes
+// can be processed concurrently without sharing any mutable state.
 type rbNode struct {
 	id   string
 	cfg  policy.Config
 	cap  *core.PowerCap
 	b    Builder
-	ev   policy.Evaluator
 	f    Frontier
 	prev uint64 // Float64bits of last epoch's assignment
 
 	// Reuse keys. seen is an owned deep copy of the observation f was
-	// built from (valid while built); eval and clamped hold the decision
-	// for seen under the cap whose Float64bits are capBits (valid while
-	// decided). The controller never sees Observe, so both results are
-	// pure functions of these keys.
+	// built from (valid while built); power, slow and clamped hold the
+	// decision for seen under the cap whose Float64bits are capBits (valid
+	// while decided). The controller never sees Observe, so both results
+	// are pure functions of these keys.
 	seen    policy.Observation
 	built   bool
 	decided bool
 	capBits uint64
 
 	// Per-epoch slots, written only by the lane that claimed this node.
-	eval    policy.Eval
-	clamped bool // DecideCapped reported ErrCapInfeasible
+	power   float64 // the decision's predicted total power
+	slow    float64 // the decision's predicted worst slowdown
+	clamped bool    // DecideCapped reported ErrCapInfeasible
 	err     error
 }
 
@@ -115,7 +114,6 @@ func (r *Rebalancer) AddNode(id string, cfg policy.Config) error {
 		id:  id,
 		cfg: cfg,
 		cap: pc,
-		ev:  policy.Evaluator{UseTables: true},
 	})
 	return nil
 }
@@ -221,7 +219,7 @@ func (r *Rebalancer) Epoch(budget float64, obs []policy.Observation, out []NodeE
 			if n.err = n.cap.SetCap(w); n.err != nil {
 				return
 			}
-			d, derr := n.cap.DecideCapped(obs[i])
+			_, derr := n.cap.DecideCapped(obs[i])
 			if derr != nil {
 				if !errors.Is(derr, core.ErrCapInfeasible) {
 					n.err = derr
@@ -229,8 +227,7 @@ func (r *Rebalancer) Epoch(budget float64, obs []policy.Observation, out []NodeE
 				}
 				n.clamped = true
 			}
-			n.ev.Reset(n.cfg, obs[i])
-			n.ev.EvaluateInto(&n.eval, d.CoreSteps, d.MemStep)
+			n.power, n.slow = n.cap.Predicted()
 			n.decided, n.capBits = true, math.Float64bits(w)
 		})
 	}
@@ -245,8 +242,8 @@ func (r *Rebalancer) Epoch(budget float64, obs []policy.Observation, out []NodeE
 		out = append(out, NodeEpoch{
 			ID:       n.id,
 			Assigned: asg.Watts,
-			Power:    n.eval.Power.Total,
-			MaxSlow:  n.eval.MaxSlow,
+			Power:    n.power,
+			MaxSlow:  n.slow,
 			Clamped:  err != nil || n.clamped, // global infeasibility clamps everyone
 		})
 		bits := math.Float64bits(asg.Watts)
@@ -284,7 +281,7 @@ func (r *Rebalancer) forEachNode(fn func(i int, n *rbNode)) {
 		}
 	}
 	for range lanes - 1 {
-		//lint:ignore dettaint deterministic by construction: each node index is claimed by exactly one lane, which writes only that node's own builder, controller, evaluator, observation copy and result slots from read-only inputs, and the caller reads the slots in node order only after the join — which lane ran a node, and when, cannot reach any output bit (DESIGN.md §13)
+		//lint:ignore dettaint deterministic by construction: each node index is claimed by exactly one lane, which writes only that node's own builder, controller, observation copy and result slots from read-only inputs, and the caller reads the slots in node order only after the join — which lane ran a node, and when, cannot reach any output bit (DESIGN.md §13)
 		go lane()
 	}
 	lane()

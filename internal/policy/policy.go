@@ -244,7 +244,8 @@ type Evaluator struct {
 	// prediction tables (DESIGN.md §10): bit-identical results, but each
 	// evaluation's O(cores) model preparation collapses to an incremental
 	// gather of the cores whose step changed. Set before the first Reset
-	// (CoScale sets it unless core.Options.DisableTables asks otherwise).
+	// (every controller in internal/core sets it; the direct path is the
+	// tests' reference).
 	UseTables bool
 
 	stats      []perf.CoreStats
@@ -498,7 +499,7 @@ func (ev *Evaluator) evaluateInto(dst *Eval, coreSteps []int, memStep int) {
 // memory queueing model comes from the ModelCache, and finishTables sums
 // per-core power from the CoreTable. Bit-identity with the direct path is
 // argued term by term in DESIGN.md §10 and enforced by the property test in
-// table_test.go.
+// internal/core/tables_prop_test.go.
 //
 //hot:path
 func (ev *Evaluator) evaluateTablesInto(dst *Eval, coreSteps []int, memStep int) {
