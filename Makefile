@@ -97,9 +97,12 @@ serve-smoke:
 ## heartbeats, cut streams; results bit-identical to the single-node runner),
 ## coordinator crash/restart recovery from the journal with zero
 ## recomputation, torn-tail journal recovery, and the lease/ring/backoff/
-## chaos unit tests (mirrors CI's fleet-smoke job; see DESIGN.md §12)
+## chaos unit tests, and the fleet package again at GOMAXPROCS=1, since
+## event-driven dispatch makes goroutine interleavings matter (mirrors CI's
+## fleet-smoke job; see DESIGN.md §12)
 fleet-smoke:
 	$(GO) test -race -count=1 ./internal/fleet ./cmd/coscale-fleet
+	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/fleet
 
 ## fastcap-smoke: the fleet-scale power-capping suite under the race
 ## detector — the fastcap allocator/frontier/rebalancer property tests

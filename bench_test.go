@@ -16,11 +16,13 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"coscale/internal/core"
 	"coscale/internal/dram"
 	"coscale/internal/experiments"
 	"coscale/internal/fastcap"
+	"coscale/internal/fleet"
 	"coscale/internal/policy"
 	"coscale/internal/sim"
 	"coscale/internal/trace"
@@ -459,6 +461,20 @@ func benchRebalancerEpoch(b *testing.B, stable bool) {
 	for i := 0; i < b.N; i++ {
 		if eps, err = r.Epoch(0.8*fx.Provisioned, sets[i%2], eps[:0]); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStoreDispatchable measures one scheduler scan of the fleet job
+// store after a long history: about 10k jobs admitted, every one done but
+// the newest sweep's 96 pending cells.
+func BenchmarkStoreDispatchable(b *testing.B) {
+	st := must(fleet.DispatchBenchStore())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if refs := st.Dispatchable(time.Time{}, 96); len(refs) != 96 {
+			b.Fatalf("Dispatchable found %d jobs, want 96", len(refs))
 		}
 	}
 }

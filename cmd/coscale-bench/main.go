@@ -1,8 +1,8 @@
 // Command coscale-bench runs the headline performance benchmarks — the §3.1
 // search cost at 16-1024 cores (cold and warm-started), one capped PowerCap
 // decision, one fleet rebalancing epoch (cold, and with every node holding
-// its phase), and the raw epoch-simulation
-// throughput — plus a timed figure regeneration, and
+// its phase), one scheduler scan of the fleet job store, and the raw
+// epoch-simulation throughput — plus a timed figure regeneration, and
 // writes the numbers as machine-readable JSON, with the host's CPU count
 // and GOMAXPROCS. The committed BENCH_baseline.json at the repository root
 // is this program's output; regenerate it with `make bench-json`.
@@ -42,6 +42,7 @@ import (
 	"coscale/internal/core"
 	"coscale/internal/experiments"
 	"coscale/internal/fastcap"
+	"coscale/internal/fleet"
 	"coscale/internal/policy"
 	"coscale/internal/sim"
 	"coscale/internal/workload"
@@ -70,6 +71,12 @@ type BenchRow struct {
 	Iterations  int     `json:"iterations"`
 	Moves       int     `json:"moves,omitempty"`
 	NsPerMove   float64 `json:"ns_per_move,omitempty"`
+	// BeforeNsPerOp and BeforeAllocsPerOp record, for a row added with a
+	// change that speeds up its path, the same body measured on the same
+	// host at the parent of that change. They are copied in by hand; this
+	// program never fills them and -compare ignores them.
+	BeforeNsPerOp     float64 `json:"before_ns_per_op,omitempty"`
+	BeforeAllocsPerOp int64   `json:"before_allocs_per_op,omitempty"`
 }
 
 // FigureRow records the wall time of one figure regeneration.
@@ -233,6 +240,22 @@ func main() {
 			}
 		}))
 	}
+	// StoreDispatchable: one scheduler scan of the fleet job store after a
+	// long history — about 10k jobs admitted, all done but the newest
+	// sweep's 96.
+	rep.Benchmarks = append(rep.Benchmarks, bench("StoreDispatchable", func(b *testing.B) {
+		st, err := fleet.DispatchBenchStore()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if refs := st.Dispatchable(time.Time{}, 96); len(refs) != 96 {
+				b.Fatalf("Dispatchable found %d jobs, want 96", len(refs))
+			}
+		}
+	}))
 	rep.Benchmarks = append(rep.Benchmarks, bench("EpochSimulation", func(b *testing.B) {
 		// Steady-state form: engine and controller are built once and
 		// rewound per iteration, so the measurement is simulation

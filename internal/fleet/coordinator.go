@@ -28,7 +28,11 @@ type Config struct {
 	// DeadAfter is the silence after which a worker is declared dead and
 	// its leases are reclaimed (default 6× HeartbeatInterval).
 	DeadAfter time.Duration
-	// SchedTick is the scheduler pass interval (default 25ms).
+	// SchedTick is the interval of the scheduler's periodic pass (default
+	// 25ms), which reaps silent workers, dispatches jobs whose retry
+	// backoff has expired and routes work to newly joined workers. It does
+	// not pace dispatch otherwise: new sweeps, freed inflight slots and
+	// heartbeats wake the scheduler at once.
 	SchedTick time.Duration
 	// JobTimeout bounds one dispatch attempt end to end (default 60s).
 	JobTimeout time.Duration
@@ -132,6 +136,12 @@ const (
 	WorkerDead    = "dead"
 )
 
+// leasable reports whether w may take new leases at now: live and not
+// draining. Its free inflight slots are what a dispatch pass can fill.
+func (w *workerState) leasable(now time.Time, cfg Config) bool {
+	return w.health(now, cfg) == WorkerLive && !w.draining
+}
+
 func (w *workerState) health(now time.Time, cfg Config) string {
 	switch {
 	case w.dead:
@@ -160,7 +170,9 @@ type fleetMetrics struct {
 // jobs into leases on live workers. One scheduler goroutine makes every
 // routing decision in deterministic (sweep, cell) × sorted-worker order;
 // dispatch goroutines only execute the decisions and report back through
-// the store's guarded transitions.
+// the store's guarded transitions. The scheduler runs a pass as soon as a
+// sweep arrives, an inflight slot frees or a worker heartbeats (kick), and
+// on every tick.
 type Coordinator struct {
 	cfg   Config
 	store *Store
@@ -175,6 +187,7 @@ type Coordinator struct {
 	workers map[string]*workerState
 	budgetW float64       // fleet power budget (0 = uncapped), guarded by mu
 	update  chan struct{} // closed and replaced on every state change
+	kick    chan struct{} // one slot: a dispatch pass is due
 
 	retrySeq atomic.Int64
 	started  time.Time
@@ -200,6 +213,7 @@ func New(cfg Config) (*Coordinator, error) {
 		workers: map[string]*workerState{},
 		budgetW: cfg.PowerBudgetWatts,
 		update:  make(chan struct{}),
+		kick:    make(chan struct{}, 1),
 	}
 	c.started = c.now()
 	c.wg.Add(1)
@@ -231,6 +245,15 @@ func (c *Coordinator) bump() {
 	c.mu.Unlock()
 }
 
+// wake asks the scheduler for a dispatch pass. It never blocks: one
+// pending request already covers every change made before the pass runs.
+func (c *Coordinator) wake() {
+	select {
+	case c.kick <- struct{}{}:
+	default:
+	}
+}
+
 // updated returns the channel closed at the next state change.
 func (c *Coordinator) updated() <-chan struct{} {
 	c.mu.Lock()
@@ -250,8 +273,10 @@ func (c *Coordinator) workerIDsLocked() []string {
 	return ids
 }
 
-// run is the scheduler loop: each tick reaps dead workers (reclaiming their
-// leases) and dispatches pending jobs whose backoff has elapsed.
+// run is the scheduler loop. A kick — a new sweep, a freed inflight slot or
+// a heartbeat — dispatches at once. Each tick reaps dead workers
+// (reclaiming their leases) and dispatches what no kick announces: jobs
+// whose backoff has since elapsed, and work for newly joined workers.
 func (c *Coordinator) run() {
 	defer c.wg.Done()
 	t := time.NewTicker(c.cfg.SchedTick)
@@ -264,6 +289,8 @@ func (c *Coordinator) run() {
 			now := c.now()
 			c.reap(now)
 			c.dispatch(now)
+		case <-c.kick:
+			c.dispatch(c.now())
 		}
 	}
 }
@@ -308,13 +335,25 @@ func (c *Coordinator) reap(now time.Time) {
 	}
 }
 
-// dispatch routes every dispatchable job to the first eligible worker
-// clockwise from its hash point — live, not draining, with a free inflight
-// slot — reserving the slot under the lock, then leases and launches the
-// transport call. Jobs with no eligible worker stay pending for a later
-// tick.
+// dispatch routes dispatchable jobs to the first eligible worker clockwise
+// from each job's hash point — leasable, with a free inflight slot —
+// reserving the slot under the lock, then leases and launches the
+// transport call. Every eligible worker is on the ring, so only the first
+// jobs, as many as there are free slots, can be placed; the pass reads no
+// more than those. The rest stay pending until the next kick or tick.
 func (c *Coordinator) dispatch(now time.Time) {
-	refs := c.store.Dispatchable(now)
+	c.mu.Lock()
+	free := 0
+	for _, id := range c.workerIDsLocked() {
+		if w := c.workers[id]; w.leasable(now, c.cfg) {
+			free += c.cfg.MaxInflightPerWorker - w.inflight
+		}
+	}
+	c.mu.Unlock()
+	if free <= 0 {
+		return
+	}
+	refs := c.store.Dispatchable(now, free)
 	if len(refs) == 0 {
 		return
 	}
@@ -327,8 +366,7 @@ func (c *Coordinator) dispatch(now time.Time) {
 	for _, job := range refs {
 		id, ok := c.ring.Lookup(job.Hash, func(wid string) bool {
 			w := c.workers[wid]
-			return w != nil && w.health(now, c.cfg) == WorkerLive && !w.draining &&
-				w.inflight < c.cfg.MaxInflightPerWorker
+			return w != nil && w.leasable(now, c.cfg) && w.inflight < c.cfg.MaxInflightPerWorker
 		})
 		if !ok {
 			continue
@@ -351,13 +389,15 @@ func (c *Coordinator) dispatch(now time.Time) {
 	}
 }
 
-// release returns a worker's inflight slot.
+// release returns a worker's inflight slot and wakes the scheduler to fill
+// it.
 func (c *Coordinator) release(workerID string) {
 	c.mu.Lock()
 	if w := c.workers[workerID]; w != nil && w.inflight > 0 {
 		w.inflight--
 	}
 	c.mu.Unlock()
+	c.wake()
 }
 
 // execute runs one lease attempt to its terminal store transition: a result
@@ -401,6 +441,10 @@ func (c *Coordinator) execute(job JobRef, attempt int, ep Endpoint) {
 }
 
 // register adds a worker (or revives a dead one) and puts it on the ring.
+// A join does not wake the scheduler; the next tick routes work to the new
+// worker. The workers of a restarted coordinator rejoin one at a time, and
+// a pass run on the first join would route every recovered cell to that
+// worker, away from the workers whose result caches hold them.
 func (c *Coordinator) register(id, addr string) (assigned float64) {
 	now := c.now()
 	c.mu.Lock()
@@ -447,6 +491,7 @@ func (c *Coordinator) heartbeat(id, addr string, rs server.ReadyState) (assigned
 	assigned, fleetBudget = w.budgetW, c.budgetW
 	c.mu.Unlock()
 	c.m.heartbeats.Add(1)
+	c.wake() // a suspect worker that beats is live again
 	return assigned, fleetBudget, true
 }
 
@@ -456,8 +501,7 @@ func (c *Coordinator) liveWorkers(now time.Time) int {
 	defer c.mu.Unlock()
 	n := 0
 	for _, id := range c.workerIDsLocked() {
-		w := c.workers[id]
-		if w.health(now, c.cfg) == WorkerLive && !w.draining {
+		if c.workers[id].leasable(now, c.cfg) {
 			n++
 		}
 	}
@@ -548,6 +592,7 @@ func (c *Coordinator) Submit(req server.SweepRequest) (SweepStatus, error) {
 	}
 	c.logf("sweep %s admitted: %d cells", id, total)
 	c.bump()
+	c.wake()
 	st, _ := c.store.Status(id)
 	return st, nil
 }
@@ -556,23 +601,30 @@ func (c *Coordinator) Submit(req server.SweepRequest) (SweepStatus, error) {
 func (c *Coordinator) Status(id string) (SweepStatus, bool) { return c.store.Status(id) }
 
 // WaitSweep blocks until the sweep is terminal (done or failed) or the
-// context ends, returning the last observed status either way.
+// context ends, returning its status either way. Each wake-up reads only
+// the sweep's state; the full status is built once, at the end.
 func (c *Coordinator) WaitSweep(ctx context.Context, id string) (SweepStatus, error) {
 	for {
 		ch := c.updated() // subscribe before reading to not miss a wakeup
-		st, ok := c.store.Status(id)
+		state, ok := c.store.State(id)
 		if !ok {
 			return SweepStatus{}, fmt.Errorf("unknown sweep %q", id)
 		}
-		if st.State != "running" {
-			return st, nil
+		if state != "running" {
+			break
 		}
 		select {
 		case <-ctx.Done():
+			st, _ := c.store.Status(id)
 			return st, ctx.Err()
 		case <-ch:
 		}
 	}
+	st, ok := c.store.Status(id)
+	if !ok {
+		return SweepStatus{}, fmt.Errorf("unknown sweep %q", id)
+	}
+	return st, nil
 }
 
 // retryAfterSeconds jitters the shed hint into [base, base+jitter] with the

@@ -83,6 +83,8 @@ type Sweep struct {
 	ID   string
 	Req  server.SweepRequest
 	Jobs []*Job // cell order
+
+	open int // jobs neither done nor failed; the sweep retires at zero
 }
 
 // done/failed/pending tallies for status rendering.

@@ -3,6 +3,7 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -21,14 +22,26 @@ import (
 // All mutable job state lives behind the store's lock; accessors hand out
 // value snapshots (JobRef, SweepStatus), never shared pointers, so the
 // coordinator's scheduler and dispatch goroutines cannot race the table.
+//
+// Memory is bounded by retention, not by history. A sweep retires once
+// every one of its jobs is done or failed; the store keeps the newest
+// retainSweeps retired sweeps for status queries and drops older ones
+// entirely. The scheduler's scans walk only the active sweeps, so a pass
+// costs O(active jobs) however many sweeps the store has seen.
 type Store struct {
 	mu      sync.Mutex
 	j       *journal
 	sweeps  map[string]*Sweep
 	jobs    map[string]*Job
-	order   []string // sweep IDs, admission order
+	order   []string // held sweep IDs, admission order
+	active  []*Sweep // sweeps with a non-terminal job, admission order
+	retired []string // finished sweep IDs held for status, oldest first
 	nextSeq int      // next sweep sequence number
 }
+
+// retainSweeps is how many finished sweeps the store keeps after they
+// retire. Sizing: a finished 96-cell sweep holds about 266 KB of results.
+const retainSweeps = 16
 
 // JobRef is a value snapshot of one job, safe to use outside the lock.
 type JobRef struct {
@@ -62,8 +75,8 @@ func OpenStore(path string) (*Store, error) {
 		}
 	}
 	// Leased-at-crash jobs have no terminal record: schedule them again.
-	for _, id := range s.order {
-		for _, job := range s.sweeps[id].Jobs {
+	for _, sw := range s.active {
+		for _, job := range sw.Jobs {
 			if job.State == JobLeased {
 				job.State = JobPending
 				job.Worker = ""
@@ -82,7 +95,8 @@ func (s *Store) Close() error {
 
 // applyLocked folds one journal record into the in-memory table. It is the
 // single interpretation of the journal format, shared between replay and
-// live appends (live paths mutate through it after journaling).
+// live appends (live paths mutate through it after journaling), so
+// retention drops the same sweeps on replay as it did live.
 func (s *Store) applyLocked(rec record) error {
 	switch rec.Type {
 	case "sweep":
@@ -92,6 +106,7 @@ func (s *Store) applyLocked(rec record) error {
 		sw := &Sweep{ID: rec.Sweep, Req: *rec.Req}
 		s.sweeps[sw.ID] = sw
 		s.order = append(s.order, sw.ID)
+		s.active = append(s.active, sw)
 		if n, err := sweepSeq(sw.ID); err == nil && n >= s.nextSeq {
 			s.nextSeq = n + 1
 		}
@@ -109,6 +124,7 @@ func (s *Store) applyLocked(rec record) error {
 		}
 		s.jobs[job.ID] = job
 		sw.Jobs = append(sw.Jobs, job)
+		sw.open++
 	case "lease":
 		job, err := s.jobLocked(rec.Job)
 		if err != nil {
@@ -130,6 +146,7 @@ func (s *Store) applyLocked(rec record) error {
 		if err != nil {
 			return err
 		}
+		s.finishLocked(job)
 		job.State = JobDone
 		job.Worker = ""
 		job.Err = ""
@@ -139,6 +156,7 @@ func (s *Store) applyLocked(rec record) error {
 		if err != nil {
 			return err
 		}
+		s.finishLocked(job)
 		job.State = JobFailed
 		job.Worker = ""
 		job.Err = rec.Err
@@ -146,6 +164,45 @@ func (s *Store) applyLocked(rec record) error {
 		return fmt.Errorf("unknown record type %q", rec.Type)
 	}
 	return nil
+}
+
+// finishLocked counts job, about to turn done or failed, out of its sweep.
+// The sweep's last open job retires it: it leaves the active list and joins
+// the retired FIFO, whose overflow drops the oldest retired sweep from the
+// store entirely.
+func (s *Store) finishLocked(job *Job) {
+	if job.State == JobDone || job.State == JobFailed {
+		return
+	}
+	sw := s.sweeps[job.SweepID]
+	if sw.open--; sw.open > 0 {
+		return
+	}
+	s.active = slices.DeleteFunc(s.active, func(a *Sweep) bool { return a == sw })
+	s.retired = append(s.retired, sw.ID)
+	if len(s.retired) <= retainSweeps {
+		return
+	}
+	old := s.sweeps[s.retired[0]]
+	s.retired = slices.Delete(s.retired, 0, 1)
+	for _, j := range old.Jobs {
+		delete(s.jobs, j.ID)
+	}
+	delete(s.sweeps, old.ID)
+	s.order = slices.DeleteFunc(s.order, func(id string) bool { return id == old.ID })
+}
+
+// droppedLocked reports whether jobID belongs to a sweep that retention has
+// already dropped: one admitted earlier (its sequence is below nextSeq) that
+// the store no longer holds.
+func (s *Store) droppedLocked(jobID string) bool {
+	sweep, _, ok := strings.Cut(jobID, "/")
+	if !ok {
+		return false
+	}
+	n, err := sweepSeq(sweep)
+	_, held := s.sweeps[sweep]
+	return err == nil && n >= 0 && n < s.nextSeq && !held
 }
 
 func (s *Store) jobLocked(id string) (*Job, error) {
@@ -227,10 +284,14 @@ func (s *Store) Lease(jobID, worker string) (int, error) {
 // returns to pending, not dispatchable before notBefore (the backoff); at
 // the cap it fails terminally. A stale failure — the lease was already
 // reclaimed and re-attempted, or the job committed — is ignored so it
-// cannot clobber newer state. Reports whether the job failed terminally.
+// cannot clobber newer state, and so is a failure for a job whose sweep
+// retention has dropped. Reports whether the job failed terminally.
 func (s *Store) Fail(jobID string, attempt int, cause string, maxAttempts int, notBefore time.Time) (terminal bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.droppedLocked(jobID) {
+		return false, nil
+	}
 	job, err := s.jobLocked(jobID)
 	if err != nil {
 		return false, err
@@ -255,11 +316,15 @@ func (s *Store) Fail(jobID string, attempt int, cause string, maxAttempts int, n
 // Done commits a job's result: journaled with fsync before the in-memory
 // table (and therefore any client) sees it. Committing an already-terminal
 // job is a no-op — a late duplicate response from a retried attempt whose
-// first response was cut cannot double-commit. Reports whether this call
+// first response was cut cannot double-commit; nor can a late result for a
+// job whose sweep retention has dropped. Reports whether this call
 // committed.
 func (s *Store) Done(jobID string, result json.RawMessage) (committed bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.droppedLocked(jobID) {
+		return false, nil
+	}
 	job, err := s.jobLocked(jobID)
 	if err != nil {
 		return false, err
@@ -277,14 +342,18 @@ func (s *Store) Done(jobID string, result json.RawMessage) (committed bool, err 
 	return true, nil
 }
 
-// Dispatchable returns snapshots of the pending jobs whose backoff has
-// elapsed at now, in deterministic (sweep admission, cell index) order.
-func (s *Store) Dispatchable(now time.Time) []JobRef {
+// Dispatchable returns snapshots of the first limit pending jobs whose
+// backoff has elapsed at now, in deterministic (sweep admission, cell
+// index) order.
+func (s *Store) Dispatchable(now time.Time, limit int) []JobRef {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []JobRef
-	for _, id := range s.order {
-		for _, job := range s.sweeps[id].Jobs {
+	for _, sw := range s.active {
+		for _, job := range sw.Jobs {
+			if len(out) == limit {
+				return out
+			}
 			if job.State == JobPending && !now.Before(job.NotBefore) {
 				out = append(out, refOf(job))
 			}
@@ -299,8 +368,8 @@ func (s *Store) LeasedTo(worker string) []JobRef {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []JobRef
-	for _, id := range s.order {
-		for _, job := range s.sweeps[id].Jobs {
+	for _, sw := range s.active {
+		for _, job := range sw.Jobs {
 			if job.State == JobLeased && job.Worker == worker {
 				out = append(out, refOf(job))
 			}
@@ -336,6 +405,18 @@ type SweepStatus struct {
 	Cells   []CellStatus `json:"cells"`
 }
 
+// State reports a sweep's aggregate state (Sweep.State) without building
+// its status rows; ok is false for a sweep the store does not hold.
+func (s *Store) State(id string) (state string, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sw, ok := s.sweeps[id]
+	if !ok {
+		return "", false
+	}
+	return sw.State(), true
+}
+
 // Status snapshots a sweep for rendering.
 func (s *Store) Status(id string) (SweepStatus, bool) {
 	s.mu.Lock()
@@ -365,7 +446,8 @@ func (s *Store) Status(id string) (SweepStatus, bool) {
 	return st, true
 }
 
-// SweepIDs returns every sweep ID in admission order.
+// SweepIDs returns the IDs of every held sweep — each active one and the
+// newest retired ones — in admission order.
 func (s *Store) SweepIDs() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 	"time"
 )
@@ -33,7 +34,7 @@ func TestLeaseStateMachine(t *testing.T) {
 		t.Fatal("double lease succeeded")
 	}
 	// A leased job is not dispatchable.
-	if refs := st.Dispatchable(t0); len(refs) != 0 {
+	if refs := st.Dispatchable(t0, math.MaxInt); len(refs) != 0 {
 		t.Fatalf("leased job dispatchable: %v", refs)
 	}
 
@@ -50,10 +51,10 @@ func TestLeaseStateMachine(t *testing.T) {
 	if terminal, err := st.Fail(job, 1, "refused", 4, nb); err != nil || terminal {
 		t.Fatalf("Fail = (%v, %v), want non-terminal", terminal, err)
 	}
-	if refs := st.Dispatchable(t0); len(refs) != 0 {
+	if refs := st.Dispatchable(t0, math.MaxInt); len(refs) != 0 {
 		t.Fatalf("job dispatchable before backoff elapsed: %v", refs)
 	}
-	refs := st.Dispatchable(nb)
+	refs := st.Dispatchable(nb, math.MaxInt)
 	if len(refs) != 1 || refs[0].Attempts != 1 {
 		t.Fatalf("Dispatchable after backoff = %+v, want 1 ref with attempts=1", refs)
 	}
@@ -105,7 +106,7 @@ func TestAttemptCap(t *testing.T) {
 	if stat.State != "failed" || stat.Cells[0].Error != "boom" || stat.Cells[0].Attempts != maxAttempts {
 		t.Fatalf("capped status = %+v", stat)
 	}
-	if refs := st.Dispatchable(now.Add(time.Hour)); len(refs) != 0 {
+	if refs := st.Dispatchable(now.Add(time.Hour), math.MaxInt); len(refs) != 0 {
 		t.Fatalf("terminally failed job dispatchable: %v", refs)
 	}
 }
