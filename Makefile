@@ -1,5 +1,6 @@
-# Local entry points mirroring .github/workflows/ci.yml exactly, so "works
-# locally" and "passes CI" are the same statement.
+# The gate's commands, written once: every step of .github/workflows/ci.yml
+# calls one of these targets, so "works locally" and "passes CI" are the
+# same statement.
 
 GO ?= go
 
@@ -32,8 +33,8 @@ bench:
 
 ## bench-smoke: the hot-path regression gate — alloc-budget tests, one
 ## iteration of the headline search/epoch benchmarks, and a short
-## coscale-bench diff against the committed baseline (mirrors CI's
-## bench-smoke)
+## coscale-bench diff against the committed baseline (run by CI's
+## bench-smoke job)
 bench-smoke:
 	$(GO) test -run 'ZeroAlloc|DeterministicUnderReuse|GoldenBitIdentical' -count=1 . ./internal/sim ./internal/fastcap
 	GOMAXPROCS=1 $(GO) test -run 'ZeroAlloc|DeterministicUnderReuse|GoldenBitIdentical' -count=1 . ./internal/sim ./internal/fastcap
@@ -79,7 +80,7 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzLookup$$' -fuzztime $(FUZZTIME)
 
 ## fault-smoke: the fault-injection and graceful-degradation suite under the
-## race detector (mirrors CI's fault-smoke job)
+## race detector (run by CI's fault-smoke job)
 fault-smoke:
 	$(GO) test -race ./internal/fault
 	$(GO) test -race -run 'Fault|Hardened|ErrorTolerance' ./internal/sim ./internal/policy ./internal/experiments
@@ -87,7 +88,7 @@ fault-smoke:
 ## serve-smoke: the serving-layer acceptance suite under the race detector —
 ## golden bit-identity vs the experiments runner, queue overflow → 429,
 ## mid-stream cancellation freeing the worker slot, cache hits in /metrics,
-## and a real boot/SIGTERM drain of cmd/coscale-serve (mirrors CI's
+## and a real boot/SIGTERM drain of cmd/coscale-serve (run by CI's
 ## serve-smoke job)
 serve-smoke:
 	$(GO) test -race -count=1 ./internal/server ./internal/cache ./internal/buildinfo ./cmd/coscale-serve
@@ -98,7 +99,7 @@ serve-smoke:
 ## coordinator crash/restart recovery from the journal with zero
 ## recomputation, torn-tail journal recovery, and the lease/ring/backoff/
 ## chaos unit tests, and the fleet package again at GOMAXPROCS=1, since
-## event-driven dispatch makes goroutine interleavings matter (mirrors CI's
+## event-driven dispatch makes goroutine interleavings matter (run by CI's
 ## fleet-smoke job; see DESIGN.md §12)
 fleet-smoke:
 	$(GO) test -race -count=1 ./internal/fleet ./cmd/coscale-fleet
@@ -111,7 +112,7 @@ fleet-smoke:
 ## matching a serial replica, frontier/decision reuse matching a full
 ## rebuild and frontiers matching the reference walk, at GOMAXPROCS=1 and
 ## the default) plus a
-## reduced-grid run of the -exp fastcap cap-event experiment (mirrors CI's
+## reduced-grid run of the -exp fastcap cap-event experiment (run by CI's
 ## fastcap-smoke job; see DESIGN.md §13)
 fastcap-smoke:
 	$(GO) test -race -count=1 ./internal/fastcap
@@ -123,7 +124,7 @@ fastcap-smoke:
 ## controller-level warm property tests (bound re-validation, Reset bit
 ## identity, zero-alloc steady state), the sim-level golden replay, the
 ## ablation gates, and a reduced-budget run of the -exp warmstart ablation
-## (mirrors CI's warm-smoke job; DESIGN.md §14)
+## (run by CI's warm-smoke job; DESIGN.md §14)
 warm-smoke:
 	$(GO) test -race -count=1 -run 'TestWarm|TestRelDelta' ./internal/core ./internal/sim
 	$(GO) test -race -count=1 -run 'TestWarmStart' ./internal/experiments

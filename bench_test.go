@@ -13,18 +13,13 @@ package coscale
 // numbers.
 
 import (
-	"fmt"
 	"math"
 	"testing"
-	"time"
 
 	"coscale/internal/core"
 	"coscale/internal/dram"
 	"coscale/internal/experiments"
-	"coscale/internal/fastcap"
 	"coscale/internal/fleet"
-	"coscale/internal/policy"
-	"coscale/internal/sim"
 	"coscale/internal/trace"
 )
 
@@ -279,75 +274,30 @@ func BenchmarkAblation_ProfilingWindow(b *testing.B) {
 	}
 }
 
-// --- §3.1 search-cost benchmarks: the frequency-selection algorithm alone,
-// on synthetic profiling observations, at 16/64/128 cores. The paper
-// measures <5 µs at 16 cores and projects 83/360 µs at 64/128 cores.
+// --- Headline benchmarks: the §3.1 search cost at 16-1024 cores (cold and
+// warm-started), one capped PowerCap decision, one fleet rebalancing epoch
+// (cold and stable), one fleet-store scheduler scan, and steady-state epoch
+// simulation. Each body is defined once, next to its fixture, and
+// cmd/coscale-bench runs the same bodies for BENCH_baseline.json.
 
-func searchBenchObs(n int) (policy.Config, policy.Observation) {
-	return experiments.SearchBenchObs(n)
-}
-
-func benchSearch(b *testing.B, n int) {
-	cfg, obs := searchBenchObs(n)
-	cs := must(core.New(cfg))
-	cs.Decide(obs) // untimed: sizes the first-call scratch
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cs.Decide(obs)
-	}
-	b.StopTimer()
-	reportPerMove(b, cs)
-}
-
-// reportPerMove surfaces the per-step cost of the search walk: the number of
-// committed frequency moves grows with the core count, so ns/op alone
-// conflates walk length with per-move cost. ns/move is the sub-linear-scaling
-// figure of merit (DESIGN.md §10).
-func reportPerMove(b *testing.B, cs *core.CoScale) {
-	if st := cs.SearchStats(); st.Moves > 0 {
-		perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		b.ReportMetric(perOp/float64(st.Moves), "ns/move")
-		b.ReportMetric(float64(st.Moves), "moves")
-	}
-}
-
-func BenchmarkSearch16Cores(b *testing.B)   { benchSearch(b, 16) }
-func BenchmarkSearch64Cores(b *testing.B)   { benchSearch(b, 64) }
-func BenchmarkSearch128Cores(b *testing.B)  { benchSearch(b, 128) }
-func BenchmarkSearch256Cores(b *testing.B)  { benchSearch(b, 256) }
-func BenchmarkSearch512Cores(b *testing.B)  { benchSearch(b, 512) }
-func BenchmarkSearch1024Cores(b *testing.B) { benchSearch(b, 1024) }
-
-// benchSearchWarm measures the warm-hit decision path (DESIGN.md §14): the
-// controller is primed with one cold decision on the same observation, so
-// every timed Decide classifies the epoch as stable, seeds from the previous
-// solution and serves its marginals from the snapshot table. The delta to
-// the Search rows above is the warm-start saving on a perfectly stable
-// phase — its upper bound.
-func benchSearchWarm(b *testing.B, n int) {
-	cfg, obs := searchBenchObs(n)
-	cs := must(core.NewWithOptions(cfg, core.Options{WarmStart: true}))
-	cs.Decide(obs) // cold prime: populates the snapshot table and phase signature
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cs.Decide(obs)
-	}
-	b.StopTimer()
-	st := cs.SearchStats()
-	if st.WarmHits != 1 {
-		b.Fatalf("warm benchmark fell back to the cold search: %+v", st)
-	}
-	b.ReportMetric(float64(st.CoreEvals), "evals")
-	reportPerMove(b, cs)
-}
-
-func BenchmarkSearchWarm128Cores(b *testing.B)  { benchSearchWarm(b, 128) }
-func BenchmarkSearchWarm512Cores(b *testing.B)  { benchSearchWarm(b, 512) }
-func BenchmarkSearchWarm1024Cores(b *testing.B) { benchSearchWarm(b, 1024) }
+func BenchmarkSearch16Cores(b *testing.B)         { experiments.BenchSearch16Cores(b) }
+func BenchmarkSearch64Cores(b *testing.B)         { experiments.BenchSearch64Cores(b) }
+func BenchmarkSearch128Cores(b *testing.B)        { experiments.BenchSearch128Cores(b) }
+func BenchmarkSearch256Cores(b *testing.B)        { experiments.BenchSearch256Cores(b) }
+func BenchmarkSearch512Cores(b *testing.B)        { experiments.BenchSearch512Cores(b) }
+func BenchmarkSearch1024Cores(b *testing.B)       { experiments.BenchSearch1024Cores(b) }
+func BenchmarkSearchWarm128Cores(b *testing.B)    { experiments.BenchSearchWarm128Cores(b) }
+func BenchmarkSearchWarm512Cores(b *testing.B)    { experiments.BenchSearchWarm512Cores(b) }
+func BenchmarkSearchWarm1024Cores(b *testing.B)   { experiments.BenchSearchWarm1024Cores(b) }
+func BenchmarkPowerCapDecide(b *testing.B)        { experiments.BenchPowerCapDecide(b) }
+func BenchmarkRebalancerEpoch(b *testing.B)       { experiments.BenchRebalancerEpoch(b) }
+func BenchmarkRebalancerEpochStable(b *testing.B) { experiments.BenchRebalancerEpochStable(b) }
+func BenchmarkStoreDispatchable(b *testing.B)     { fleet.BenchStoreDispatchable(b) }
+func BenchmarkEpochSimulation(b *testing.B)       { experiments.BenchEpochSimulation(b) }
 
 // BenchmarkSearchNoCache quantifies the Figure 2 marginal-caching savings.
 func BenchmarkSearchNoCache16Cores(b *testing.B) {
-	cfg, obs := searchBenchObs(16)
+	cfg, obs := experiments.SearchBenchObs(16)
 	cs := must(core.NewWithOptions(cfg, core.Options{DisableMarginalCache: true}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -402,106 +352,6 @@ func BenchmarkPowerCap(b *testing.B) {
 		if i == 0 {
 			b.ReportMetric(res.Energy.Total()/res.WallTime, "avg-watts")
 			b.ReportMetric(capW, "cap-watts")
-		}
-	}
-}
-
-// BenchmarkPowerCapDecide measures one capped decision on its own: a 16-core
-// node of the fastcap study under a cap at 80% of its all-max power, on a
-// warm controller (the steady state the zero-alloc gate pins).
-func BenchmarkPowerCapDecide(b *testing.B) {
-	fx := must(experiments.FastCapBenchFleet(1))
-	pc := must(core.NewPowerCap(fx.Cfg, 0.8*fx.Provisioned))
-	if _, err := pc.DecideCapped(fx.Obs[0]); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pc.DecideCapped(fx.Obs[0]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRebalancerEpoch measures one cold fleet rebalancing epoch: eight
-// 16-core nodes of the fastcap study under a budget at 80% of provisioned
-// power — eight frontier builds, the fair allocation and eight capped
-// decisions. Iterations alternate between the fixture's two observation
-// sets, which differ on every node, so no node can keep its frontier.
-func BenchmarkRebalancerEpoch(b *testing.B) { benchRebalancerEpoch(b, false) }
-
-// BenchmarkRebalancerEpochStable measures the same fleet epoch while every
-// node holds its phase and the budget holds: each node keeps its frontier
-// and its capped decision, so the epoch is the observation compares plus
-// the allocation.
-func BenchmarkRebalancerEpochStable(b *testing.B) { benchRebalancerEpoch(b, true) }
-
-func benchRebalancerEpoch(b *testing.B, stable bool) {
-	fx := must(experiments.FastCapBenchFleet(8))
-	r := fastcap.NewRebalancer(fastcap.Fair)
-	for n := range fx.Obs {
-		if err := r.AddNode(fmt.Sprintf("node-%02d", n), fx.Cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	sets := [2][]policy.Observation{fx.Later, fx.Obs}
-	if stable {
-		sets[0] = fx.Obs
-	}
-	var eps []fastcap.NodeEpoch
-	var err error
-	for _, obs := range [...][]policy.Observation{fx.Obs, fx.Later, fx.Obs} { // warm: grows scratch for both sets
-		if eps, err = r.Epoch(0.8*fx.Provisioned, obs, eps[:0]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if eps, err = r.Epoch(0.8*fx.Provisioned, sets[i%2], eps[:0]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStoreDispatchable measures one scheduler scan of the fleet job
-// store after a long history: about 10k jobs admitted, every one done but
-// the newest sweep's 96 pending cells.
-func BenchmarkStoreDispatchable(b *testing.B) {
-	st := must(fleet.DispatchBenchStore())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if refs := st.Dispatchable(time.Time{}, 96); len(refs) != 96 {
-			b.Fatalf("Dispatchable found %d jobs, want 96", len(refs))
-		}
-	}
-}
-
-// BenchmarkEpochSimulation measures raw fast-backend throughput in steady
-// state: the engine and controller are built once and rewound per iteration
-// (both Resets are bit-identity-preserving), so the number is simulation
-// throughput rather than per-run construction — trace parsing, ladder
-// building and scratch growth all happen before the timer starts.
-func BenchmarkEpochSimulation(b *testing.B) {
-	sc, err := Config{Workload: "MID1", InstructionBudget: benchBudget}.toSim()
-	if err != nil {
-		b.Fatal(err)
-	}
-	cs := must(core.New(sc.PolicyConfig()))
-	sc.Policy = cs
-	eng, err := sim.New(sc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Reset()
-		cs.Reset()
-		if _, err := eng.Run(); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -5,15 +5,19 @@
 // epoch-simulation throughput — plus a timed figure regeneration, and
 // writes the numbers as machine-readable JSON, with the host's CPU count
 // and GOMAXPROCS. The committed BENCH_baseline.json at the repository root
-// is this program's output; regenerate it with `make bench-json`.
+// is this program's output; regenerate it with `make bench-json`. Each row
+// runs the same body as the root package's BenchmarkX of that name
+// (internal/experiments and internal/fleet define them), and a body that
+// fails exits non-zero.
 //
 // Diff mode compares a fresh run against a previous report and exits
 // non-zero on regression, so CI can gate hot-path changes:
 //
 //	coscale-bench -compare BENCH_baseline.json
 //
-// Allocation counts are deterministic and gate strictly (any increase over
-// the baseline fails). Nanosecond timings vary across machines, so they gate
+// A baseline row the fresh run did not produce fails the diff. Allocation
+// counts are deterministic and gate strictly (any increase over the
+// baseline fails). Nanosecond timings vary across machines, so they gate
 // loosely: a benchmark fails only when it exceeds the baseline by the
 // -threshold factor (default 3x), which catches algorithmic regressions
 // without flaking on hardware differences.
@@ -39,13 +43,8 @@ import (
 	"time"
 
 	"coscale/internal/buildinfo"
-	"coscale/internal/core"
 	"coscale/internal/experiments"
-	"coscale/internal/fastcap"
 	"coscale/internal/fleet"
-	"coscale/internal/policy"
-	"coscale/internal/sim"
-	"coscale/internal/workload"
 )
 
 // Report is the BENCH_*.json schema (see DESIGN.md §7 for how to read it).
@@ -93,7 +92,6 @@ func main() {
 	var (
 		out          = flag.String("out", "", "write JSON here instead of stdout")
 		benchtime    = flag.Duration("benchtime", time.Second, "minimum measurement time per benchmark")
-		epochBudget  = flag.Uint64("epoch-budget", 50_000_000, "instructions per app for the epoch-simulation benchmark")
 		figureBudget = flag.Uint64("figure-budget", 10_000_000, "instructions per app for the timed figure regeneration")
 		compare      = flag.String("compare", "", "previous report to diff against; exit 1 on regression")
 		threshold    = flag.Float64("threshold", 3.0, "ns/op regression factor tolerated in -compare mode")
@@ -133,158 +131,13 @@ func main() {
 		Benchtime:  benchtime.String(),
 	}
 
-	for _, n := range []int{16, 64, 128, 256, 512, 1024} {
-		cfg, obs := experiments.SearchBenchObs(n)
-		cs, err := core.New(cfg)
+	for _, hb := range headline {
+		row, err := bench(hb.name, hb.fn)
 		if err != nil {
 			log.Fatal(err)
 		}
-		cs.Decide(obs) // untimed: sizes the first-call scratch
-		row := bench(fmt.Sprintf("Search%dCores", n), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cs.Decide(obs)
-			}
-		})
-		if st := cs.SearchStats(); st.Moves > 0 {
-			row.Moves = st.Moves
-			row.NsPerMove = row.NsPerOp / float64(st.Moves)
-		}
 		rep.Benchmarks = append(rep.Benchmarks, row)
 	}
-
-	// Warm-started decisions (DESIGN.md §14): the same observations with one
-	// cold prime, so every timed decision is a warm hit on a perfectly
-	// stable phase. The delta to the Search rows is the warm-start ceiling.
-	for _, n := range []int{128, 512, 1024} {
-		cfg, obs := experiments.SearchBenchObs(n)
-		cs, err := core.NewWithOptions(cfg, core.Options{WarmStart: true})
-		if err != nil {
-			log.Fatal(err)
-		}
-		cs.Decide(obs) // cold prime: snapshot table and phase signature
-		row := bench(fmt.Sprintf("SearchWarm%dCores", n), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cs.Decide(obs)
-			}
-		})
-		st := cs.SearchStats()
-		if st.WarmHits != 1 {
-			log.Fatalf("SearchWarm%dCores fell back to the cold search: %+v", n, st)
-		}
-		if st.Moves > 0 {
-			row.Moves = st.Moves
-			row.NsPerMove = row.NsPerOp / float64(st.Moves)
-		}
-		rep.Benchmarks = append(rep.Benchmarks, row)
-	}
-
-	// Fleet power capping (DESIGN.md §13): one capped decision on a warm
-	// 16-core controller at 80% of its all-max power, and one rebalancing
-	// epoch of eight such nodes at 80% of provisioned power, whose per-node
-	// work fans out across min(GOMAXPROCS, 8) lanes. RebalancerEpoch
-	// alternates two observation sets that differ on every node, so every
-	// epoch rebuilds all eight frontiers; RebalancerEpochStable repeats one
-	// set under one budget, so every node keeps its frontier and decision.
-	rep.Benchmarks = append(rep.Benchmarks, bench("PowerCapDecide", func(b *testing.B) {
-		fx, err := experiments.FastCapBenchFleet(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pc, err := core.NewPowerCap(fx.Cfg, 0.8*fx.Provisioned)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pc.Decide(fx.Obs[0]) // warm: sizes every scratch buffer
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			pc.Decide(fx.Obs[0])
-		}
-	}))
-	for _, stable := range []bool{false, true} {
-		name := "RebalancerEpoch"
-		if stable {
-			name += "Stable"
-		}
-		rep.Benchmarks = append(rep.Benchmarks, bench(name, func(b *testing.B) {
-			fx, err := experiments.FastCapBenchFleet(8)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sets := [2][]policy.Observation{fx.Later, fx.Obs}
-			if stable {
-				sets[0] = fx.Obs
-			}
-			r := fastcap.NewRebalancer(fastcap.Fair)
-			for n := range fx.Obs {
-				if err := r.AddNode(fmt.Sprintf("node-%02d", n), fx.Cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-			var eps []fastcap.NodeEpoch
-			for _, obs := range [...][]policy.Observation{fx.Obs, fx.Later, fx.Obs} { // warm: grows scratch for both sets
-				if eps, err = r.Epoch(0.8*fx.Provisioned, obs, eps[:0]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if eps, err = r.Epoch(0.8*fx.Provisioned, sets[i%2], eps[:0]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}))
-	}
-	// StoreDispatchable: one scheduler scan of the fleet job store after a
-	// long history — about 10k jobs admitted, all done but the newest
-	// sweep's 96.
-	rep.Benchmarks = append(rep.Benchmarks, bench("StoreDispatchable", func(b *testing.B) {
-		st, err := fleet.DispatchBenchStore()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if refs := st.Dispatchable(time.Time{}, 96); len(refs) != 96 {
-				b.Fatalf("Dispatchable found %d jobs, want 96", len(refs))
-			}
-		}
-	}))
-	rep.Benchmarks = append(rep.Benchmarks, bench("EpochSimulation", func(b *testing.B) {
-		// Steady-state form: engine and controller are built once and
-		// rewound per iteration, so the measurement is simulation
-		// throughput, not per-run construction (trace parsing, ladder
-		// building, scratch growth).
-		mix, err := workload.Get("MID1")
-		if err != nil {
-			b.Fatal(err)
-		}
-		sc := sim.Config{Mix: mix, InstrBudget: *epochBudget}
-		cs, err := core.New(sc.PolicyConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		sc.Policy = cs
-		eng, err := sim.New(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			eng.Reset()
-			cs.Reset()
-			if _, err := eng.Run(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
 
 	// Figure 8/9: the six-policy sweep whose shared-baseline caching this
 	// file's numbers guard (one baseline simulation per mix, not six).
@@ -340,17 +193,46 @@ func main() {
 	}
 }
 
-// bench runs one benchmark function under the standard harness and flattens
-// the result into a BenchRow.
-func bench(name string, fn func(b *testing.B)) BenchRow {
+// headline lists the benchmark rows in report order. Each body is shared
+// with the root package's BenchmarkX of the same name.
+var headline = []struct {
+	name string
+	fn   func(*testing.B)
+}{
+	{"Search16Cores", experiments.BenchSearch16Cores},
+	{"Search64Cores", experiments.BenchSearch64Cores},
+	{"Search128Cores", experiments.BenchSearch128Cores},
+	{"Search256Cores", experiments.BenchSearch256Cores},
+	{"Search512Cores", experiments.BenchSearch512Cores},
+	{"Search1024Cores", experiments.BenchSearch1024Cores},
+	{"SearchWarm128Cores", experiments.BenchSearchWarm128Cores},
+	{"SearchWarm512Cores", experiments.BenchSearchWarm512Cores},
+	{"SearchWarm1024Cores", experiments.BenchSearchWarm1024Cores},
+	{"PowerCapDecide", experiments.BenchPowerCapDecide},
+	{"RebalancerEpoch", experiments.BenchRebalancerEpoch},
+	{"RebalancerEpochStable", experiments.BenchRebalancerEpochStable},
+	{"StoreDispatchable", fleet.BenchStoreDispatchable},
+	{"EpochSimulation", experiments.BenchEpochSimulation},
+}
+
+// bench runs one benchmark body under the standard harness and flattens the
+// result into a BenchRow, taking Moves and NsPerMove from the metrics the
+// body reported. A body that fails leaves a zero result (N == 0), which is
+// an error.
+func bench(name string, fn func(b *testing.B)) (BenchRow, error) {
 	res := testing.Benchmark(fn)
+	if res.N == 0 {
+		return BenchRow{}, fmt.Errorf("benchmark %s failed", name)
+	}
 	return BenchRow{
 		Name:        name,
 		NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
 		AllocsPerOp: res.AllocsPerOp(),
 		BytesPerOp:  res.AllocedBytesPerOp(),
 		Iterations:  res.N,
-	}
+		Moves:       int(res.Extra["moves"]),
+		NsPerMove:   res.Extra["ns/move"],
+	}, nil
 }
 
 func readReport(path string) (Report, error) {
@@ -365,19 +247,21 @@ func readReport(path string) (Report, error) {
 	return rep, nil
 }
 
-// diff reports regressions of new against old: any allocs/op increase
-// (deterministic, so strict), and ns/op beyond threshold x the old value
-// (loose, to absorb machine differences). Benchmarks present on only one
-// side are reported informationally by the caller's JSON, not gated.
+// diff reports regressions of new against old: a baseline row the new run
+// did not produce (a renamed or dropped benchmark would otherwise escape the
+// gate), any allocs/op increase (deterministic, so strict), and ns/op beyond
+// threshold x the old value (loose, to absorb machine differences). Rows only
+// the new run has are not gated.
 func diff(old, new Report, threshold float64) []string {
-	prev := make(map[string]BenchRow, len(old.Benchmarks))
-	for _, row := range old.Benchmarks {
-		prev[row.Name] = row
+	cur := make(map[string]BenchRow, len(new.Benchmarks))
+	for _, row := range new.Benchmarks {
+		cur[row.Name] = row
 	}
 	var failures []string
-	for _, row := range new.Benchmarks {
-		base, ok := prev[row.Name]
+	for _, base := range old.Benchmarks {
+		row, ok := cur[base.Name]
 		if !ok {
+			failures = append(failures, fmt.Sprintf("MISSING %s: in the baseline but not in this run", base.Name))
 			continue
 		}
 		if row.AllocsPerOp > base.AllocsPerOp {

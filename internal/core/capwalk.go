@@ -50,7 +50,7 @@ func (w *CapWalk) Reset(cfg policy.Config, obs policy.Observation, scaled []floa
 	w.ev.UseTables = true
 	w.ev.Reset(cfg, obs)
 	w.scaled = scaled
-	w.steps = perf.ResizeInts(w.steps, cfg.NCores)
+	w.steps = perf.Resize(w.steps, cfg.NCores)
 	w.mem = 0
 	// The all-max point is the baseline Reset already solved.
 	base := w.ev.Baseline()

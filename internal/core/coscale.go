@@ -180,7 +180,7 @@ func (c *CoScale) Slack() *policy.SlackBook { return c.slack }
 // pattern; benchmarks use it to rewind between iterations).
 func (c *CoScale) Reset() {
 	c.slack.Reset()
-	c.last.CoreSteps = perf.ResizeInts(c.last.CoreSteps, c.cfg.NCores)
+	c.last.CoreSteps = perf.Resize(c.last.CoreSteps, c.cfg.NCores)
 	c.last.MemStep = 0
 	c.resetWarm()
 }
@@ -194,7 +194,7 @@ func threadsFor(identity *[]int, obs policy.Observation) []int {
 	if obs.ThreadIDs != nil {
 		return obs.ThreadIDs
 	}
-	*identity = perf.ResizeInts(*identity, len(obs.Cores))
+	*identity = perf.Resize(*identity, len(obs.Cores))
 	for i := range *identity {
 		(*identity)[i] = i
 	}
@@ -210,7 +210,7 @@ func threadsFor(identity *[]int, obs policy.Observation) []int {
 func (c *CoScale) Observe(epoch policy.Observation) {
 	c.obsEv.Reset(c.cfg, epoch)
 	base := c.obsEv.BaselineTPI()
-	c.tmax = perf.ResizeFloats(c.tmax, len(epoch.Cores))
+	c.tmax = perf.Resize(c.tmax, len(epoch.Cores))
 	for i := range epoch.Cores {
 		c.tmax[i] = float64(epoch.Cores[i].Instructions) * base[i]
 	}
@@ -235,7 +235,7 @@ func (c *CoScale) Decide(obs policy.Observation) policy.Decision {
 		c.stats.ColdSearches = 1
 		d = c.search(c.ev)
 	}
-	c.last.CoreSteps = perf.ResizeInts(c.last.CoreSteps, len(d.CoreSteps))
+	c.last.CoreSteps = perf.Resize(c.last.CoreSteps, len(d.CoreSteps))
 	copy(c.last.CoreSteps, d.CoreSteps)
 	c.last.MemStep = d.MemStep
 	return d
@@ -282,7 +282,7 @@ type coreMarg struct {
 func (c *CoScale) search(ev *policy.Evaluator) policy.Decision {
 	n := c.cfg.NCores
 	st := &c.st
-	st.steps = perf.ResizeInts(st.steps, n)
+	st.steps = perf.Resize(st.steps, n)
 	st.memStep = 0
 	st.memValid, st.coreValid = false, false
 	// The walk starts at the all-max point the evaluator already solved for
@@ -298,7 +298,7 @@ func (c *CoScale) search(ev *policy.Evaluator) policy.Decision {
 //hot:path
 func (c *CoScale) descend(ev *policy.Evaluator, st *searchState) policy.Decision {
 	n := c.cfg.NCores
-	c.best = perf.ResizeInts(c.best, n)
+	c.best = perf.Resize(c.best, n)
 	copy(c.best, st.steps)
 	bestMem := st.memStep
 	bestSER := st.cur.SER

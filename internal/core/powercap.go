@@ -119,7 +119,7 @@ func (p *PowerCap) DecideCapped(obs policy.Observation) (policy.Decision, error)
 
 	// Feasibility pre-check at the ladder floor: an infeasible cap clamps
 	// at once instead of walking every configuration to find the floor.
-	p.best = perf.ResizeInts(p.best, p.cfg.NCores)
+	p.best = perf.Resize(p.best, p.cfg.NCores)
 	for i := range p.best {
 		p.best[i] = p.cfg.CoreLadder.Steps() - 1
 	}

@@ -168,8 +168,8 @@ func (c *CoScale) phaseStable(obs policy.Observation) bool {
 //hot:path
 func (c *CoScale) snapshotPhase(obs policy.Observation) {
 	n := len(obs.Cores)
-	c.prevCPI = perf.GrowFloats(c.prevCPI, n)
-	c.prevMPI = perf.GrowFloats(c.prevMPI, n)
+	c.prevCPI = perf.Grow(c.prevCPI, n)
+	c.prevMPI = perf.Grow(c.prevMPI, n)
 	for i := range obs.Cores {
 		co := &obs.Cores[i]
 		c.prevCPI[i] = co.Stats.CPIBase
@@ -211,7 +211,7 @@ func (c *CoScale) searchWarm(ev *policy.Evaluator) (policy.Decision, bool) {
 		return policy.Decision{}, false
 	}
 	st := &c.st
-	st.steps = perf.ResizeInts(st.steps, n)
+	st.steps = perf.Resize(st.steps, n)
 	copy(st.steps, c.last.CoreSteps)
 	st.memStep = c.last.MemStep
 	c.stats.Evals++

@@ -12,6 +12,8 @@
 // driver reads MSR-style counters.
 package counters
 
+import "coscale/internal/perf"
+
 // Core holds the free-running per-core counters.
 type Core struct {
 	Cycles uint64 // core clock cycles elapsed (at the core's own frequency)
@@ -252,8 +254,8 @@ func (s *System) Snapshot() System {
 //
 //hot:path
 func (s *System) SnapshotInto(dst *System) {
-	dst.Cores = resizeCores(dst.Cores, len(s.Cores))
-	dst.Channels = resizeChannels(dst.Channels, len(s.Channels))
+	dst.Cores = perf.Grow(dst.Cores, len(s.Cores))
+	dst.Channels = perf.Grow(dst.Channels, len(s.Channels))
 	copy(dst.Cores, s.Cores)
 	copy(dst.Channels, s.Channels)
 }
@@ -263,28 +265,14 @@ func (s *System) SnapshotInto(dst *System) {
 //
 //hot:path
 func (s *System) SubInto(dst *System, start *System) {
-	dst.Cores = resizeCores(dst.Cores, len(s.Cores))
-	dst.Channels = resizeChannels(dst.Channels, len(s.Channels))
+	dst.Cores = perf.Grow(dst.Cores, len(s.Cores))
+	dst.Channels = perf.Grow(dst.Channels, len(s.Channels))
 	for i := range s.Cores {
 		dst.Cores[i] = s.Cores[i].Sub(start.Cores[i])
 	}
 	for i := range s.Channels {
 		dst.Channels[i] = s.Channels[i].Sub(start.Channels[i])
 	}
-}
-
-func resizeCores(s []Core, n int) []Core {
-	if cap(s) < n {
-		return make([]Core, n) //hot:alloc-ok capacity miss: amortized to zero once the snapshot shape is warm
-	}
-	return s[:n]
-}
-
-func resizeChannels(s []Channel, n int) []Channel {
-	if cap(s) < n {
-		return make([]Channel, n) //hot:alloc-ok capacity miss: amortized to zero once the snapshot shape is warm
-	}
-	return s[:n]
 }
 
 // Sub returns the element-wise deltas s - start. The two snapshots must have

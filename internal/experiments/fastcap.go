@@ -11,16 +11,18 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"testing"
 	"time"
 
 	"coscale/internal/cache"
+	"coscale/internal/core"
 	"coscale/internal/fastcap"
-	"coscale/internal/fault"
 	"coscale/internal/freq"
 	"coscale/internal/memsys"
 	"coscale/internal/perf"
 	"coscale/internal/policy"
 	"coscale/internal/power"
+	"coscale/internal/trace"
 	"coscale/internal/workload"
 )
 
@@ -252,8 +254,8 @@ func fastCapFleet(tables *policy.TableCache, nodes, epochs int) (policy.Config, 
 		} else if m.Cores() != cfg.NCores {
 			return cfg, nil, 0, fmt.Errorf("experiments: mix %s has %d cores, fleet needs %d", m.Name, m.Cores(), cfg.NCores)
 		}
-		start[n] = fastCapUnit(fault.Mix64(FastCapSeed ^ uint64(n)<<1))
-		rate[n] = 0.02 + 0.04*fastCapUnit(fault.Mix64(FastCapSeed^uint64(n)<<1^1))
+		start[n] = fastCapUnit(trace.Mix64(FastCapSeed ^ uint64(n)<<1))
+		rate[n] = 0.02 + 0.04*fastCapUnit(trace.Mix64(FastCapSeed^uint64(n)<<1^1))
 	}
 
 	llc := cache.NewShareModel(cache.DefaultSizeMB)
@@ -295,8 +297,7 @@ type FastCapBench struct {
 const fastCapBenchLater = 24
 
 // FastCapBenchFleet returns the benchmark input for a nodes-node fleet of
-// 16-core nodes. One definition keeps `go test -bench` and cmd/coscale-bench
-// measuring the same workload.
+// 16-core nodes.
 //
 // Later is the study's epoch-24 observations rotated by one node: node n
 // takes node n+1's. Some mixes hold a single phase, so a node's own
@@ -316,6 +317,74 @@ func FastCapBenchFleet(nodes int) (FastCapBench, error) {
 		}
 	}
 	return fx, nil
+}
+
+// BenchPowerCapDecide measures one capped decision on its own: a 16-core
+// node of the fastcap study under a cap at 80% of its all-max power, on a
+// warm controller (the steady state the zero-alloc gate pins).
+func BenchPowerCapDecide(b *testing.B) {
+	fx, err := FastCapBenchFleet(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pc, err := core.NewPowerCap(fx.Cfg, 0.8*fx.Provisioned)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := pc.DecideCapped(fx.Obs[0]); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pc.DecideCapped(fx.Obs[0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchRebalancerEpoch measures one cold fleet rebalancing epoch: eight
+// 16-core nodes of the fastcap study under a budget at 80% of provisioned
+// power — eight frontier builds, the fair allocation and eight capped
+// decisions, fanned out across min(GOMAXPROCS, 8) lanes. Iterations
+// alternate between the fixture's two observation sets, which differ on
+// every node, so no node can keep its frontier.
+func BenchRebalancerEpoch(b *testing.B) { benchRebalancerEpoch(b, false) }
+
+// BenchRebalancerEpochStable measures the same fleet epoch while every node
+// holds its phase and the budget holds: each node keeps its frontier and its
+// capped decision, so the epoch is the observation compares plus the
+// allocation.
+func BenchRebalancerEpochStable(b *testing.B) { benchRebalancerEpoch(b, true) }
+
+func benchRebalancerEpoch(b *testing.B, stable bool) {
+	fx, err := FastCapBenchFleet(8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := fastcap.NewRebalancer(fastcap.Fair)
+	for n := range fx.Obs {
+		if err := r.AddNode(fmt.Sprintf("node-%02d", n), fx.Cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sets := [2][]policy.Observation{fx.Later, fx.Obs}
+	if stable {
+		sets[0] = fx.Obs
+	}
+	var eps []fastcap.NodeEpoch
+	for _, obs := range [...][]policy.Observation{fx.Obs, fx.Later, fx.Obs} { // warm: grows scratch for both sets
+		if eps, err = r.Epoch(0.8*fx.Provisioned, obs, eps[:0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if eps, err = r.Epoch(0.8*fx.Provisioned, sets[i%2], eps[:0]); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // FormatFastCap renders the fleet capping study as a strategy × segment

@@ -98,7 +98,7 @@ func (a *Allocator) Allocate(budget float64, nodes []Node, out []Assignment) ([]
 	}
 
 	n := len(nodes)
-	a.order = perf.ResizeInts(a.order, n)
+	a.order = perf.Resize(a.order, n)
 	for i := range a.order {
 		a.order[i] = i
 	}
@@ -114,7 +114,7 @@ func (a *Allocator) Allocate(budget float64, nodes []Node, out []Assignment) ([]
 		}
 	}
 
-	a.cur = perf.ResizeInts(a.cur, n)
+	a.cur = perf.Resize(a.cur, n)
 
 	// Floors first, summed in ID order for permutation invariance. The sum
 	// is formed before comparing so a budget exactly equal to the fleet

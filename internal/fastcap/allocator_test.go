@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"coscale/internal/approx"
-	"coscale/internal/fault"
+	"coscale/internal/trace"
 )
 
 // synthFrontier builds a deterministic monotone frontier from a seed:
@@ -16,16 +16,16 @@ func synthFrontier(seed uint64, npts int) *Frontier {
 		Watts: make([]float64, npts),
 		Slow:  make([]float64, npts),
 	}
-	w := 40 + float64(fault.Mix64(seed)%1000)/50 // floor 40..60 W
+	w := 40 + float64(trace.Mix64(seed)%1000)/50 // floor 40..60 W
 	s := 1.0
 	// Fill from the top (all-max) down so the last point has slowdown 1.
 	for i := npts - 1; i >= 0; i-- {
 		f.Slow[i] = s
-		s += 0.02 + float64(fault.Mix64(seed^uint64(i)*0x9e37)%1000)/10000
+		s += 0.02 + float64(trace.Mix64(seed^uint64(i)*0x9e37)%1000)/10000
 	}
 	for i := 0; i < npts; i++ {
 		f.Watts[i] = w
-		w += 3 + float64(fault.Mix64(seed^uint64(i)*0xc2b2)%1000)/200
+		w += 3 + float64(trace.Mix64(seed^uint64(i)*0xc2b2)%1000)/200
 	}
 	return f
 }
@@ -34,7 +34,7 @@ func synthNodes(seed uint64, n int) []Node {
 	nodes := make([]Node, n)
 	for i := range nodes {
 		id := []byte{'n', '0' + byte(i/10), '0' + byte(i%10)}
-		nodes[i] = Node{ID: string(id), F: synthFrontier(seed^uint64(i)*0x85eb, 4+int(fault.Mix64(seed^uint64(i))%8))}
+		nodes[i] = Node{ID: string(id), F: synthFrontier(seed^uint64(i)*0x85eb, 4+int(trace.Mix64(seed^uint64(i))%8))}
 	}
 	return nodes
 }
@@ -82,7 +82,7 @@ func TestAllocateBitIdenticalAcrossOrderingsAndReplays(t *testing.T) {
 				seed := uint64(0xFA57CA9)*uint64(trial+1) ^ uint64(n)<<32
 				nodes := synthNodes(seed, n)
 				span := fleetMax(nodes) - fleetFloor(nodes)
-				budget := fleetFloor(nodes) + span*float64(fault.Mix64(seed)%100)/100
+				budget := fleetFloor(nodes) + span*float64(trace.Mix64(seed)%100)/100
 
 				a := &Allocator{Strategy: strat}
 				ref, err := a.Allocate(budget, nodes, nil)

@@ -101,7 +101,7 @@ func (b *Builder) Build(dst *Frontier, cfg policy.Config, obs policy.Observation
 		b.walkW = append(b.walkW, watts)
 		b.walkS = append(b.walkS, slow)
 		if nVisited < len(b.walkSteps) {
-			b.walkSteps[nVisited] = perf.ResizeInts(b.walkSteps[nVisited], n)
+			b.walkSteps[nVisited] = perf.Resize(b.walkSteps[nVisited], n)
 		} else {
 			b.walkSteps = append(b.walkSteps, make([]int, n))
 		}
@@ -119,7 +119,7 @@ func (b *Builder) Build(dst *Frontier, cfg policy.Config, obs policy.Observation
 	// points are sorted by watts (stable insertion sort; the walk is
 	// nearly sorted already) and swept keeping only strict improvements:
 	// watts strictly ascending, slowdown strictly decreasing.
-	b.idx = perf.ResizeInts(b.idx, nVisited)
+	b.idx = perf.Resize(b.idx, nVisited)
 	for i := range b.idx {
 		b.idx[i] = nVisited - 1 - i // reverse: roughly ascending watts
 	}
@@ -140,9 +140,9 @@ func (b *Builder) Build(dst *Frontier, cfg policy.Config, obs policy.Observation
 	}
 
 	nPoints := len(b.keep)
-	dst.Watts = perf.GrowFloats(dst.Watts, nPoints)
-	dst.Slow = perf.GrowFloats(dst.Slow, nPoints)
-	dst.mems = perf.ResizeInts(dst.mems, nPoints)
+	dst.Watts = perf.Grow(dst.Watts, nPoints)
+	dst.Slow = perf.Grow(dst.Slow, nPoints)
+	dst.mems = perf.Resize(dst.mems, nPoints)
 	if cap(dst.steps) < nPoints {
 		dst.steps = make([][]int, nPoints)
 	}
@@ -151,7 +151,7 @@ func (b *Builder) Build(dst *Frontier, cfg policy.Config, obs policy.Observation
 		dst.Watts[i] = b.walkW[id]
 		dst.Slow[i] = b.walkS[id]
 		dst.mems[i] = b.walkMems[id]
-		dst.steps[i] = perf.ResizeInts(dst.steps[i], n)
+		dst.steps[i] = perf.Resize(dst.steps[i], n)
 		copy(dst.steps[i], b.walkSteps[id])
 	}
 	return nil

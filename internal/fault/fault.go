@@ -5,12 +5,12 @@
 // instructions, energy and wall time — is never perturbed; only what the
 // controller *sees* and what the actuator *applies* are.
 //
-// All randomness comes from a splitmix64 stream seeded by Config.Seed, so an
-// identical (seed, scenario) pair replays an identical fault sequence and a
-// simulation under injection stays bit-reproducible across runs and after
-// Engine.Reset. The package is inside the determinism lint scope
-// (internal/lint): no wall-clock reads, no global math/rand, no map
-// iteration.
+// All randomness comes from a trace.Rand splitmix64 stream seeded by
+// Config.Seed, so an identical (seed, scenario) pair replays an identical
+// fault sequence and a simulation under injection stays bit-reproducible
+// across runs and after Engine.Reset. The package is inside the determinism
+// lint scope (internal/lint): no wall-clock reads, no global math/rand, no
+// map iteration.
 //
 // The fault taxonomy follows the failure modes the CoScale paper's "model
 // error" discussion and successor systems (FastCap, SysScale) treat as
@@ -19,7 +19,16 @@
 // estimates. See DESIGN.md §8.
 package fault
 
-import "fmt"
+import (
+	"fmt"
+
+	"coscale/internal/trace"
+)
+
+// Mix64 is trace.Mix64, the splitmix64 finalizer. It remains here for the
+// load generator (internal/loadgen), a module of its own that calls it by
+// this name.
+func Mix64(x uint64) uint64 { return trace.Mix64(x) }
 
 // ConfigError reports one rejected fault-configuration field.
 type ConfigError struct {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"coscale/internal/counters"
+	"coscale/internal/trace"
 )
 
 func TestValidateRejectsBadFields(t *testing.T) {
@@ -47,16 +48,15 @@ func TestSplitmix64KnownValues(t *testing.T) {
 	t.Parallel()
 	// Reference outputs for seed 1234567 from the splitmix64 reference
 	// implementation (Vigna), pinning the stream across refactors.
-	var r rng
-	r.seed(1234567)
+	r := trace.NewRand(1234567)
 	want := []uint64{0x599ed017fb08fc85, 0x2c73f08458540fa5}
 	for i, w := range want {
-		if got := r.next(); got != w {
+		if got := r.Uint64(); got != w {
 			t.Errorf("draw %d: got %#x, want %#x", i, got, w)
 		}
 	}
 	for i := 0; i < 1000; i++ {
-		f := r.float64()
+		f := r.Float64()
 		if f < 0 || f >= 1 {
 			t.Fatalf("float64 draw %d outside [0,1): %g", i, f)
 		}

@@ -1,6 +1,9 @@
 package fault
 
-import "coscale/internal/counters"
+import (
+	"coscale/internal/counters"
+	"coscale/internal/trace"
+)
 
 // Window identifies which controller-facing counter reading is being
 // perturbed; staleness is tracked independently per window kind so a stale
@@ -36,7 +39,7 @@ type Stats struct {
 // use.
 type Injector struct {
 	cfg Config
-	rng rng
+	rng trace.Rand
 
 	stats Stats
 
@@ -94,7 +97,7 @@ func New(cfg Config, nCores, nChannels int) (*Injector, error) {
 // no stale readings, empty request ring, no active events), so a rerun after
 // Engine.Reset replays the identical fault sequence.
 func (inj *Injector) Reset() {
-	inj.rng.seed(inj.cfg.Seed)
+	inj.rng = *trace.NewRand(inj.cfg.Seed)
 	inj.stats = Stats{}
 	for w := range inj.hasPrev {
 		inj.hasPrev[w] = false
@@ -115,7 +118,7 @@ func (inj *Injector) Stats() Stats { return inj.stats }
 func (inj *Injector) factor() float64 {
 	f := 1 + inj.cfg.Counters.Bias
 	if n := inj.cfg.Counters.Noise; n > 0 {
-		f *= 1 + n*inj.rng.symmetric()
+		f *= 1 + n*(2*inj.rng.Float64()-1)
 	}
 	if f < 0 {
 		f = 0
@@ -141,7 +144,7 @@ func scale(v uint64, f float64) uint64 {
 //hot:path
 func (inj *Injector) PerturbCounters(w Window, sys *counters.System) {
 	c := &inj.cfg.Counters
-	if c.StaleProb > 0 && inj.hasPrev[w] && inj.rng.float64() < c.StaleProb {
+	if c.StaleProb > 0 && inj.hasPrev[w] && inj.rng.Float64() < c.StaleProb {
 		inj.stats.StaleWindows++
 		inj.prev[w].SnapshotInto(sys)
 		return
@@ -157,13 +160,13 @@ func (inj *Injector) PerturbCounters(w Window, sys *counters.System) {
 	}
 	if c.DropProb > 0 {
 		for i := range sys.Cores {
-			if inj.rng.float64() < c.DropProb {
+			if inj.rng.Float64() < c.DropProb {
 				inj.stats.DroppedCores++
 				sys.Cores[i] = counters.Core{}
 			}
 		}
 		for i := range sys.Channels {
-			if inj.rng.float64() < c.DropProb {
+			if inj.rng.Float64() < c.DropProb {
 				inj.stats.DroppedChans++
 				sys.Channels[i] = counters.Channel{}
 			}
@@ -275,14 +278,14 @@ func (inj *Injector) Actuate(reqCore []int, reqMem int, curCore []int, curMem in
 		}
 	}
 
-	if a.DropProb > 0 && inj.rng.float64() < a.DropProb {
+	if a.DropProb > 0 && inj.rng.Float64() < a.DropProb {
 		inj.stats.DroppedReqs++
 		copy(outCore, curCore)
 		outMem = curMem
 	}
 
 	if a.StuckProb > 0 {
-		if inj.stuckLeft == 0 && inj.rng.float64() < a.StuckProb {
+		if inj.stuckLeft == 0 && inj.rng.Float64() < a.StuckProb {
 			inj.stats.StuckEvents++
 			inj.stuckLeft = a.StuckEpochs
 		}
@@ -294,7 +297,7 @@ func (inj *Injector) Actuate(reqCore []int, reqMem int, curCore []int, curMem in
 	}
 
 	if a.ThermalProb > 0 {
-		if inj.thermalLeft == 0 && inj.rng.float64() < a.ThermalProb {
+		if inj.thermalLeft == 0 && inj.rng.Float64() < a.ThermalProb {
 			inj.stats.ThermalEvents++
 			inj.thermalLeft = a.ThermalEpochs
 		}

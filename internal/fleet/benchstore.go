@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"encoding/json"
+	"testing"
+	"time"
 
 	"coscale/internal/server"
 )
@@ -10,13 +12,30 @@ import (
 // 10k jobs.
 const dispatchBenchSweeps = 104
 
-// DispatchBenchStore builds the input of the StoreDispatchable benchmark:
-// an in-memory store that has admitted dispatchBenchSweeps default sweeps
-// (9,984 jobs) and committed every cell of all but the last, so a
-// scheduler pass finds 96 pending jobs behind a long finished history. One
-// definition keeps `go test -bench` and cmd/coscale-bench measuring the
-// same store.
-func DispatchBenchStore() (*Store, error) {
+// BenchStoreDispatchable measures one scheduler scan of the fleet job store
+// after a long history: about 10k jobs admitted, every one done but the
+// newest sweep's 96 pending cells. The root package's
+// BenchmarkStoreDispatchable and cmd/coscale-bench's StoreDispatchable row
+// both run it.
+func BenchStoreDispatchable(b *testing.B) {
+	st, err := dispatchBenchStore()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if refs := st.Dispatchable(time.Time{}, 96); len(refs) != 96 {
+			b.Fatalf("Dispatchable found %d jobs, want 96", len(refs))
+		}
+	}
+}
+
+// dispatchBenchStore builds BenchStoreDispatchable's input: an in-memory
+// store that has admitted dispatchBenchSweeps default sweeps (9,984 jobs)
+// and committed every cell of all but the last, so a scheduler pass finds
+// 96 pending jobs behind a long finished history.
+func dispatchBenchStore() (*Store, error) {
 	req, err := server.SweepRequest{}.Normalized()
 	if err != nil {
 		return nil, err

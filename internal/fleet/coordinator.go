@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"coscale/internal/fault"
 	"coscale/internal/server"
 )
 
@@ -46,8 +45,6 @@ type Config struct {
 	// MaxInflightPerWorker bounds concurrently leased jobs per worker
 	// (default 4, matching the worker's own pool).
 	MaxInflightPerWorker int
-	// VirtualNodes per worker on the ring (0 selects the ring default).
-	VirtualNodes int
 	// RetryAfterSeconds is the base Retry-After hint when shedding
 	// (default 1); RetryAfterJitterSeconds spreads it into
 	// [base, base+jitter] (default 2; negative disables).
@@ -209,7 +206,7 @@ func New(cfg Config) (*Coordinator, error) {
 		tr:      cfg.Transport,
 		baseCtx: ctx,
 		cancel:  cancel,
-		ring:    NewRing(cfg.VirtualNodes),
+		ring:    NewRing(),
 		workers: map[string]*workerState{},
 		budgetW: cfg.PowerBudgetWatts,
 		update:  make(chan struct{}),
@@ -583,7 +580,7 @@ func (c *Coordinator) Submit(req server.SweepRequest) (SweepStatus, error) {
 		return SweepStatus{}, &apiError{
 			status:     http.StatusServiceUnavailable,
 			msg:        "no live workers: fleet cannot make progress, retry shortly",
-			retryAfter: c.retryAfterSeconds(),
+			retryAfter: server.RetryAfterSeconds(c.cfg.RetryAfterSeconds, c.cfg.RetryAfterJitterSeconds, &c.retrySeq),
 		}
 	}
 	id, total, err := c.store.AddSweep(n)
@@ -625,17 +622,6 @@ func (c *Coordinator) WaitSweep(ctx context.Context, id string) (SweepStatus, er
 		return SweepStatus{}, fmt.Errorf("unknown sweep %q", id)
 	}
 	return st, nil
-}
-
-// retryAfterSeconds jitters the shed hint into [base, base+jitter] with the
-// same deterministic splitmix64 scramble the worker uses, so synchronized
-// rejected clients spread out instead of returning as one stampede.
-func (c *Coordinator) retryAfterSeconds() int {
-	if c.cfg.RetryAfterJitterSeconds <= 0 {
-		return c.cfg.RetryAfterSeconds
-	}
-	n := uint64(c.retrySeq.Add(1))
-	return c.cfg.RetryAfterSeconds + int(fault.Mix64(n)%uint64(c.cfg.RetryAfterJitterSeconds+1))
 }
 
 // WorkerInfo is the externally visible state of one registered worker.

@@ -242,7 +242,7 @@ func TestFleetChaosE2E(t *testing.T) {
 
 	// The ring is a pure function of the worker set, so the primary owner of
 	// each cell is known in advance; kill the busiest worker mid-sweep.
-	ring := NewRing(0)
+	ring := NewRing()
 	for _, w := range workers {
 		ring.Add(w.id)
 	}

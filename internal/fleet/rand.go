@@ -3,7 +3,7 @@ package fleet
 import (
 	"hash/fnv"
 
-	"coscale/internal/fault"
+	"coscale/internal/trace"
 )
 
 // hashKey folds an operation name, a string key, and a numeric
@@ -25,8 +25,9 @@ func hashKey(op, key string, n uint64) uint64 {
 	return h.Sum64()
 }
 
-// jitterFrac maps a key to a uniform fraction in [0, 1).
-func jitterFrac(k uint64) float64 { return fault.MixFloat64(k) }
+// jitterFrac maps a key to a uniform fraction in [0, 1) with 53 bits of
+// precision.
+func jitterFrac(k uint64) float64 { return float64(trace.Mix64(k)>>11) / (1 << 53) }
 
 // seededFrac is jitterFrac under an explicit seed.
-func seededFrac(seed, k uint64) float64 { return fault.MixFloat64(seed ^ k) }
+func seededFrac(seed, k uint64) float64 { return jitterFrac(seed ^ k) }

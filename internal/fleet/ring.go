@@ -7,7 +7,7 @@ import (
 )
 
 // Ring is a consistent hash ring mapping canonical request hashes to worker
-// IDs. Each worker owns VirtualNodes points placed by sha256 over
+// IDs. Each worker owns ringVirtualNodes points placed by sha256 over
 // "id#vnode"; a job routes to the first eligible worker at or after the
 // point of its own hash. Routing is therefore a pure function of the
 // (worker set, job hash, eligibility) triple: two coordinators with the
@@ -16,23 +16,20 @@ import (
 //
 // Ring is not goroutine-safe; the coordinator guards it with its own lock.
 type Ring struct {
-	vnodes int
 	points []ringPoint // sorted by point
 }
+
+// ringVirtualNodes is each worker's point count, enough for a few-percent
+// spread at small fleets.
+const ringVirtualNodes = 64
 
 type ringPoint struct {
 	point  uint64
 	worker string
 }
 
-// NewRing builds an empty ring with the given virtual-node count per worker
-// (0 selects 64, enough for a few-percent spread at small fleets).
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = 64
-	}
-	return &Ring{vnodes: vnodes}
-}
+// NewRing builds an empty ring.
+func NewRing() *Ring { return &Ring{} }
 
 // pointFor hashes one virtual node of a worker onto the ring.
 func pointFor(worker string, vnode int) uint64 {
@@ -49,7 +46,7 @@ func (r *Ring) Add(worker string) {
 			return
 		}
 	}
-	for v := 0; v < r.vnodes; v++ {
+	for v := 0; v < ringVirtualNodes; v++ {
 		r.points = append(r.points, ringPoint{point: pointFor(worker, v), worker: worker})
 	}
 	sort.Slice(r.points, func(i, j int) bool {

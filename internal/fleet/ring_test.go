@@ -18,7 +18,7 @@ func fakeHash(i int) string {
 // worker owned.
 func TestRingDeterministicAndStable(t *testing.T) {
 	build := func() *Ring {
-		r := NewRing(0)
+		r := NewRing()
 		// Insertion order must not matter.
 		for _, w := range []string{"w2", "w1", "w3"} {
 			r.Add(w)
@@ -66,7 +66,7 @@ func TestRingDeterministicAndStable(t *testing.T) {
 // TestRingEligibility walks clockwise past ineligible workers and reports
 // failure when nobody qualifies.
 func TestRingEligibility(t *testing.T) {
-	r := NewRing(8)
+	r := NewRing()
 	r.Add("w1")
 	r.Add("w2")
 	h := fakeHash(0)
@@ -78,7 +78,7 @@ func TestRingEligibility(t *testing.T) {
 	if _, ok := r.Lookup(h, func(string) bool { return false }); ok {
 		t.Fatal("lookup with no eligible workers reported ok")
 	}
-	if _, ok := NewRing(0).Lookup(h, nil); ok {
+	if _, ok := NewRing().Lookup(h, nil); ok {
 		t.Fatal("lookup on empty ring reported ok")
 	}
 }

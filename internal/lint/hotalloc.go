@@ -20,7 +20,7 @@ import (
 // follow. HotAlloc itself checks only explicitly marked functions; the
 // interprocedural hotprop rule extends the same make() check to every
 // function reachable from a hot root through the call graph, so unmarked
-// helpers (perf.ResizeFloats and friends) justify their capacity-miss
+// helpers (perf.Resize and perf.Grow) justify their capacity-miss
 // allocations with //hot:alloc-ok at the make site.
 var HotAlloc = &Analyzer{
 	Name:  "hotalloc",

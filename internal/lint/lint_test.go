@@ -294,9 +294,9 @@ func TestEscapeLineParsing(t *testing.T) {
 		file string
 		keep bool
 	}{
-		{"internal/perf/perf.go:326:14: make([]float64, n) escapes to heap", "internal/perf/perf.go", true},
+		{"internal/perf/perf.go:326:14: make([]go.shape.float64, n) escapes to heap", "internal/perf/perf.go", true},
 		{"internal/sim/engine.go:100:6: moved to heap: cfg", "internal/sim/engine.go", true},
-		{"internal/perf/perf.go:10:6: can inline GrowFloats", "internal/perf/perf.go", false},
+		{"internal/perf/perf.go:10:6: can inline Grow[go.shape.float64]", "internal/perf/perf.go", false},
 		{"internal/perf/perf.go:12:2: n does not escape", "internal/perf/perf.go", false},
 		{"# coscale/internal/perf", "", false},
 	}

@@ -130,10 +130,10 @@ func (sv *Solver) SolveInto(res *Result, cores []CoreStats, coreHz []float64, bu
 	// per-iteration arithmetic — fixed + (Beta*latency)/mlp — performs the
 	// same operations on the same values as CoreStats.TPI, so the fixed
 	// point reached is bit-identical.
-	sv.fixed = GrowFloats(sv.fixed, n)
-	sv.beta = GrowFloats(sv.beta, n)
-	sv.mlpn = GrowFloats(sv.mlpn, n)
-	sv.mpi = GrowFloats(sv.mpi, n)
+	sv.fixed = Grow(sv.fixed, n)
+	sv.beta = Grow(sv.beta, n)
+	sv.mlpn = Grow(sv.mlpn, n)
+	sv.mpi = Grow(sv.mpi, n)
 	allMLP1 := true
 	for i, c := range cores {
 		sv.beta[i] = c.Beta
@@ -191,8 +191,8 @@ func (sv *Solver) iterate(res *Result, model memsys.LoadModel, fixed, beta, mlpn
 		maxIter = 60
 	}
 	n := len(fixed)
-	res.TPI = GrowFloats(res.TPI, n)
-	res.IPS = GrowFloats(res.IPS, n)
+	res.TPI = Grow(res.TPI, n)
+	res.IPS = Grow(res.IPS, n)
 	tpis := res.TPI[:n]
 	ips := res.IPS[:n]
 	beta = beta[:n]
@@ -318,41 +318,26 @@ func (sv *Solver) iterate(res *Result, model memsys.LoadModel, fixed, beta, mlpn
 	res.Iterations = iter + 1
 }
 
-// ResizeFloats returns s resized to length n, reusing its backing array when
-// the capacity suffices (elements are zeroed) and allocating otherwise. It
+// Resize returns s resized to length n with every element zeroed, reusing
+// its backing array when the capacity suffices and allocating otherwise. It
 // is the shared growth helper behind the hot paths' scratch buffers.
-func ResizeFloats(s []float64, n int) []float64 {
+func Resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n) //hot:alloc-ok capacity miss: grow-only scratch, amortized to zero in steady state
+		return make([]T, n) //hot:alloc-ok capacity miss: grow-only scratch, amortized to zero in steady state
 	}
 	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
+	clear(s)
 	return s
 }
 
-// GrowFloats returns s resized to length n, reusing its backing array when
-// the capacity suffices and allocating otherwise — like ResizeFloats but
-// WITHOUT zeroing. For buffers every element of which is written before it
-// is read (the solver's working arrays), the clear is pure overhead.
-func GrowFloats(s []float64, n int) []float64 {
+// Grow is Resize WITHOUT zeroing: the reused elements keep their old values.
+// For buffers every element of which is written before it is read (the
+// solver's working arrays, per-epoch snapshots), the clear is pure overhead.
+func Grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n) //hot:alloc-ok capacity miss: grow-only scratch, amortized to zero in steady state
+		return make([]T, n) //hot:alloc-ok capacity miss: grow-only scratch, amortized to zero in steady state
 	}
 	return s[:n]
-}
-
-// ResizeInts is ResizeFloats for int slices.
-func ResizeInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n) //hot:alloc-ok capacity miss: grow-only scratch, amortized to zero in steady state
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
 }
 
 // StepTable memoizes, per candidate core-frequency step, every core's
@@ -409,10 +394,10 @@ func (t *StepTable) Reset(stats []CoreStats, stepHz []float64) {
 	for s := range t.built {
 		t.built[s] = false
 	}
-	t.beta = GrowFloats(t.beta, n)
-	t.mlpn = GrowFloats(t.mlpn, n)
-	t.mpi = GrowFloats(t.mpi, n)
-	t.fixed = GrowFloats(t.fixed, n)
+	t.beta = Grow(t.beta, n)
+	t.mlpn = Grow(t.mlpn, n)
+	t.mpi = Grow(t.mpi, n)
+	t.fixed = Grow(t.fixed, n)
 	if cap(t.cur) < n {
 		t.cur = make([]int, n) //hot:alloc-ok capacity miss: runs once until the caller's scratch is warm
 	}

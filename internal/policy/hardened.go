@@ -4,89 +4,40 @@ import (
 	"fmt"
 	"math"
 
-	"coscale/internal/approx"
 	"coscale/internal/perf"
 )
 
-// HardenedOptions tunes the Hardened watchdog. The zero value selects the
-// defaults listed on each field; see DESIGN.md §8 for how they were chosen.
-type HardenedOptions struct {
-	// SanityTol is the allowed relative error in the counter-identity check
-	// for the profiling window (default 0.02). The per-core counter stats
+// The Hardened watchdog's tuning; see DESIGN.md §8 for how it was chosen.
+const (
+	// hardenSanityTol is the allowed relative error in the counter-identity
+	// check for the profiling window. The per-core counter stats
 	// algebraically reconstruct the cycle counter, so a clean constant-
 	// frequency window passes with error near zero; the margin covers the
 	// engine's MLP/CPIBase clamps.
-	SanityTol float64
-	// EpochTolExtra is the additional tolerance for whole-epoch windows
-	// (default 0.12): the first profiling fraction of an epoch runs at the
+	hardenSanityTol = 0.02
+	// hardenEpochTolExtra is the additional tolerance for whole-epoch
+	// windows: the first profiling fraction of an epoch runs at the
 	// previous epoch's frequencies while the observation reports the new
 	// ones, which skews the identity by up to profile/epoch × the ladder's
 	// max/min frequency ratio.
-	EpochTolExtra float64
-	// TripAfter is how many consecutive suspicious windows trip the
-	// watchdog into failsafe (default 2).
-	TripAfter int
-	// BackoffMin and BackoffMax bound the failsafe hold, in epochs
-	// (defaults 4 and 256). Each trip doubles the next hold up to
-	// BackoffMax; sustained clean operation halves it back toward
-	// BackoffMin.
-	BackoffMin int
-	BackoffMax int
-	// ReTrustAfter is how many consecutive clean windows halve the backoff
-	// (default 8).
-	ReTrustAfter int
-	// DeficitEpochs sets the persistent-bound-violation trigger: the
+	hardenEpochTolExtra = 0.12
+	// hardenTripAfter is how many consecutive suspicious windows trip the
+	// watchdog into failsafe.
+	hardenTripAfter = 2
+	// hardenBackoffMin and hardenBackoffMax bound the failsafe hold, in
+	// epochs. Each trip doubles the next hold up to hardenBackoffMax;
+	// sustained clean operation halves it back toward hardenBackoffMin.
+	hardenBackoffMin = 4
+	hardenBackoffMax = 256
+	// hardenReTrustAfter is how many consecutive clean windows halve the
+	// backoff.
+	hardenReTrustAfter = 8
+	// hardenDeficitEpochs sets the persistent-bound-violation trigger: the
 	// watchdog trips when any thread falls behind its (1+γ) bound by more
-	// than DeficitEpochs × γ × EpochLen seconds of accumulated deficit
-	// (default 4). Transient model drift is orders of magnitude smaller.
-	DeficitEpochs float64
-}
-
-// withDefaults fills zero fields with the documented defaults.
-func (o HardenedOptions) withDefaults() HardenedOptions {
-	if approx.Zero(o.SanityTol, 0) {
-		o.SanityTol = 0.02
-	}
-	if approx.Zero(o.EpochTolExtra, 0) {
-		o.EpochTolExtra = 0.12
-	}
-	if o.TripAfter == 0 {
-		o.TripAfter = 2
-	}
-	if o.BackoffMin == 0 {
-		o.BackoffMin = 4
-	}
-	if o.BackoffMax == 0 {
-		o.BackoffMax = 256
-	}
-	if o.ReTrustAfter == 0 {
-		o.ReTrustAfter = 8
-	}
-	if approx.Zero(o.DeficitEpochs, 0) {
-		o.DeficitEpochs = 4
-	}
-	return o
-}
-
-// validate rejects self-contradictory options.
-func (o HardenedOptions) validate() error {
-	if o.SanityTol < 0 || o.EpochTolExtra < 0 {
-		return fmt.Errorf("policy: Hardened tolerances must be non-negative")
-	}
-	if o.TripAfter < 1 {
-		return fmt.Errorf("policy: Hardened TripAfter must be at least 1")
-	}
-	if o.BackoffMin < 1 || o.BackoffMax < o.BackoffMin {
-		return fmt.Errorf("policy: Hardened backoff range [%d, %d] is invalid", o.BackoffMin, o.BackoffMax)
-	}
-	if o.ReTrustAfter < 1 {
-		return fmt.Errorf("policy: Hardened ReTrustAfter must be at least 1")
-	}
-	if o.DeficitEpochs < 0 {
-		return fmt.Errorf("policy: Hardened DeficitEpochs must be non-negative")
-	}
-	return nil
-}
+	// than hardenDeficitEpochs × γ × EpochLen seconds of accumulated
+	// deficit. Transient model drift is orders of magnitude smaller.
+	hardenDeficitEpochs = 4
+)
 
 // HardenedStats counts watchdog events, for tests and experiment telemetry.
 type HardenedStats struct {
@@ -110,9 +61,10 @@ type HardenedStats struct {
 //     dropped, froze or clamped the request.
 //
 // A suspicious window yields one conservative maximum-frequency epoch;
-// TripAfter consecutive suspicious windows trip a failsafe hold at maximum
-// frequencies for an exponentially backed-off number of epochs
-// (BackoffMin → BackoffMax, halved again after sustained clean operation).
+// hardenTripAfter consecutive suspicious windows trip a failsafe hold at
+// maximum frequencies for an exponentially backed-off number of epochs
+// (hardenBackoffMin → hardenBackoffMax, halved again after sustained clean
+// operation).
 // Rejected epochs are withheld from the inner policy so faulty readings
 // never poison its slack accounting; independently, the watchdog accrues
 // each thread's deficit against its (1+γ) bound and trips on persistent
@@ -124,7 +76,6 @@ type HardenedStats struct {
 type Hardened struct {
 	cfg   Config
 	inner Policy
-	opts  HardenedOptions
 	stats HardenedStats
 
 	// Echo state: the decision most recently returned to the engine.
@@ -150,15 +101,10 @@ type Hardened struct {
 	tmax      []float64
 }
 
-// Harden wraps inner with a watchdog using default options.
+// Harden wraps inner with a watchdog. Oracle policies are rejected: their
+// decisions are fed ground truth rather than the counters the watchdog
+// vets, so hardening them is meaningless.
 func Harden(cfg Config, inner Policy) (*Hardened, error) {
-	return HardenWithOptions(cfg, inner, HardenedOptions{})
-}
-
-// HardenWithOptions wraps inner with a watchdog using explicit options.
-// Oracle policies are rejected: their decisions are fed ground truth rather
-// than the counters the watchdog vets, so hardening them is meaningless.
-func HardenWithOptions(cfg Config, inner Policy, opts HardenedOptions) (*Hardened, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -168,16 +114,11 @@ func HardenWithOptions(cfg Config, inner Policy, opts HardenedOptions) (*Hardene
 	if op, ok := inner.(OraclePolicy); ok && op.WantsOracle() {
 		return nil, fmt.Errorf("policy: cannot harden %s: oracle observations bypass the counters the watchdog checks", inner.Name())
 	}
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
 	return &Hardened{
 		cfg:     cfg,
 		inner:   inner,
-		opts:    opts,
 		lastReq: make([]int, cfg.NCores),
-		backoff: opts.BackoffMin,
+		backoff: hardenBackoffMin,
 		deficit: make([]float64, cfg.NCores),
 		zeros:   make([]int, cfg.NCores),
 	}, nil
@@ -195,7 +136,7 @@ func (h *Hardened) Stats() HardenedStats { return h.stats }
 // Decide vets the profiling window and either delegates to the inner policy
 // or pins the system at maximum frequencies (see the type comment).
 func (h *Hardened) Decide(obs Observation) Decision {
-	sane := h.obsSane(obs, h.opts.SanityTol)
+	sane := h.obsSane(obs, hardenSanityTol)
 	match := h.actuationMatches(obs)
 	h.note(sane, match)
 
@@ -204,7 +145,7 @@ func (h *Hardened) Decide(obs Observation) Decision {
 		h.stats.FailsafeEpochs++
 		return h.remember(h.failsafe(len(obs.Cores)))
 	}
-	if h.badStreak >= h.opts.TripAfter {
+	if h.badStreak >= hardenTripAfter {
 		h.trip()
 		h.failsafeLeft--
 		h.stats.FailsafeEpochs++
@@ -222,7 +163,8 @@ func (h *Hardened) Decide(obs Observation) Decision {
 // policy's slack accounting and the watchdog's own bound-deficit tracker,
 // implausible ones are withheld entirely.
 func (h *Hardened) Observe(epoch Observation) {
-	if !h.obsSane(epoch, h.opts.SanityTol+h.opts.EpochTolExtra) {
+	tol := float64(hardenSanityTol) // a variable: the sum rounds in float64, not as an exact constant
+	if !h.obsSane(epoch, tol+hardenEpochTolExtra) {
 		h.stats.InsaneWindows++
 		h.badStreak++
 		h.cleanStreak = 0
@@ -237,11 +179,11 @@ func (h *Hardened) note(sane, match bool) {
 	if sane && match {
 		h.badStreak = 0
 		h.cleanStreak++
-		if h.cleanStreak >= h.opts.ReTrustAfter {
+		if h.cleanStreak >= hardenReTrustAfter {
 			h.cleanStreak = 0
 			h.backoff /= 2
-			if h.backoff < h.opts.BackoffMin {
-				h.backoff = h.opts.BackoffMin
+			if h.backoff < hardenBackoffMin {
+				h.backoff = hardenBackoffMin
 			}
 		}
 		return
@@ -256,13 +198,14 @@ func (h *Hardened) note(sane, match bool) {
 	}
 }
 
-// trip enters a failsafe hold and doubles the next one (up to BackoffMax).
+// trip enters a failsafe hold and doubles the next one (up to
+// hardenBackoffMax).
 func (h *Hardened) trip() {
 	h.stats.Trips++
 	h.failsafeLeft = h.backoff
 	h.backoff *= 2
-	if h.backoff > h.opts.BackoffMax {
-		h.backoff = h.opts.BackoffMax
+	if h.backoff > hardenBackoffMax {
+		h.backoff = hardenBackoffMax
 	}
 	h.badStreak = 0
 	for i := range h.deficit {
@@ -283,7 +226,7 @@ func (h *Hardened) failsafe(n int) Decision {
 // remember records the decision's settings (clamped as the engine will clamp
 // them) so the next observation's settings can be echo-checked against it.
 func (h *Hardened) remember(d Decision) Decision {
-	h.lastReq = perf.ResizeInts(h.lastReq, len(d.CoreSteps))
+	h.lastReq = perf.Resize(h.lastReq, len(d.CoreSteps))
 	for i, s := range d.CoreSteps {
 		h.lastReq[i] = h.cfg.CoreLadder.Clamp(s)
 	}
@@ -352,9 +295,6 @@ func (h *Hardened) obsSane(obs Observation, tol float64) bool {
 // trips the watchdog on persistent violation. tMax is estimated from the
 // same (vetted) observation the inner policy received.
 func (h *Hardened) recordDeficit(epoch Observation) {
-	if h.opts.DeficitEpochs <= 0 {
-		return
-	}
 	if n := len(epoch.Cores); n > len(h.zeros) {
 		h.zeros = make([]int, n) //hot:alloc-ok capacity miss: grow-only scratch, amortized to zero in steady state
 	}
@@ -365,7 +305,7 @@ func (h *Hardened) recordDeficit(epoch Observation) {
 	h.tmax = h.deficitEv.TMaxInto(h.tmax, h.zeros[:len(epoch.Cores)], 0)
 	tMax := h.tmax
 	threads := epoch.CoreThreads()
-	limit := h.opts.DeficitEpochs * h.cfg.Gamma * h.cfg.EpochLen.Seconds()
+	limit := hardenDeficitEpochs * h.cfg.Gamma * h.cfg.EpochLen.Seconds()
 	violated := false
 	for i, id := range threads {
 		if id >= len(h.deficit) {

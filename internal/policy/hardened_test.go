@@ -67,11 +67,6 @@ func biasInstr(obs Observation, f float64) Observation {
 	return obs
 }
 
-// testOpts keeps the holds short so tests stay readable.
-func testOpts() HardenedOptions {
-	return HardenedOptions{TripAfter: 2, BackoffMin: 2, BackoffMax: 8, ReTrustAfter: 4}
-}
-
 func isFailsafe(d Decision) bool {
 	if d.MemStep != 0 {
 		return false
@@ -95,12 +90,6 @@ func TestHardenRejectsBadInputs(t *testing.T) {
 	if _, err := Harden(cfg, must(NewOffline(cfg))); err == nil {
 		t.Error("oracle policy accepted: the watchdog cannot vet oracle observations")
 	}
-	if _, err := HardenWithOptions(cfg, &stubPolicy{}, HardenedOptions{TripAfter: -1}); err == nil {
-		t.Error("negative TripAfter accepted")
-	}
-	if _, err := HardenWithOptions(cfg, &stubPolicy{}, HardenedOptions{BackoffMin: 10, BackoffMax: 5}); err == nil {
-		t.Error("inverted backoff range accepted")
-	}
 }
 
 func TestHardenedName(t *testing.T) {
@@ -119,7 +108,7 @@ func TestHardenedName(t *testing.T) {
 func TestHardenedTransparentWhenClean(t *testing.T) {
 	cfg := testCfg(4)
 	inner := &stubPolicy{decision: Decision{CoreSteps: ZeroSteps(cfg.NCores)}}
-	h := must(HardenWithOptions(cfg, inner, testOpts()))
+	h := must(Harden(cfg, inner))
 	obs := hardObs(cfg, computeStats(), 300e-6, 0, 0)
 	epoch := hardObs(cfg, computeStats(), 5e-3, 0, 0)
 	for i := 0; i < 20; i++ {
@@ -137,61 +126,71 @@ func TestHardenedTransparentWhenClean(t *testing.T) {
 	}
 }
 
+// holdLength feeds clean windows to a watchdog that has just tripped and
+// returns the hold's length in epochs, the trip epoch included: the count
+// until the inner policy is consulted again.
+func holdLength(t *testing.T, h *Hardened, inner *stubPolicy, clean Observation) int {
+	t.Helper()
+	held := 1 // the trip epoch
+	for before := inner.decides; ; held++ {
+		h.Decide(clean)
+		if inner.decides != before {
+			return held
+		}
+		if held > 10*hardenBackoffMax {
+			t.Fatal("hold never expired")
+		}
+	}
+}
+
 // TestHardenedTripsOnBiasedCounters: uniformly biased counters break the
-// cycle identity; after TripAfter consecutive bad windows the watchdog holds
-// max frequency for BackoffMin epochs, then re-trusts, and a relapse doubles
-// the hold.
+// cycle identity; after hardenTripAfter consecutive bad windows the watchdog
+// holds max frequency for hardenBackoffMin epochs, then re-trusts, and a
+// relapse doubles the hold.
 func TestHardenedTripsOnBiasedCounters(t *testing.T) {
 	cfg := testCfg(4)
 	inner := &stubPolicy{decision: Decision{CoreSteps: ZeroSteps(cfg.NCores)}}
-	h := must(HardenWithOptions(cfg, inner, testOpts()))
+	h := must(Harden(cfg, inner))
 	clean := hardObs(cfg, computeStats(), 300e-6, 0, 0)
 	bad := biasInstr(clean, 1.2)
 
-	// Two bad windows: one conservative epoch, then a trip.
-	h.Decide(bad)
-	if st := h.Stats(); st.Trips != 0 || st.InsaneWindows != 1 {
-		t.Fatalf("after one bad window: %+v", st)
+	// hardenTripAfter bad windows: conservative epochs, then a trip.
+	for i := 1; i < hardenTripAfter; i++ {
+		h.Decide(bad)
+		if st := h.Stats(); st.Trips != 0 || st.InsaneWindows != i {
+			t.Fatalf("after %d bad window(s): %+v", i, st)
+		}
 	}
 	if inner.decides != 0 {
 		t.Fatal("bad window reached the inner policy")
 	}
 	h.Decide(bad)
 	if st := h.Stats(); st.Trips != 1 {
-		t.Fatalf("no trip after %d bad windows: %+v", 2, st)
+		t.Fatalf("no trip after %d bad windows: %+v", hardenTripAfter, st)
 	}
 
-	// The hold lasts BackoffMin epochs (the trip epoch included) even though
-	// the readings turn clean.
-	h.Decide(clean) // second (and last) hold epoch
-	if inner.decides != 0 {
-		t.Fatal("inner consulted during failsafe hold")
-	}
-	if !isFailsafe(h.Decide(clean)) {
-		// hold expired, clean streak resumes: inner is consulted again
+	// The hold lasts hardenBackoffMin epochs (the trip epoch included) even
+	// though the readings turn clean; the inner policy is consulted on the
+	// first clean window after it.
+	if held := holdLength(t, h, inner, clean); held != hardenBackoffMin {
+		t.Errorf("first hold lasted %d epochs, want %d (hardenBackoffMin)", held, hardenBackoffMin)
 	}
 	if inner.decides != 1 {
 		t.Fatalf("inner not re-trusted after hold expiry (decides=%d)", inner.decides)
 	}
-	if st := h.Stats(); st.FailsafeEpochs != 2 {
-		t.Errorf("failsafe epochs %d, want 2 (BackoffMin)", st.FailsafeEpochs)
+	if st := h.Stats(); st.FailsafeEpochs != hardenBackoffMin {
+		t.Errorf("failsafe epochs %d, want %d (hardenBackoffMin)", st.FailsafeEpochs, hardenBackoffMin)
 	}
 
 	// Relapse: the next hold is doubled.
-	h.Decide(bad)
-	h.Decide(bad)
+	for i := 0; i < hardenTripAfter; i++ {
+		h.Decide(bad)
+	}
 	if st := h.Stats(); st.Trips != 2 {
 		t.Fatalf("no second trip: %+v", st)
 	}
-	held := 1 // the trip epoch
-	for isFailsafe(h.Decide(clean)) && inner.decides == 1 {
-		held++
-		if held > 100 {
-			t.Fatal("hold never expired")
-		}
-	}
-	if held != 4 {
-		t.Errorf("second hold lasted %d epochs, want 4 (doubled backoff)", held)
+	if held := holdLength(t, h, inner, clean); held != 2*hardenBackoffMin {
+		t.Errorf("second hold lasted %d epochs, want %d (doubled backoff)", held, 2*hardenBackoffMin)
 	}
 }
 
@@ -200,37 +199,33 @@ func TestHardenedTripsOnBiasedCounters(t *testing.T) {
 func TestHardenedReTrustHalvesBackoff(t *testing.T) {
 	cfg := testCfg(4)
 	inner := &stubPolicy{decision: Decision{CoreSteps: ZeroSteps(cfg.NCores)}}
-	h := must(HardenWithOptions(cfg, inner, testOpts()))
+	h := must(Harden(cfg, inner))
 	clean := hardObs(cfg, computeStats(), 300e-6, 0, 0)
 	bad := biasInstr(clean, 1.2)
-
-	// Drive the backoff to 8 (two trips).
-	for i := 0; i < 2; i++ {
-		h.Decide(bad)
-		h.Decide(bad)
-		for isFailsafe(h.Decide(clean)) {
-			if inner.decides > 0 {
-				break
-			}
+	trip := func() {
+		for i := 0; i < hardenTripAfter; i++ {
+			h.Decide(bad)
 		}
-		inner.decides = 0
 	}
-	// 2 × ReTrustAfter clean windows halve 8 → 4 → 2.
-	for i := 0; i < 8; i++ {
+
+	// Two trips double the backoff twice, to 4 × hardenBackoffMin; the
+	// second hold's clean windows re-trust once as it expires, leaving
+	// 2 × hardenBackoffMin.
+	for i := 0; i < 2; i++ {
+		trip()
+		holdLength(t, h, inner, clean)
+	}
+	// 2 × hardenReTrustAfter clean windows halve it back to
+	// hardenBackoffMin.
+	for i := 0; i < 2*hardenReTrustAfter; i++ {
 		h.Decide(clean)
 	}
-	h.Decide(bad)
-	h.Decide(bad) // trip 3
-	held := 1
-	before := inner.decides
-	for isFailsafe(h.Decide(clean)) && inner.decides == before {
-		held++
-		if held > 100 {
-			t.Fatal("hold never expired")
-		}
+	trip()
+	if st := h.Stats(); st.Trips != 3 {
+		t.Fatalf("no third trip: %+v", st)
 	}
-	if held != 2 {
-		t.Errorf("post-re-trust hold lasted %d epochs, want 2 (halved back to BackoffMin)", held)
+	if held := holdLength(t, h, inner, clean); held != hardenBackoffMin {
+		t.Errorf("post-re-trust hold lasted %d epochs, want %d (halved back to hardenBackoffMin)", held, hardenBackoffMin)
 	}
 }
 
@@ -241,7 +236,7 @@ func TestHardenedDetectsActuationMismatch(t *testing.T) {
 	cfg := testCfg(4)
 	req := Decision{CoreSteps: []int{1, 1, 1, 1}, MemStep: 1}
 	inner := &stubPolicy{decision: req}
-	h := must(HardenWithOptions(cfg, inner, testOpts()))
+	h := must(Harden(cfg, inner))
 	obs := hardObs(cfg, computeStats(), 300e-6, 0, 0)
 
 	d := h.Decide(obs) // no prior request: echo check vacuous, inner consulted
@@ -265,7 +260,7 @@ func TestHardenedDetectsActuationMismatch(t *testing.T) {
 func TestHardenedObserveWithholdsInsaneEpochs(t *testing.T) {
 	cfg := testCfg(4)
 	inner := &stubPolicy{decision: Decision{CoreSteps: ZeroSteps(cfg.NCores)}}
-	h := must(HardenWithOptions(cfg, inner, testOpts()))
+	h := must(Harden(cfg, inner))
 	epoch := hardObs(cfg, computeStats(), 5e-3, 0, 0)
 
 	h.Observe(biasInstr(epoch, 1.3))
@@ -282,13 +277,13 @@ func TestHardenedObserveWithholdsInsaneEpochs(t *testing.T) {
 }
 
 // TestHardenedEpochToleranceAllowsTransitionSkew: a whole-epoch window whose
-// identity is off by less than EpochTolExtra (the profiling fraction ran at
+// identity is off by less than hardenEpochTolExtra (the profiling fraction ran at
 // the previous frequencies) is accepted, while the same skew fails the
 // tighter Decide-time check.
 func TestHardenedEpochToleranceAllowsTransitionSkew(t *testing.T) {
 	cfg := testCfg(4)
 	inner := &stubPolicy{decision: Decision{CoreSteps: ZeroSteps(cfg.NCores)}}
-	h := must(HardenWithOptions(cfg, inner, testOpts()))
+	h := must(Harden(cfg, inner))
 	epoch := biasInstr(hardObs(cfg, computeStats(), 5e-3, 0, 0), 1.08)
 	h.Observe(epoch)
 	if inner.observes != 1 {
@@ -310,7 +305,7 @@ func TestHardenedEpochToleranceAllowsTransitionSkew(t *testing.T) {
 func TestHardenedDeficitTrips(t *testing.T) {
 	cfg := testCfg(4)
 	inner := &stubPolicy{decision: Decision{CoreSteps: ZeroSteps(cfg.NCores)}}
-	h := must(HardenWithOptions(cfg, inner, testOpts()))
+	h := must(Harden(cfg, inner))
 	bottom := cfg.CoreLadder.Steps() - 1
 	slow := hardObs(cfg, computeStats(), 5e-3, bottom, 0)
 	for i := 0; i < 50 && h.Stats().Trips == 0; i++ {

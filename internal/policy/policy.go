@@ -312,7 +312,7 @@ func (ev *Evaluator) Reset(cfg Config, obs Observation) {
 	ev.Solver.MaxIter = 25
 	ev.obs = obs
 	n := len(obs.Cores)
-	ev.stats = resizeStats(ev.stats, n)
+	ev.stats = perf.Grow(ev.stats, n)
 	for i := range obs.Cores {
 		ev.stats[i] = obs.Cores[i].Stats
 	}
@@ -320,7 +320,7 @@ func (ev *Evaluator) Reset(cfg Config, obs Observation) {
 	if obs.MemRate > 0 {
 		ev.busyPerReq = obs.BusyFrac / obs.MemRate
 	}
-	ev.maxSteps = perf.ResizeInts(ev.maxSteps, n)
+	ev.maxSteps = perf.Resize(ev.maxSteps, n)
 	if ev.UseTables {
 		ev.resetTables()
 	}
@@ -340,8 +340,8 @@ func (ev *Evaluator) Reset(cfg Config, obs Observation) {
 //hot:path
 func (ev *Evaluator) resetTables() {
 	n := len(ev.obs.Cores)
-	ev.mixes = resizeMixes(ev.mixes, n)
-	ev.l2pi = perf.GrowFloats(ev.l2pi, n)
+	ev.mixes = perf.Grow(ev.mixes, n)
+	ev.l2pi = perf.Grow(ev.l2pi, n)
 	for i := range ev.obs.Cores {
 		ev.mixes[i] = ev.obs.Cores[i].Mix
 		ev.l2pi[i] = ev.obs.Cores[i].L2PerInstr
@@ -409,9 +409,9 @@ func (ev *Evaluator) Evaluate(coreSteps []int, memStep int) Eval {
 //hot:path
 func (ev *Evaluator) EvaluateBaselineInto(dst *Eval) {
 	n := len(ev.baseline.TPI)
-	dst.TPI = perf.ResizeFloats(dst.TPI, n)
+	dst.TPI = perf.Resize(dst.TPI, n)
 	copy(dst.TPI, ev.baseline.TPI)
-	dst.Slowdown = perf.ResizeFloats(dst.Slowdown, n)
+	dst.Slowdown = perf.Resize(dst.Slowdown, n)
 	for i := range dst.Slowdown {
 		dst.Slowdown[i] = 1
 	}
@@ -464,7 +464,7 @@ func (e *Eval) memRate(stats []perf.CoreStats) float64 {
 //
 //hot:path
 func (ev *Evaluator) coreHz(coreSteps []int) []float64 {
-	ev.hz = perf.ResizeFloats(ev.hz, len(coreSteps))
+	ev.hz = perf.Resize(ev.hz, len(coreSteps))
 	for i, s := range coreSteps {
 		ev.hz[i] = ev.Cfg.CoreLadder.Hz(s)
 	}
@@ -485,9 +485,9 @@ func (ev *Evaluator) evaluateInto(dst *Eval, coreSteps []int, memStep int) {
 	busHz := ev.Cfg.MemLadder.Hz(memStep)
 	ev.Solver.SolveInto(&ev.solveRes, ev.stats, hz, busHz)
 	n := len(ev.solveRes.TPI)
-	dst.TPI = perf.ResizeFloats(dst.TPI, n)
+	dst.TPI = perf.Resize(dst.TPI, n)
 	copy(dst.TPI, ev.solveRes.TPI)
-	dst.Slowdown = perf.ResizeFloats(dst.Slowdown, n)
+	dst.Slowdown = perf.Resize(dst.Slowdown, n)
 	dst.MaxSlow = 0
 	dst.SER = 0
 	dst.MemLoad = ev.solveRes.Mem
@@ -505,9 +505,9 @@ func (ev *Evaluator) evaluateInto(dst *Eval, coreSteps []int, memStep int) {
 func (ev *Evaluator) evaluateTablesInto(dst *Eval, coreSteps []int, memStep int) {
 	ev.Solver.SolveTable(&ev.solveRes, &ev.tbl, coreSteps, ev.plat.Models.At(memStep))
 	n := len(ev.solveRes.TPI)
-	dst.TPI = perf.GrowFloats(dst.TPI, n)
+	dst.TPI = perf.Grow(dst.TPI, n)
 	copy(dst.TPI, ev.solveRes.TPI)
-	dst.Slowdown = perf.GrowFloats(dst.Slowdown, n)
+	dst.Slowdown = perf.Grow(dst.Slowdown, n)
 	dst.MaxSlow = 0
 	dst.SER = 0
 	dst.MemLoad = ev.solveRes.Mem
@@ -616,7 +616,7 @@ func (ev *Evaluator) finish(e *Eval, coreSteps []int, hz []float64, memStep int,
 		e.MaxSlow = 1
 	}
 
-	cores := resizeCoreOps(ev.cores, len(e.TPI))
+	cores := perf.Grow(ev.cores, len(e.TPI))
 	ev.cores = cores
 	l2Rate := 0.0
 	for i, tpi := range e.TPI {
@@ -681,29 +681,6 @@ func MaxSlowdownsInto(dst, slacks []float64, epoch, gamma float64) []float64 {
 		dst[i] = r
 	}
 	return dst
-}
-
-// resizeStats and resizeCoreOps reuse scratch backing arrays without
-// zeroing: every element is fully overwritten before it is read.
-func resizeStats(s []perf.CoreStats, n int) []perf.CoreStats {
-	if cap(s) < n {
-		return make([]perf.CoreStats, n) //hot:alloc-ok capacity miss: grow-only scratch, amortized to zero in steady state
-	}
-	return s[:n]
-}
-
-func resizeCoreOps(s []power.CoreOp, n int) []power.CoreOp {
-	if cap(s) < n {
-		return make([]power.CoreOp, n) //hot:alloc-ok capacity miss: grow-only scratch, amortized to zero in steady state
-	}
-	return s[:n]
-}
-
-func resizeMixes(s []trace.InstrMix, n int) []trace.InstrMix {
-	if cap(s) < n {
-		return make([]trace.InstrMix, n) //hot:alloc-ok capacity miss: grow-only scratch, amortized to zero in steady state
-	}
-	return s[:n]
 }
 
 // WithinBoundScaled is WithinBound against limits whose (1+1e-12) epsilon

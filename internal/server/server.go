@@ -17,8 +17,8 @@ import (
 
 	"coscale/internal/cache"
 	"coscale/internal/experiments"
-	"coscale/internal/fault"
 	"coscale/internal/sim"
+	"coscale/internal/trace"
 )
 
 // Config sizes the serving subsystem. Zero values select defaults suited to
@@ -40,9 +40,6 @@ type Config struct {
 	// of rejected clients does not return as one synchronized retry storm
 	// (default 2; negative disables the jitter).
 	RetryAfterJitterSeconds int
-	// MaxJobs bounds retained terminal jobs for GET /v1/jobs/{id}
-	// (default 1024); the oldest are forgotten first.
-	MaxJobs int
 	// StreamWriteTimeout bounds each write on an NDJSON stream response: a
 	// client that stalls its receive window longer than this is dropped —
 	// the job keeps running — instead of pinning the handler goroutine
@@ -75,9 +72,6 @@ func (c Config) withDefaults() Config {
 	case c.RetryAfterJitterSeconds < 0:
 		c.RetryAfterJitterSeconds = 0
 	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 1024
-	}
 	switch {
 	case c.StreamWriteTimeout == 0:
 		c.StreamWriteTimeout = 30 * time.Second
@@ -86,6 +80,10 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// maxJobs bounds the terminal jobs retained for GET /v1/jobs/{id}; the
+// oldest are forgotten first.
+const maxJobs = 1024
 
 // Server is the serving subsystem: admission control in front of a bounded
 // job queue, a fixed worker pool running simulations, an LRU result cache
@@ -415,17 +413,23 @@ func (s *Server) admit(proto *Job) (*Job, *apiError) {
 	return job, nil
 }
 
-// retryAfterSeconds returns the next backpressure hint: the configured base
-// plus a deterministic jitter in [0, jitter] seconds, sequenced by a
-// splitmix64-scrambled counter. Rejected clients therefore spread their
-// retries across the window instead of synchronizing on one boundary — and
-// the shared fleet client honors the header (internal/fleet.Client).
+// retryAfterSeconds returns the next backpressure hint (RetryAfterSeconds).
 func (s *Server) retryAfterSeconds() int {
-	if s.cfg.RetryAfterJitterSeconds <= 0 {
-		return s.cfg.RetryAfterSeconds
+	return RetryAfterSeconds(s.cfg.RetryAfterSeconds, s.cfg.RetryAfterJitterSeconds, &s.retrySeq)
+}
+
+// RetryAfterSeconds returns a backpressure hint: base plus a deterministic
+// jitter in [0, jitter] seconds, sequenced by a splitmix64-scrambled
+// counter. Rejected clients therefore spread their retries across the
+// window instead of synchronizing on one boundary — and the shared fleet
+// client honors the header (internal/fleet.Client). The fleet coordinator's
+// shed hint uses it too.
+func RetryAfterSeconds(base, jitter int, seq *atomic.Int64) int {
+	if jitter <= 0 {
+		return base
 	}
-	n := uint64(s.retrySeq.Add(1))
-	return s.cfg.RetryAfterSeconds + int(fault.Mix64(n)%uint64(s.cfg.RetryAfterJitterSeconds+1))
+	n := uint64(seq.Add(1))
+	return base + int(trace.Mix64(n)%uint64(jitter+1))
 }
 
 func (s *Server) newID(hash string) string {
@@ -461,7 +465,7 @@ func (s *Server) retireLocked(j *Job) {
 		delete(s.inflight, j.Hash)
 	}
 	s.doneOrder = append(s.doneOrder, j.ID)
-	for len(s.doneOrder) > s.cfg.MaxJobs {
+	for len(s.doneOrder) > maxJobs {
 		old := s.doneOrder[0]
 		s.doneOrder = s.doneOrder[1:]
 		delete(s.jobs, old)

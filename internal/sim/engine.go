@@ -404,7 +404,7 @@ func (e *Engine) trueStats() *trueState {
 //
 //hot:path
 func (e *Engine) coreHz() []float64 {
-	e.hz = perf.ResizeFloats(e.hz, len(e.coreSteps))
+	e.hz = perf.Resize(e.hz, len(e.coreSteps))
 	for i, s := range e.coreSteps {
 		e.hz[i] = e.cfg.CoreLadder.Hz(s)
 	}
@@ -427,9 +427,9 @@ func (e *Engine) advance(dt float64, st *trueState, dead []float64) {
 	res := &e.solveRes
 
 	var reads, writes, l2Rate float64
-	cores := resizeCoreOps(e.powerOps, len(hz))
+	cores := perf.Grow(e.powerOps, len(hz))
 	e.powerOps = cores
-	ns := perf.ResizeFloats(e.ns, len(hz))
+	ns := perf.Resize(e.ns, len(hz))
 	e.ns = ns
 	for i := range hz {
 		exec := dt
@@ -568,12 +568,12 @@ func (e *Engine) busyFrac(l memsys.Load) float64 {
 //hot:path
 func (e *Engine) observationInto(obs *policy.Observation, delta *counters.System, window float64) {
 	obs.Window = window
-	obs.CoreSteps = perf.ResizeInts(obs.CoreSteps, len(e.coreSteps))
+	obs.CoreSteps = perf.Resize(obs.CoreSteps, len(e.coreSteps))
 	copy(obs.CoreSteps, e.coreSteps)
 	obs.MemStep = e.memStep
-	obs.ThreadIDs = perf.ResizeInts(obs.ThreadIDs, len(e.perm))
+	obs.ThreadIDs = perf.Resize(obs.ThreadIDs, len(e.perm))
 	copy(obs.ThreadIDs, e.perm)
-	obs.Cores = resizeCoreObs(obs.Cores, len(delta.Cores))
+	obs.Cores = perf.Grow(obs.Cores, len(delta.Cores))
 	obs.MemRate = 0
 	obs.MemLatency = 0
 	obs.UtilBus = 0
@@ -659,12 +659,12 @@ func (e *Engine) oracleObservationInto(obs *policy.Observation, st *trueState) {
 	e.solver.SolveInto(&e.solveRes, st.stats, hz, busHz)
 	res := &e.solveRes
 	obs.Window = e.cfg.EpochLen.Seconds()
-	obs.CoreSteps = perf.ResizeInts(obs.CoreSteps, len(e.coreSteps))
+	obs.CoreSteps = perf.Resize(obs.CoreSteps, len(e.coreSteps))
 	copy(obs.CoreSteps, e.coreSteps)
 	obs.MemStep = e.memStep
-	obs.ThreadIDs = perf.ResizeInts(obs.ThreadIDs, len(e.perm))
+	obs.ThreadIDs = perf.Resize(obs.ThreadIDs, len(e.perm))
 	copy(obs.ThreadIDs, e.perm)
-	obs.Cores = resizeCoreObs(obs.Cores, len(st.stats))
+	obs.Cores = perf.Grow(obs.Cores, len(st.stats))
 	obs.MemRate = res.MemRate
 	obs.MemLatency = res.Mem.Latency
 	obs.UtilBus = res.Mem.UtilBus
@@ -852,7 +852,7 @@ func (e *Engine) integrate(secs float64, dead []float64) {
 //
 //hot:path
 func (e *Engine) resetDead(n int) []float64 {
-	e.dead = perf.ResizeFloats(e.dead, n)
+	e.dead = perf.Resize(e.dead, n)
 	return e.dead
 }
 
@@ -914,22 +914,6 @@ func (e *Engine) epochRecord(idx int, window float64, energyDelta float64) Epoch
 		rec.PowerW = energyDelta / window
 	}
 	return rec
-}
-
-// resizeCoreOps and resizeCoreObs reuse scratch backing arrays without
-// zeroing: every element is fully overwritten before it is read.
-func resizeCoreOps(s []power.CoreOp, n int) []power.CoreOp {
-	if cap(s) < n {
-		return make([]power.CoreOp, n) //hot:alloc-ok capacity miss: grow-only scratch, amortized to zero in steady state
-	}
-	return s[:n]
-}
-
-func resizeCoreObs(s []policy.CoreObs, n int) []policy.CoreObs {
-	if cap(s) < n {
-		return make([]policy.CoreObs, n) //hot:alloc-ok capacity miss: grow-only scratch, amortized to zero in steady state
-	}
-	return s[:n]
 }
 
 // contextSwitchCost is the per-core dead time charged when the OS migrates
