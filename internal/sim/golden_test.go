@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"coscale/internal/core"
+	"coscale/internal/policy"
 	"coscale/internal/workload"
 )
 
@@ -12,7 +13,9 @@ import (
 // output. These golden values were captured from the pre-refactor engine
 // (allocating per call) at InstrBudget 16M and are compared bit-for-bit:
 // the reusable buffers, the memoizing trace.Sampler and Solver.SolveInto
-// all promise results identical to their allocating predecessors.
+// all promise results identical to their allocating predecessors. The rows
+// for the five §3.2 comparison policies were captured the same way, before
+// their searches moved onto the memoized prediction tables (DESIGN.md §4).
 
 type goldenApp struct {
 	name   string
@@ -21,21 +24,21 @@ type goldenApp struct {
 }
 
 type goldenRun struct {
-	mix     string
-	coscale bool // false = no-DVFS baseline
-	epochs  int
-	wall    uint64
-	cpu     uint64
-	l2      uint64
-	mem     uint64
-	rest    uint64
-	total   uint64 // TotalInstructions
-	apps    []goldenApp
+	mix    string
+	policy string // policy name; "Baseline" = no DVFS
+	epochs int
+	wall   uint64
+	cpu    uint64
+	l2     uint64
+	mem    uint64
+	rest   uint64
+	total  uint64 // TotalInstructions
+	apps   []goldenApp
 }
 
 var goldenRuns = []goldenRun{
 	{
-		mix: "MID1", coscale: false, epochs: 2,
+		mix: "MID1", policy: "Baseline", epochs: 2,
 		wall: 0x3f7f09b4773de383,
 		cpu:  0x3ff5b586197babf4, l2: 0x3fc1f5e7b0605a56,
 		mem: 0x3fe795431af4547c, rest: 0x3fd41f7722a448d4,
@@ -48,7 +51,7 @@ var goldenRuns = []goldenRun{
 		},
 	},
 	{
-		mix: "MID1", coscale: true, epochs: 2,
+		mix: "MID1", policy: "CoScale", epochs: 2,
 		wall: 0x3f80de8640c3d2c9,
 		cpu:  0x3ff45bafdf462b42, l2: 0x3fc37be0f747576b,
 		mem: 0x3fe09d104f9c7715, rest: 0x3fd5dfafc9bd1075,
@@ -61,7 +64,7 @@ var goldenRuns = []goldenRun{
 		},
 	},
 	{
-		mix: "MEM1", coscale: true, epochs: 7,
+		mix: "MEM1", policy: "CoScale", epochs: 7,
 		wall: 0x3fa1e2efe9abbc58,
 		cpu:  0x4002c488e2eff470, l2: 0x3fe4ff225cb240e8,
 		mem: 0x40103c2b2dbe47fb, rest: 0x3ff7315aed4959c3,
@@ -73,15 +76,271 @@ var goldenRuns = []goldenRun{
 			{"equake", 17942312, 0x3fa005c6439144d2},
 		},
 	},
+	{
+		mix: "MID1", policy: "MemScale", epochs: 2,
+		wall: 0x3f809d0591ed5138,
+		cpu:  0x3ff697470b8be6c4, l2: 0x3fc332abaab0cc5f,
+		mem: 0x3fde4199db0616ba, rest: 0x3fd58ac065534b70,
+		total: 277002516,
+		apps: []goldenApp{
+			{"ammp", 16000000, 0x3f809d0591ed5138},
+			{"gap", 18537474, 0x3f7ca94f5cb53292},
+			{"wupwise", 18562883, 0x3f7c9ef3af22ad37},
+			{"vpr", 16150272, 0x3f80725781d146c5},
+		},
+	},
+	{
+		mix: "MID1", policy: "CPUOnly", epochs: 2,
+		wall: 0x3f80c15a470e7447,
+		cpu:  0x3ff20e21e1b79740, l2: 0x3fc35a606e2e5871,
+		mem: 0x3fe9327e400258cb, rest: 0x3fd5b9dc50309be3,
+		total: 273988616,
+		apps: []goldenApp{
+			{"ammp", 16045301, 0x3f80b53bd6a942c9},
+			{"gap", 18161955, 0x3f7d8519dbdfb276},
+			{"wupwise", 18289898, 0x3f7d504337210e93},
+			{"vpr", 16000000, 0x3f80c15a470e7447},
+		},
+	},
+	{
+		mix: "MID1", policy: "Uncoordinated", epochs: 2,
+		wall: 0x3f81c79ac7b75560,
+		cpu:  0x3ff2ad05d7c2073e, l2: 0x3fc48273bebd83d0,
+		mem: 0x3fdff2ce8f30a83d, rest: 0x3fd70de9fa6e9363,
+		total: 275580272,
+		apps: []goldenApp{
+			{"ammp", 16000000, 0x3f81c79ac7b75560},
+			{"gap", 18395120, 0x3f7eeab7500e8b56},
+			{"wupwise", 18472362, 0x3f7ec96459b3196b},
+			{"vpr", 16027586, 0x3f81bf3ea2a74370},
+		},
+	},
+	{
+		mix: "MID1", policy: "Semi-coordinated", epochs: 2,
+		wall: 0x3f80f330ba0ef323,
+		cpu:  0x3ff3f21fbaa07413, l2: 0x3fc393391f3abb9a,
+		mem: 0x3fe32f1433fdc834, rest: 0x3fd5fa7bc4e1e438,
+		total: 274990288,
+		apps: []goldenApp{
+			{"ammp", 16000000, 0x3f80f330ba0ef323},
+			{"gap", 18327751, 0x3f7dee9b8e82fd4b},
+			{"wupwise", 18405983, 0x3f7dd0f040e7f2cb},
+			{"vpr", 16013838, 0x3f80ef874f9ac96b},
+		},
+	},
+	{
+		mix: "MID1", policy: "Semi-coordinated-OoP", epochs: 2,
+		wall: 0x3f80d84f7fe24a22,
+		cpu:  0x3ff21c486ff6c8fd, l2: 0x3fc37446526e8094,
+		mem: 0x3fe7a087c3d475a2, rest: 0x3fd5d7a11c6fa981,
+		total: 274155984,
+		apps: []goldenApp{
+			{"ammp", 16044398, 0x3f80cc41249a8e2b},
+			{"gap", 18185475, 0x3f7d9c5d2d5acede},
+			{"wupwise", 18309123, 0x3f7d684b8bd90c86},
+			{"vpr", 16000000, 0x3f80d84f7fe24a22},
+		},
+	},
+	{
+		mix: "MID1", policy: "Offline", epochs: 2,
+		wall: 0x3f80de8640c3d2c9,
+		cpu:  0x3ff45bafdf462b42, l2: 0x3fc37be0f747576b,
+		mem: 0x3fe09d104f9c7715, rest: 0x3fd5dfafc9bd1075,
+		total: 275573180,
+		apps: []goldenApp{
+			{"ammp", 15999999, 0x3f80de8640c3d2c9},
+			{"gap", 18380587, 0x3f7d5dc8390af95a},
+			{"wupwise", 18447037, 0x3f7d428b7318ef0e},
+			{"vpr", 16065672, 0x3f80cbaa11f29521},
+		},
+	},
+	{
+		mix: "MEM1", policy: "MemScale", epochs: 7,
+		wall: 0x3fa1245ab9a07e61,
+		cpu:  0x4010eefeebd66f13, l2: 0x3fe42c0bc4326c4d,
+		mem: 0x400c50b6c9f873ee, rest: 0x3ff63a3b9d11d03e,
+		total: 424138064,
+		apps: []goldenApp{
+			{"swim", 28645670, 0x3f92f015f4e0fad3},
+			{"applu", 15999999, 0x3fa1245ab9a07e61},
+			{"galgel", 43404004, 0x3f892096381df68a},
+			{"equake", 17984843, 0x3f9ea18cb9ce0e62},
+		},
+	},
+	{
+		mix: "MEM1", policy: "CPUOnly", epochs: 7,
+		wall: 0x3fa1df19bc8d2798,
+		cpu:  0x4001e101c99ad7c9, l2: 0x3fe4fab74f1306e5,
+		mem: 0x4010a8b012b53d7b, rest: 0x3ff72c615f27aba8,
+		total: 417286900,
+		apps: []goldenApp{
+			{"swim", 28126634, 0x3f940edb135779f1},
+			{"applu", 16000000, 0x3fa1df19bc8d2798},
+			{"galgel", 42245855, 0x3f8ad8e12da8a439},
+			{"equake", 17949236, 0x3fa000302c2acdd1},
+		},
+	},
+	{
+		mix: "MEM1", policy: "Uncoordinated", epochs: 8,
+		wall: 0x3fa2e834ec39a08e,
+		cpu:  0x4003a23200e801b1, l2: 0x3fe62a2b6e2fc5d7,
+		mem: 0x400d1d87260e2916, rest: 0x3ff884227d6607a5,
+		total: 427705332,
+		apps: []goldenApp{
+			{"swim", 28620780, 0x3f94b64f48141d4a},
+			{"applu", 16000000, 0x3fa2e834ec39a08e},
+			{"galgel", 44271514, 0x3f8b1133e0990c7c},
+			{"equake", 18034039, 0x3fa0d13e7b62dad5},
+		},
+	},
+	{
+		mix: "MEM1", policy: "Semi-coordinated", epochs: 8,
+		wall: 0x3fa20175c89d5cb5,
+		cpu:  0x4005a7c2709eeb6c, l2: 0x3fe521f1ccc3aa1b,
+		mem: 0x400eb92b017989ec, rest: 0x3ff758eee9ad5383,
+		total: 418796856,
+		apps: []goldenApp{
+			{"swim", 28245978, 0x3f93e1552e0df772},
+			{"applu", 15999999, 0x3fa20175c89d5cb5},
+			{"galgel", 42508706, 0x3f8acc5eef46178d},
+			{"equake", 17944531, 0x3f9ff3307b0ba43c},
+		},
+	},
+	{
+		mix: "MEM1", policy: "Semi-coordinated-OoP", epochs: 7,
+		wall: 0x3fa1dabe54ccee27,
+		cpu:  0x40052e4bd9c99bc0, l2: 0x3fe4f6750b4df4ca,
+		mem: 0x400e706ef2fae06e, rest: 0x3ff726bb1017612c,
+		total: 418500084,
+		apps: []goldenApp{
+			{"swim", 28215356, 0x3f93fb52d4993566},
+			{"applu", 16000000, 0x3fa1dabe54ccee27},
+			{"galgel", 42419190, 0x3f8ab97520c6e027},
+			{"equake", 17990475, 0x3f9fcf01f2784eec},
+		},
+	},
+	{
+		mix: "MEM1", policy: "Offline", epochs: 7,
+		wall: 0x3fa1e1869e5829c6,
+		cpu:  0x40037dfc3511321f, l2: 0x3fe4fdaea3b36dfc,
+		mem: 0x400f9e0df1bdd15c, rest: 0x3ff72f8672ddd696,
+		total: 417817448,
+		apps: []goldenApp{
+			{"swim", 28149751, 0x3f9410ddb5d7741f},
+			{"applu", 15999999, 0x3fa1e1869e5829c6},
+			{"galgel", 42327509, 0x3f8ac1db51c38250},
+			{"equake", 17977103, 0x3f9ff574a249e8a5},
+		},
+	},
+	{
+		mix: "MIX2", policy: "MemScale", epochs: 3,
+		wall: 0x3f8af9350a2b3516,
+		cpu:  0x40023d724eee8e47, l2: 0x3fcf591d885b0879,
+		mem: 0x3fea0d87775d4920, rest: 0x3fe17ce0410bcca6,
+		total: 456899816,
+		apps: []goldenApp{
+			{"milc", 16000000, 0x3f8af9350a2b3516},
+			{"gobmk", 34414028, 0x3f7905c5a3758aa6},
+			{"facerec", 24789800, 0x3f81037c7d4f96ed},
+			{"perlbmk", 39021126, 0x3f761fbf9db44667},
+		},
+	},
+	{
+		mix: "MIX2", policy: "CPUOnly", epochs: 3,
+		wall: 0x3f8b0564adc04c3f,
+		cpu:  0x3ffc3620542353a3, l2: 0x3fcf5c1452889409,
+		mem: 0x3ff3bcb31721c023, rest: 0x3fe184c6d1edbd5f,
+		total: 437489656,
+		apps: []goldenApp{
+			{"milc", 15999999, 0x3f8b0564adc04c3f},
+			{"gobmk", 32589393, 0x3f79f14ebc30626a},
+			{"facerec", 24326297, 0x3f81379079aceb7d},
+			{"perlbmk", 36456725, 0x3f77174f4b94de74},
+		},
+	},
+	{
+		mix: "MIX2", policy: "Uncoordinated", epochs: 3,
+		wall: 0x3f8d165868bfe5c1,
+		cpu:  0x3ffd81ee5936b6b5, l2: 0x3fd0db71b3947bbd,
+		mem: 0x3fea6ab8def53777, rest: 0x3fe2dbb6c234bbc6,
+		total: 452489292,
+		apps: []goldenApp{
+			{"milc", 16000000, 0x3f8d165868bfe5c1},
+			{"gobmk", 33912120, 0x3f7b58c8c8c4c295},
+			{"facerec", 24978018, 0x3f82429d293fe98c},
+			{"perlbmk", 38232185, 0x3f785052d2d13e25},
+		},
+	},
+	{
+		mix: "MIX2", policy: "Semi-coordinated", epochs: 3,
+		wall: 0x3f8b30b84731c424,
+		cpu:  0x3ffff456939362d5, l2: 0x3fcf9133eeda956c,
+		mem: 0x3fef9f30b6e0fb58, rest: 0x3fe1a0dddfa6aa40,
+		total: 446671848,
+		apps: []goldenApp{
+			{"milc", 16000000, 0x3f8b30b84731c424},
+			{"gobmk", 33529215, 0x3f79e83b98c0f132},
+			{"facerec", 24374325, 0x3f81552d87e30a6e},
+			{"perlbmk", 37764422, 0x3f7723b90a170359},
+		},
+	},
+	{
+		mix: "MIX2", policy: "Semi-coordinated-OoP", epochs: 3,
+		wall: 0x3f8ab24709f78f9e,
+		cpu:  0x3ffe03b689f6b3c3, l2: 0x3fcefaee3c72252e,
+		mem: 0x3fefd827067980dc, rest: 0x3fe14ee3d120edbe,
+		total: 437619488,
+		apps: []goldenApp{
+			{"milc", 15999999, 0x3f8ab24709f78f9e},
+			{"gobmk", 32536335, 0x3f79cd9e6177a8a1},
+			{"facerec", 24297820, 0x3f8176126e51f493},
+			{"perlbmk", 36570718, 0x3f77088959d70be8},
+		},
+	},
+	{
+		mix: "MIX2", policy: "Offline", epochs: 3,
+		wall: 0x3f8b111968e28896,
+		cpu:  0x3ffeb3fb18313175, l2: 0x3fcf68ebd6a035e0,
+		mem: 0x3feadaf7dc68f5b0, rest: 0x3fe18c5db35c4181,
+		total: 434868476,
+		apps: []goldenApp{
+			{"milc", 16000000, 0x3f8b111968e28896},
+			{"gobmk", 32202467, 0x3f7a44bc4b68fdd7},
+			{"facerec", 24256796, 0x3f8163cfc89b10c0},
+			{"perlbmk", 36257856, 0x3f773dbda160e8c4},
+		},
+	},
 }
 
 func goldenConfig(t *testing.T, g goldenRun) Config {
 	t.Helper()
 	cfg := Config{Mix: workload.MustGet(g.mix), InstrBudget: 16_000_000}
-	if g.coscale {
-		cfg.Policy = must(core.New(cfg.PolicyConfig()))
-	}
+	cfg.Policy = goldenPolicy(g.policy, cfg.PolicyConfig())
 	return cfg
+}
+
+// goldenPolicy builds a fresh controller by name (nil for the no-DVFS
+// baseline); the names are the experiments package's.
+func goldenPolicy(name string, cfg policy.Config) policy.Policy {
+	switch name {
+	case "Baseline":
+		return nil
+	case "CoScale":
+		return must(core.New(cfg))
+	case "MemScale":
+		return must(policy.NewMemScale(cfg))
+	case "CPUOnly":
+		return must(policy.NewCPUOnly(cfg))
+	case "Uncoordinated":
+		return must(policy.NewUncoordinated(cfg))
+	case "Semi-coordinated", "Semi-coordinated-OoP":
+		p := must(policy.NewSemiCoordinated(cfg))
+		p.OutOfPhase = name == "Semi-coordinated-OoP"
+		return p
+	case "Offline":
+		return must(policy.NewOffline(cfg))
+	}
+	panic("golden: unknown policy " + name)
 }
 
 func checkGolden(t *testing.T, g goldenRun, res *Result) {
@@ -120,10 +379,7 @@ func checkGolden(t *testing.T, g goldenRun, res *Result) {
 // TestGoldenBitIdentical replays the captured runs on a fresh engine.
 func TestGoldenBitIdentical(t *testing.T) {
 	for _, g := range goldenRuns {
-		name := g.mix + "/Baseline"
-		if g.coscale {
-			name = g.mix + "/CoScale"
-		}
+		name := g.mix + "/" + g.policy
 		t.Run(name, func(t *testing.T) {
 			eng, err := New(goldenConfig(t, g))
 			if err != nil {
@@ -143,10 +399,7 @@ func TestGoldenBitIdentical(t *testing.T) {
 // warmed scratch buffers must not perturb a single bit of the result.
 func TestGoldenBitIdenticalAfterReset(t *testing.T) {
 	for _, g := range goldenRuns {
-		name := g.mix + "/Baseline"
-		if g.coscale {
-			name = g.mix + "/CoScale"
-		}
+		name := g.mix + "/" + g.policy
 		t.Run(name, func(t *testing.T) {
 			cfg := goldenConfig(t, g)
 			eng, err := New(cfg)
@@ -157,9 +410,7 @@ func TestGoldenBitIdenticalAfterReset(t *testing.T) {
 				t.Fatal(err)
 			}
 			eng.Reset()
-			if g.coscale {
-				eng.SetPolicy(must(core.New(cfg.PolicyConfig())))
-			}
+			eng.SetPolicy(goldenPolicy(g.policy, cfg.PolicyConfig()))
 			res, err := eng.Run()
 			if err != nil {
 				t.Fatal(err)
