@@ -8,7 +8,8 @@ GO ?= go
 
 ## check: the full gate — tier-1 verify + vet + gofmt + coscale-lint +
 ## escape-analysis gate + the load generator's own module tests + the
-## fleet rebalancer's serial-replica and reuse bit-identity tests
+## bit-identity tests (fleet rebalancer, frontier walk, comparison-policy
+## sweep, simulation goldens)
 check: build vet fmt-check lint escapes test loadgen-test bit-identity
 
 build:
@@ -43,13 +44,19 @@ bench-smoke:
 
 ## bit-identity: the determinism gate behind DESIGN.md §13 — the fleet
 ## rebalancer's per-node fan-out against its serial replica, its frontier
-## and decision reuse against a rebuild-everything replica, and the
-## frontier walk against its reference walk, under the race detector at
-## both GOMAXPROCS=1 and the machine default, so neither scheduler width,
-## reuse nor the shared capped walk can reach an assignment bit
+## and decision reuse against a rebuild-everything replica, the frontier
+## walk against its reference walk, the comparison policies' table-backed
+## core sweep against its direct reference (DESIGN.md §4) and the
+## simulation goldens of every policy, under the race detector at both
+## GOMAXPROCS=1 and the machine default, so neither scheduler width, reuse
+## nor a shared search can reach an assignment bit
 bit-identity:
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica|RebalancerReuseMatchesRebuild|BuilderMatchesReferenceWalk' ./internal/fastcap
 	$(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica|RebalancerReuseMatchesRebuild|BuilderMatchesReferenceWalk' ./internal/fastcap
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'CoreSweepMatchesReference|BaselinePoliciesInfeasibleFallback' ./internal/policy
+	$(GO) test -race -count=1 -run 'CoreSweepMatchesReference|BaselinePoliciesInfeasibleFallback' ./internal/policy
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'GoldenBitIdentical' ./internal/sim
+	$(GO) test -race -count=1 -run 'GoldenBitIdentical' ./internal/sim
 
 ## bench-json: regenerate BENCH_baseline.json (ns/op, allocs/op, figure
 ## wall-times; see DESIGN.md §7 for the schema)

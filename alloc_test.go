@@ -36,6 +36,27 @@ func TestDecideZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestComparisonPoliciesZeroAllocSteadyState extends the gate to the five
+// §3.2 comparison policies (and the out-of-phase Semi variant): once the
+// first epoch has sized each policy's evaluator and sweep scratch, Decide
+// followed by Observe must not allocate.
+func TestComparisonPoliciesZeroAllocSteadyState(t *testing.T) {
+	cfg, obs := experiments.SearchBenchObs(16)
+	for _, name := range []experiments.PolicyName{experiments.MemScaleName, experiments.CPUOnlyName,
+		experiments.UncoordName, experiments.SemiName, experiments.SemiOoPName, experiments.OfflineName} {
+		p := must(experiments.NewPolicy(name, cfg))
+		epoch := func() {
+			p.Decide(obs)
+			p.Observe(obs)
+		}
+		epoch()
+		epoch() // the out-of-phase variant alternates searches
+		if avg := testing.AllocsPerRun(50, epoch); avg != 0 {
+			t.Errorf("%s: an epoch allocates %.1f times in steady state, want 0", name, avg)
+		}
+	}
+}
+
 // TestDecideDeterministicUnderReuse requires scratch-buffer reuse to be
 // invisible in the output: deciding twice on one controller (warm buffers)
 // must produce bit-identical decisions to a freshly constructed controller

@@ -276,8 +276,8 @@ func BenchmarkAblation_ProfilingWindow(b *testing.B) {
 
 // --- Headline benchmarks: the §3.1 search cost at 16-1024 cores (cold and
 // warm-started), one capped PowerCap decision, one fleet rebalancing epoch
-// (cold and stable), one fleet-store scheduler scan, and steady-state epoch
-// simulation. Each body is defined once, next to its fixture, and
+// (cold and stable), one fleet-store scheduler scan, steady-state epoch
+// simulation and one Offline comparison-policy decision. Each body is defined once, next to its fixture, and
 // cmd/coscale-bench runs the same bodies for BENCH_baseline.json.
 
 func BenchmarkSearch16Cores(b *testing.B)         { experiments.BenchSearch16Cores(b) }
@@ -294,6 +294,7 @@ func BenchmarkRebalancerEpoch(b *testing.B)       { experiments.BenchRebalancerE
 func BenchmarkRebalancerEpochStable(b *testing.B) { experiments.BenchRebalancerEpochStable(b) }
 func BenchmarkStoreDispatchable(b *testing.B)     { fleet.BenchStoreDispatchable(b) }
 func BenchmarkEpochSimulation(b *testing.B)       { experiments.BenchEpochSimulation(b) }
+func BenchmarkOfflineDecide(b *testing.B)         { experiments.BenchOfflineDecide(b) }
 
 // BenchmarkSearchNoCache quantifies the Figure 2 marginal-caching savings.
 func BenchmarkSearchNoCache16Cores(b *testing.B) {

@@ -1,10 +1,10 @@
 // Command coscale-bench runs the headline performance benchmarks — the §3.1
 // search cost at 16-1024 cores (cold and warm-started), one capped PowerCap
 // decision, one fleet rebalancing epoch (cold, and with every node holding
-// its phase), one scheduler scan of the fleet job store, and the raw
-// epoch-simulation throughput — plus a timed figure regeneration, and
-// writes the numbers as machine-readable JSON, with the host's CPU count
-// and GOMAXPROCS. The committed BENCH_baseline.json at the repository root
+// its phase), one scheduler scan of the fleet job store, the raw
+// epoch-simulation throughput and one Offline comparison-policy decision —
+// plus a timed figure regeneration, and writes the numbers as
+// machine-readable JSON, with the host's CPU count and GOMAXPROCS. The committed BENCH_baseline.json at the repository root
 // is this program's output; regenerate it with `make bench-json`. Each row
 // runs the same body as the root package's BenchmarkX of that name
 // (internal/experiments and internal/fleet define them), and a body that
@@ -213,6 +213,7 @@ var headline = []struct {
 	{"RebalancerEpochStable", experiments.BenchRebalancerEpochStable},
 	{"StoreDispatchable", fleet.BenchStoreDispatchable},
 	{"EpochSimulation", experiments.BenchEpochSimulation},
+	{"OfflineDecide", experiments.BenchOfflineDecide},
 }
 
 // bench runs one benchmark body under the standard harness and flattens the

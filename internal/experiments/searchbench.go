@@ -113,6 +113,24 @@ func benchSearch(b *testing.B, n int, warm bool) {
 	b.ReportMetric(float64(st.CoreEvals), "evals")
 }
 
+// BenchOfflineDecide times one decision of the Offline comparison policy
+// (§3.2) on SearchBenchObs(16) after one untimed Decide that sizes its
+// scratch: a sweep over every memory step with the per-core candidate
+// search behind the CPU-side baselines (DESIGN.md §4).
+func BenchOfflineDecide(b *testing.B) {
+	cfg, obs := SearchBenchObs(16)
+	p, err := policy.NewOffline(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p.Decide(obs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Decide(obs)
+	}
+}
+
 // epochBenchBudget is BenchEpochSimulation's per-application instruction
 // budget.
 const epochBenchBudget = 50_000_000

@@ -1,9 +1,6 @@
 package policy
 
-import (
-	"math"
-	"sort"
-)
+import "coscale/internal/perf"
 
 // Offline is the idealized upper bound of §3.2 (alternative 5): it is fed a
 // perfect trace of each upcoming epoch (the engine passes oracle
@@ -16,17 +13,18 @@ import (
 // for the traffic coupling. Offline remains epoch-by-epoch greedy, so it is
 // an upper bound for CoScale, not a true oracle.
 type Offline struct {
-	cfg   Config
-	slack *SlackBook
+	searcher
+	memBest []int // bestForMem's winner
 }
 
 // NewOffline returns the Offline policy, or the configuration's validation
 // error.
 func NewOffline(cfg Config) (*Offline, error) {
-	if err := cfg.Validate(); err != nil {
+	s, err := newSearcher(cfg)
+	if err != nil {
 		return nil, err
 	}
-	return &Offline{cfg: cfg, slack: NewSlackBook(cfg.NCores, cfg.Gamma, cfg.Reserve)}, nil
+	return &Offline{searcher: s}, nil
 }
 
 // Name implements Policy.
@@ -38,102 +36,41 @@ func (p *Offline) WantsOracle() bool { return true }
 // Decide implements Policy. obs must be an oracle observation of the
 // upcoming epoch.
 func (p *Offline) Decide(obs Observation) Decision {
-	ev := NewEvaluator(p.cfg, obs)
-	limits := p.cfg.Limits(p.slack.AvailableFor(obs.CoreThreads()))
-	base := ev.Baseline()
-
-	best := Decision{CoreSteps: ZeroSteps(p.cfg.NCores), MemStep: 0}
-	bestSER := base.SER
-
+	limits := p.begin(obs)
+	p.steps = perf.Resize(p.steps, p.cfg.NCores)
+	best := Decision{CoreSteps: p.steps}
+	bestSER := p.ev.baseline.SER
 	for m := 0; m < p.cfg.MemLadder.Steps(); m++ {
-		steps, e, ok := p.bestForMem(ev, m, limits)
-		if !ok {
-			continue
-		}
-		if e.SER < bestSER {
-			bestSER = e.SER
-			best = Decision{CoreSteps: steps, MemStep: m}
+		if ser, ok := p.bestForMem(m, limits); ok && ser < bestSER {
+			bestSER, best.MemStep = ser, m
+			copy(best.CoreSteps, p.memBest)
 		}
 	}
 	return best
 }
 
-// bestForMem finds the best core assignment for one memory step, iterating
-// the shared-latency fixed point twice and verifying the winner with the
-// full joint model.
-func (p *Offline) bestForMem(ev *Evaluator, m int, limits []float64) ([]int, Eval, bool) {
-	base := ev.Baseline().TPI
-	latency := ev.Evaluate(ZeroSteps(p.cfg.NCores), m).MemLoad.Latency
-
-	var bestSteps []int
-	var bestEval Eval
-	found := false
+// bestForMem finds the best core assignment for one memory step, leaving
+// it in memBest and returning its SER. It iterates the shared-latency fixed
+// point twice and verifies each sweep's winner with the full joint model.
+func (p *Offline) bestForMem(m int, limits []float64) (float64, bool) {
+	p.ev.EvaluateInto(&p.e, p.ev.maxSteps, m)
+	latency := p.e.MemLoad.Latency
+	bestSER, found := 0.0, false
 	for round := 0; round < 2; round++ {
-		steps, ok := p.dSweep(ev, m, latency, base, limits)
-		if !ok {
+		if !p.sweep.run(&p.ev, m, latency, p.ev.BaselineTPI(), limits) {
 			break
 		}
-		e := ev.Evaluate(steps, m) // joint verification
-		if !WithinBound(e, limits) {
-			// The fixed-latency estimate was optimistic; tighten by
-			// raising the latency estimate and retrying once.
-			latency = e.MemLoad.Latency
+		p.ev.EvaluateInto(&p.e, p.sweep.best, m) // joint verification
+		// Retry at the latency the joint model predicts; when the
+		// fixed-latency estimate was optimistic the winner is discarded.
+		latency = p.e.MemLoad.Latency
+		if !WithinBound(p.e, limits) {
 			continue
 		}
-		if !found || e.SER < bestEval.SER {
-			bestSteps, bestEval, found = steps, e, true
-		}
-		latency = e.MemLoad.Latency
-	}
-	return bestSteps, bestEval, found
-}
-
-// dSweep returns the SER-minimizing core steps for a fixed memory step and
-// latency estimate.
-func (p *Offline) dSweep(ev *Evaluator, m int, latency float64, refTPI, limits []float64) ([]int, bool) {
-	n := p.cfg.NCores
-	ladder := p.cfg.CoreLadder
-	stats := ev.Stats()
-
-	//hot:alloc-ok offline oracle baseline: full-ladder sweep dominates; clarity over scratch reuse
-	slow := make([][]float64, n)
-	var cands []float64
-	for i := 0; i < n; i++ {
-		//hot:alloc-ok offline oracle baseline: full-ladder sweep dominates; clarity over scratch reuse
-		slow[i] = make([]float64, ladder.Steps())
-		for s := 0; s < ladder.Steps(); s++ {
-			sd := stats[i].TPI(ladder.Hz(s), latency) / refTPI[i]
-			slow[i][s] = sd
-			if sd <= limits[i]*(1+1e-12) {
-				cands = append(cands, sd)
-			}
+		if !found || p.e.SER < bestSER {
+			bestSER, found = p.e.SER, true
+			p.memBest = append(p.memBest[:0], p.sweep.best...)
 		}
 	}
-	cands = append(cands, 1)
-	sort.Float64s(cands)
-
-	var best []int
-	bestSER := math.Inf(1)
-	prev := math.NaN()
-	for _, d := range cands {
-		//lint:ignore floateq exact dedup of sorted candidates; a tolerance would merge distinct settings
-		if d == prev {
-			continue
-		}
-		prev = d
-		steps := assembleSteps(slow, limits, d)
-		e := ev.EvaluateFixedLatency(steps, m, latency)
-		if !withinRef(e, refTPI, limits) {
-			continue
-		}
-		if ser := serAgainst(ev, e); ser < bestSER {
-			bestSER, best = ser, steps
-		}
-	}
-	return best, best != nil
-}
-
-// Observe implements Policy.
-func (p *Offline) Observe(epoch Observation) {
-	p.slack.RecordEpochFor(epoch.CoreThreads(), TMaxForEpoch(p.cfg, epoch, ZeroSteps(p.cfg.NCores), 0), epoch.Window)
+	return bestSER, found
 }

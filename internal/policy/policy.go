@@ -244,8 +244,8 @@ type Evaluator struct {
 	// prediction tables (DESIGN.md §10): bit-identical results, but each
 	// evaluation's O(cores) model preparation collapses to an incremental
 	// gather of the cores whose step changed. Set before the first Reset
-	// (every controller in internal/core sets it; the direct path is the
-	// tests' reference).
+	// (every controller in internal/core and every comparison policy here
+	// sets it; the direct path is the tests' reference).
 	UseTables bool
 
 	stats      []perf.CoreStats
@@ -431,32 +431,6 @@ func (ev *Evaluator) EvaluateInto(dst *Eval, coreSteps []int, memStep int) {
 	if ev.baseline.MaxSlow > 0 {
 		dst.SER = power.SER(dst.MaxSlow, dst.Power.Total, ev.baseline.MaxSlow, ev.baseline.Power.Total)
 	}
-}
-
-// EvaluateFixedLatency predicts per-core TPI with the memory system pinned
-// at a fixed latency (the Uncoordinated/Semi-coordinated CPU managers'
-// assumption that "memory behaviour will stay the same"). Power is still
-// evaluated fully.
-func (ev *Evaluator) EvaluateFixedLatency(coreSteps []int, memStep int, latency float64) Eval {
-	hz := ev.coreHz(coreSteps)
-	//hot:alloc-ok result escapes: the returned Eval owns its TPI/Slowdown slices
-	e := Eval{TPI: make([]float64, len(ev.stats)), Slowdown: make([]float64, len(ev.stats))}
-	for i, s := range ev.stats {
-		e.TPI[i] = s.TPI(hz[i], latency)
-	}
-	e.MemLoad = memsys.Load{Latency: latency, XiBus: 1, XiBank: 1, UtilBus: ev.obs.UtilBus}
-	ev.finish(&e, coreSteps, hz, memStep, e.memRate(ev.stats))
-	return e
-}
-
-func (e *Eval) memRate(stats []perf.CoreStats) float64 {
-	rate := 0.0
-	for i, tpi := range e.TPI {
-		if tpi > 0 && !math.IsInf(tpi, 0) {
-			rate += stats[i].MemPerInstr / tpi
-		}
-	}
-	return rate
 }
 
 // coreHz fills the evaluator's frequency scratch; the returned slice is

@@ -1,0 +1,273 @@
+package policy
+
+import (
+	"math"
+	"slices"
+
+	"coscale/internal/perf"
+	"coscale/internal/power"
+)
+
+// searcher is the decision state each §3.2 comparison policy owns: one
+// table-backed evaluator re-pointed at every observation (DESIGN.md §10),
+// the slack book, the fixed-latency core sweep and the scratch buffers a
+// decision needs, so that Decide and Observe allocate nothing in steady
+// state. Decisions alias the scratch and are valid until the next Decide.
+type searcher struct {
+	cfg   Config
+	slack *SlackBook
+	ev    Evaluator
+	sweep coreSweep
+
+	e, ref        Eval
+	steps         []int
+	threads       []int // identity thread mapping, for observations without ThreadIDs
+	avail, limits []float64
+	tmax          []float64
+}
+
+func newSearcher(cfg Config) (searcher, error) {
+	if err := cfg.Validate(); err != nil {
+		return searcher{}, err
+	}
+	return searcher{cfg: cfg, slack: NewSlackBook(cfg.NCores, cfg.Gamma, cfg.Reserve),
+		ev: Evaluator{UseTables: true}}, nil
+}
+
+// begin re-points the evaluator at obs and returns the per-core slowdown
+// limits the scheduled threads' slack allows.
+func (s *searcher) begin(obs Observation) []float64 {
+	s.ev.Reset(s.cfg, obs)
+	s.avail = s.slack.AvailableInto(s.avail, s.threadsOf(obs))
+	s.limits = s.cfg.LimitsInto(s.limits, s.avail)
+	return s.limits
+}
+
+// threadsOf is Observation.CoreThreads without allocating per call.
+func (s *searcher) threadsOf(obs Observation) []int {
+	if obs.ThreadIDs != nil {
+		return obs.ThreadIDs
+	}
+	if len(s.threads) != len(obs.Cores) {
+		s.threads = identity(len(obs.Cores))
+	}
+	return s.threads
+}
+
+// Observe implements Policy for the slack-keeping baselines: end-of-epoch
+// slack accounting against the joint all-max reference, read from the
+// evaluator's baseline as CoScale.Observe does (the same solve
+// TMaxForEpoch runs, so the same bits).
+func (s *searcher) Observe(epoch Observation) {
+	s.ev.Reset(s.cfg, epoch)
+	base := s.ev.BaselineTPI()
+	s.tmax = perf.Grow(s.tmax, len(epoch.Cores))
+	for i := range epoch.Cores {
+		s.tmax[i] = float64(epoch.Cores[i].Instructions) * base[i]
+	}
+	s.slack.RecordEpochFor(s.threadsOf(epoch), s.tmax, epoch.Window)
+}
+
+// keep copies steps into the decision scratch (the engine reuses the
+// observation's buffers, so a decision may not alias them).
+func (s *searcher) keep(steps []int) []int {
+	s.steps = append(s.steps[:0], steps...)
+	return s.steps
+}
+
+// memSearch exhaustively evaluates memory steps with cores pinned at
+// coreSteps, returning the step with the lowest SER whose predicted
+// slowdowns (measured against refTPI) stay within limits, or step 0 when
+// none is feasible.
+func (s *searcher) memSearch(coreSteps []int, refTPI, limits []float64) int {
+	bestStep, bestSER := 0, math.Inf(1)
+	for m := 0; m < s.cfg.MemLadder.Steps(); m++ {
+		s.ev.EvaluateInto(&s.e, coreSteps, m)
+		if !withinRef(s.e, refTPI, limits) {
+			continue
+		}
+		if ser := serAgainst(&s.ev, s.e); ser < bestSER {
+			bestSER, bestStep = ser, m
+		}
+	}
+	return bestStep
+}
+
+// withinRef checks per-core TPI against limits relative to refTPI (which may
+// differ from the evaluator's all-max baseline for the Uncoordinated
+// managers).
+func withinRef(e Eval, refTPI, limits []float64) bool {
+	for i, tpi := range e.TPI {
+		if refTPI[i] <= 0 {
+			continue
+		}
+		if tpi/refTPI[i] > limits[i]*(1+1e-12) {
+			return false
+		}
+	}
+	return true
+}
+
+// serAgainst computes the SER of e against the evaluator's all-max baseline.
+func serAgainst(ev *Evaluator, e Eval) float64 {
+	b := &ev.baseline
+	t := 0.0
+	for i, tpi := range e.TPI {
+		if b.TPI[i] > 0 {
+			if r := tpi / b.TPI[i]; r > t {
+				t = r
+			}
+		}
+	}
+	if t <= 0 {
+		t = 1
+	}
+	return t * e.Power.Total / b.Power.Total
+}
+
+// coreSweep is the exact CPU-side search of §3.2 that CPUOnly, the
+// Uncoordinated and Semi-coordinated CPU managers and Offline share. With
+// memory latency held fixed each core's TPI is independent of the other
+// cores' frequencies, so searching "all possible combinations of core
+// frequencies" reduces to sweeping the worst-allowed slowdown d over every
+// per-core step boundary, letting each core take its lowest frequency whose
+// slowdown stays within min(d, limit), and keeping the feasible candidate
+// with the lowest SER (DESIGN.md §4).
+//
+// Every per-(core, step) term a score needs is computed once per sweep. A
+// candidate's score sums its cores' terms in core order, the order the full
+// fixed-latency model sums them in, so it has the same bits as evaluating
+// the candidate with that model and taking its SER against the baseline.
+type coreSweep struct {
+	terms []sweepTerm // [core*(steps+1) + step]; step steps is a NaN sentinel
+	cands []float64
+	lim   []float64 // each core's limit with the 1e-12 guard applied
+	pick  []int     // each core's step at the current d
+	best  []int     // the winning candidate; all zeros when none is feasible
+	ser   float64   // best's SER against the baseline (+Inf when none is feasible)
+}
+
+// sweepTerm is one core's contribution at one step and the sweep's latency.
+type sweepTerm struct {
+	reach float64 // min TPI/refTPI over this and every lower-frequency step (NaN: none compares)
+	ratio float64 // TPI / baseline TPI, the SER time factor (0 without a baseline)
+	cpu   float64 // core power
+	l2    float64 // L2 accesses per second
+	rate  float64 // memory requests per second
+	ok    bool    // within the core's limit against refTPI
+}
+
+// run sweeps memory step m at a fixed memory latency, with slowdowns
+// measured against refTPI and bounded by limits. It reports whether any
+// candidate was feasible; the winner is left in best.
+//
+//hot:path
+func (w *coreSweep) run(ev *Evaluator, m int, latency float64, refTPI, limits []float64) bool {
+	n, steps := len(refTPI), ev.Cfg.CoreLadder.Steps()
+	stride := steps + 1
+	tbl, ptbl := ev.Tables()
+	base := ev.baseline.TPI
+	w.terms = perf.Grow(w.terms, n*stride)
+	w.lim = perf.Grow(w.lim, n)
+	w.cands = w.cands[:0]
+	for i := 0; i < n; i++ {
+		lim := limits[i] * (1 + 1e-12)
+		w.lim[i] = lim
+		mpi, l2pi := ev.stats[i].MemPerInstr, ev.obs.Cores[i].L2PerInstr
+		row := w.terms[i*stride : i*stride+stride]
+		row[steps].reach = math.NaN()
+		for s := steps - 1; s >= 0; s-- {
+			t := &row[s]
+			tpi := tbl.TPIAt(i, s, latency)
+			slow := tpi / refTPI[i]
+			if slow <= lim {
+				w.cands = append(w.cands, slow)
+			}
+			t.ok = refTPI[i] <= 0 || !(slow > lim)
+			t.ratio = 0
+			if base[i] > 0 {
+				t.ratio = tpi / base[i]
+			}
+			ips := 0.0
+			t.rate = 0
+			if tpi > 0 && !math.IsInf(tpi, 0) {
+				ips = 1 / tpi
+				t.rate = mpi / tpi
+			}
+			t.cpu = ptbl.PowerAt(s, i, ips)
+			t.l2 = ips * l2pi
+			t.reach = row[s+1].reach
+			if slow < t.reach || math.IsNaN(t.reach) {
+				t.reach = slow
+			}
+		}
+	}
+	w.cands = append(w.cands, 1)
+	slices.Sort(w.cands)
+
+	w.pick = perf.Resize(w.pick, n)
+	w.best = perf.Resize(w.best, n)
+	u := power.MemUsage{BusHz: ev.Cfg.MemLadder.Hz(m), MCVolts: ev.Cfg.MemLadder.Volts(m), UtilBus: ev.obs.UtilBus}
+	found, prev, moved := false, math.NaN(), true
+	w.ser = math.Inf(1)
+	for _, d := range w.cands {
+		//lint:ignore floateq exact dedup of sorted candidates; a tolerance would merge distinct settings
+		if d == prev {
+			continue
+		}
+		prev = d
+		// Each core takes the lowest frequency whose slowdown is within
+		// min(d, limit) (guard applied after the min; rounding is
+		// monotone, so applying it to both first is the same). That set
+		// only grows with d, and reach ascends down the ladder to the
+		// sentinel, so each core's pick only moves down.
+		dx := d * (1 + 1e-12)
+		for i, p := range w.pick {
+			x := w.lim[i]
+			if dx < x {
+				x = dx
+			}
+			if row := w.terms[i*stride:]; row[p+1].reach <= x {
+				for p++; row[p+1].reach <= x; p++ {
+				}
+				w.pick[i] = p
+				moved = true
+			}
+		}
+		if !moved {
+			continue // same candidate as the last scored one
+		}
+		moved = false
+		cpu, l2, rate, t := 0.0, 0.0, 0.0, 0.0
+		feasible := true
+		for i, p := range w.pick {
+			tm := &w.terms[i*stride+p]
+			if !tm.ok {
+				feasible = false
+				break
+			}
+			cpu += tm.cpu
+			l2 += tm.l2
+			rate += tm.rate
+			if tm.ratio > t {
+				t = tm.ratio
+			}
+		}
+		if !feasible {
+			continue
+		}
+		if t <= 0 {
+			t = 1
+		}
+		busy := ev.busyPerReq * rate
+		if busy > 1 {
+			busy = 1
+		}
+		u.ReadRate, u.WriteRate, u.ActRate, u.BusyFrac = rate*0.8, rate*0.2, rate, busy
+		if ser := t * ev.Cfg.Power.TotalFromCPU(cpu, l2, u).Total / ev.baseline.Power.Total; ser < w.ser {
+			w.ser, found = ser, true
+			copy(w.best, w.pick)
+		}
+	}
+	return found
+}

@@ -8,8 +8,7 @@ package policy
 // the other's simultaneous move, the pair over-corrects in both directions,
 // producing the oscillations and local minima of Figures 1, 4 and 7(c).
 type SemiCoordinated struct {
-	cfg   Config
-	slack *SlackBook
+	searcher
 
 	// OutOfPhase makes the managers act on alternate epochs (the §4.2.2
 	// half-epoch phase-shift variant: less oscillation, earlier local
@@ -22,10 +21,11 @@ type SemiCoordinated struct {
 // NewSemiCoordinated returns the semi-coordinated policy, or the
 // configuration's validation error.
 func NewSemiCoordinated(cfg Config) (*SemiCoordinated, error) {
-	if err := cfg.Validate(); err != nil {
+	s, err := newSearcher(cfg)
+	if err != nil {
 		return nil, err
 	}
-	return &SemiCoordinated{cfg: cfg, slack: NewSlackBook(cfg.NCores, cfg.Gamma, cfg.Reserve)}, nil
+	return &SemiCoordinated{searcher: s}, nil
 }
 
 // Name implements Policy.
@@ -39,28 +39,25 @@ func (p *SemiCoordinated) Name() string {
 // Decide implements Policy.
 func (p *SemiCoordinated) Decide(obs Observation) Decision {
 	p.epoch++
-	ev := NewEvaluator(p.cfg, obs)
-	limits := p.cfg.Limits(p.slack.AvailableFor(obs.CoreThreads()))
-	base := ev.Baseline().TPI
+	limits := p.begin(obs)
+	base := p.ev.BaselineTPI()
 
 	// Both managers measure degradation against the shared all-max
 	// reference (that is the coordination), but each plans as if the
-	// other component keeps its current frequency.
-	coreSteps := coreSearch(ev, obs.MemStep, obs.MemLatency, base, limits)
-	memStep := memSearch(ev, obs.CoreSteps, base, limits)
-
+	// other component keeps its current frequency. Out of phase, the
+	// memory manager sits odd epochs out and the CPU manager even ones.
+	cpuTurn, memTurn := true, true
 	if p.OutOfPhase {
-		if p.epoch%2 == 1 {
-			memStep = obs.MemStep // memory manager sits this epoch out
-		} else {
-			coreSteps = append([]int(nil), obs.CoreSteps...)
-		}
+		cpuTurn = p.epoch%2 == 1
+		memTurn = !cpuTurn
 	}
-	return Decision{CoreSteps: coreSteps, MemStep: memStep}
-}
-
-// Observe implements Policy: shared slack bookkeeping against the joint
-// all-max reference.
-func (p *SemiCoordinated) Observe(epoch Observation) {
-	p.slack.RecordEpochFor(epoch.CoreThreads(), TMaxForEpoch(p.cfg, epoch, ZeroSteps(p.cfg.NCores), 0), epoch.Window)
+	d := Decision{CoreSteps: p.keep(obs.CoreSteps), MemStep: obs.MemStep}
+	if cpuTurn {
+		p.sweep.run(&p.ev, obs.MemStep, obs.MemLatency, base, limits)
+		d.CoreSteps = p.sweep.best
+	}
+	if memTurn {
+		d.MemStep = p.memSearch(obs.CoreSteps, base, limits)
+	}
+	return d
 }

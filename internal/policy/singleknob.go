@@ -1,153 +1,22 @@
 package policy
 
-import (
-	"math"
-	"sort"
-)
-
 // This file implements the two single-knob policies of §3.2 — "MemScale"
-// (memory-subsystem DVFS only) and "CPUOnly" (per-core DVFS only) — plus the
-// exact single-knob searches they and the Uncoordinated/Semi-coordinated
-// managers are built from. Both policies assume the unmanaged component
-// behaves in the next epoch exactly as in the profiling phase.
-
-// memSearch exhaustively evaluates memory steps with cores pinned at
-// coreSteps, returning the step with the lowest SER whose predicted
-// slowdowns (measured against refTPI) stay within limits. Returns the
-// current step when nothing better is feasible.
-func memSearch(ev *Evaluator, coreSteps []int, refTPI, limits []float64) int {
-	bestStep, bestSER := 0, math.Inf(1)
-	for m := 0; m < ev.Cfg.MemLadder.Steps(); m++ {
-		e := ev.Evaluate(coreSteps, m)
-		if !withinRef(e, refTPI, limits) {
-			continue
-		}
-		ser := serAgainst(ev, e)
-		if ser < bestSER {
-			bestSER, bestStep = ser, m
-		}
-	}
-	return bestStep
-}
-
-// coreSearch performs the exact CPU-only search: because each core's CPI is
-// independent of the others' frequencies once memory latency is held fixed,
-// searching "all possible combinations of core frequencies" (§3.2) reduces
-// to sweeping the worst-allowed slowdown D over every per-core step
-// boundary and letting each core pick its lowest frequency within D. The
-// returned steps minimize predicted SER within limits.
-func coreSearch(ev *Evaluator, memStep int, latency float64, refTPI, limits []float64) []int {
-	n := len(refTPI)
-	ladder := ev.Cfg.CoreLadder
-	stats := ev.Stats()
-
-	// slow[i][s]: predicted slowdown of core i at step s under fixed
-	// memory latency.
-	//hot:alloc-ok per-decision table: the CPU-only manager sweeps the full ladder once per epoch
-	slow := make([][]float64, n)
-	var candidates []float64
-	for i := 0; i < n; i++ {
-		//hot:alloc-ok per-decision table: the CPU-only manager sweeps the full ladder once per epoch
-		slow[i] = make([]float64, ladder.Steps())
-		for s := 0; s < ladder.Steps(); s++ {
-			sd := stats[i].TPI(ladder.Hz(s), latency) / refTPI[i]
-			slow[i][s] = sd
-			if sd <= limits[i]*(1+1e-12) {
-				candidates = append(candidates, sd)
-			}
-		}
-	}
-	candidates = append(candidates, 1)
-	sort.Float64s(candidates)
-
-	best := ZeroSteps(n)
-	bestSER := math.Inf(1)
-	prev := math.NaN()
-	for _, d := range candidates {
-		//lint:ignore floateq exact dedup of sorted candidates; a tolerance would merge distinct settings
-		if d == prev {
-			continue
-		}
-		prev = d
-		steps := assembleSteps(slow, limits, d)
-		e := ev.EvaluateFixedLatency(steps, memStep, latency)
-		if !withinRef(e, refTPI, limits) {
-			continue
-		}
-		if ser := serAgainst(ev, e); ser < bestSER {
-			bestSER, best = ser, steps
-		}
-	}
-	return best
-}
-
-// assembleSteps picks, for each core, the lowest frequency whose slowdown
-// stays within min(d, limits[i]).
-func assembleSteps(slow [][]float64, limits []float64, d float64) []int {
-	//hot:alloc-ok result escapes: the returned steps become Decision.CoreSteps
-	steps := make([]int, len(slow))
-	for i := range slow {
-		lim := limits[i]
-		if d < lim {
-			lim = d
-		}
-		pick := 0
-		for s := len(slow[i]) - 1; s >= 0; s-- {
-			if slow[i][s] <= lim*(1+1e-12) {
-				pick = s
-				break
-			}
-		}
-		steps[i] = pick
-	}
-	return steps
-}
-
-// withinRef checks per-core TPI against limits relative to refTPI (which may
-// differ from the evaluator's all-max baseline for the Uncoordinated
-// managers).
-func withinRef(e Eval, refTPI, limits []float64) bool {
-	for i, tpi := range e.TPI {
-		if refTPI[i] <= 0 {
-			continue
-		}
-		if tpi/refTPI[i] > limits[i]*(1+1e-12) {
-			return false
-		}
-	}
-	return true
-}
-
-// serAgainst computes the SER of e against the evaluator's all-max baseline.
-func serAgainst(ev *Evaluator, e Eval) float64 {
-	b := ev.Baseline()
-	t := 0.0
-	for i, tpi := range e.TPI {
-		if b.TPI[i] > 0 {
-			if r := tpi / b.TPI[i]; r > t {
-				t = r
-			}
-		}
-	}
-	if t <= 0 {
-		t = 1
-	}
-	return t * e.Power.Total / b.Power.Total
-}
+// (memory-subsystem DVFS only) and "CPUOnly" (per-core DVFS only). Both
+// assume the unmanaged component behaves in the next epoch exactly as in
+// the profiling phase. The exact single-knob searches they and the
+// Uncoordinated/Semi-coordinated managers are built from live in search.go.
 
 // MemScale is the memory-only DVFS policy (§3.2 alternative 1).
-type MemScale struct {
-	cfg   Config
-	slack *SlackBook
-}
+type MemScale struct{ searcher }
 
 // NewMemScale returns the MemScale policy, or the configuration's
 // validation error.
 func NewMemScale(cfg Config) (*MemScale, error) {
-	if err := cfg.Validate(); err != nil {
+	s, err := newSearcher(cfg)
+	if err != nil {
 		return nil, err
 	}
-	return &MemScale{cfg: cfg, slack: NewSlackBook(cfg.NCores, cfg.Gamma, cfg.Reserve)}, nil
+	return &MemScale{s}, nil
 }
 
 // Name implements Policy.
@@ -156,45 +25,32 @@ func (p *MemScale) Name() string { return "MemScale" }
 // Decide implements Policy: exhaustive search over memory frequencies with
 // the cores untouched (they stay at maximum frequency).
 func (p *MemScale) Decide(obs Observation) Decision {
-	ev := NewEvaluator(p.cfg, obs)
-	limits := p.cfg.Limits(p.slack.AvailableFor(obs.CoreThreads()))
-	m := memSearch(ev, obs.CoreSteps, ev.Baseline().TPI, limits)
-	return Decision{CoreSteps: append([]int(nil), obs.CoreSteps...), MemStep: m}
-}
-
-// Observe implements Policy.
-func (p *MemScale) Observe(epoch Observation) {
-	p.slack.RecordEpochFor(epoch.CoreThreads(), TMaxForEpoch(p.cfg, epoch, ZeroSteps(p.cfg.NCores), 0), epoch.Window)
+	limits := p.begin(obs)
+	m := p.memSearch(obs.CoreSteps, p.ev.BaselineTPI(), limits)
+	return Decision{CoreSteps: p.keep(obs.CoreSteps), MemStep: m}
 }
 
 // CPUOnly is the CPU-only DVFS policy (§3.2 alternative 2).
-type CPUOnly struct {
-	cfg   Config
-	slack *SlackBook
-}
+type CPUOnly struct{ searcher }
 
 // NewCPUOnly returns the CPUOnly policy, or the configuration's validation
 // error.
 func NewCPUOnly(cfg Config) (*CPUOnly, error) {
-	if err := cfg.Validate(); err != nil {
+	s, err := newSearcher(cfg)
+	if err != nil {
 		return nil, err
 	}
-	return &CPUOnly{cfg: cfg, slack: NewSlackBook(cfg.NCores, cfg.Gamma, cfg.Reserve)}, nil
+	return &CPUOnly{s}, nil
 }
 
 // Name implements Policy.
 func (p *CPUOnly) Name() string { return "CPUOnly" }
 
 // Decide implements Policy: the exact all-combinations core search with
-// memory pinned at maximum frequency.
+// memory pinned at its current frequency; all cores stay at maximum when no
+// combination is feasible.
 func (p *CPUOnly) Decide(obs Observation) Decision {
-	ev := NewEvaluator(p.cfg, obs)
-	limits := p.cfg.Limits(p.slack.AvailableFor(obs.CoreThreads()))
-	steps := coreSearch(ev, obs.MemStep, obs.MemLatency, ev.Baseline().TPI, limits)
-	return Decision{CoreSteps: steps, MemStep: obs.MemStep}
-}
-
-// Observe implements Policy.
-func (p *CPUOnly) Observe(epoch Observation) {
-	p.slack.RecordEpochFor(epoch.CoreThreads(), TMaxForEpoch(p.cfg, epoch, ZeroSteps(p.cfg.NCores), 0), epoch.Window)
+	limits := p.begin(obs)
+	p.sweep.run(&p.ev, obs.MemStep, obs.MemLatency, p.ev.BaselineTPI(), limits)
+	return Decision{CoreSteps: p.sweep.best, MemStep: obs.MemStep}
 }

@@ -1,5 +1,7 @@
 package policy
 
+import "coscale/internal/perf"
+
 // Uncoordinated applies both MemScale-style memory DVFS and CPUOnly-style
 // core DVFS through two fully independent managers (§3.2 alternative 3).
 //
@@ -10,17 +12,16 @@ package policy
 // carry-over); the memory manager makes the mirror-image assumptions. Both
 // then consume an entire γ allowance, so the combined slowdown can approach
 // 2γ — the bound violations Figure 9 shows.
-type Uncoordinated struct {
-	cfg Config
-}
+type Uncoordinated struct{ searcher }
 
 // NewUncoordinated returns the uncoordinated two-manager policy, or the
 // configuration's validation error.
 func NewUncoordinated(cfg Config) (*Uncoordinated, error) {
-	if err := cfg.Validate(); err != nil {
+	s, err := newSearcher(cfg)
+	if err != nil {
 		return nil, err
 	}
-	return &Uncoordinated{cfg: cfg}, nil
+	return &Uncoordinated{s}, nil
 }
 
 // Name implements Policy.
@@ -28,33 +29,27 @@ func (p *Uncoordinated) Name() string { return "Uncoordinated" }
 
 // Decide implements Policy.
 func (p *Uncoordinated) Decide(obs Observation) Decision {
-	ev := NewEvaluator(p.cfg, obs)
-	n := p.cfg.NCores
+	p.ev.Reset(p.cfg, obs)
+	// Both managers get a fresh per-epoch allowance of γ per core.
+	p.limits = perf.Grow(p.limits, p.cfg.NCores)
+	for i := range p.limits {
+		p.limits[i] = 1 + p.cfg.Gamma
+	}
 
 	// CPU manager: reference is cores-at-max with memory at its current
-	// frequency; fresh per-epoch allowance of γ per core.
-	cpuRef := ev.Evaluate(ZeroSteps(n), obs.MemStep)
-	limits := uniformLimits(n, 1+p.cfg.Gamma)
-	coreSteps := coreSearch(ev, obs.MemStep, cpuRef.MemLoad.Latency, cpuRef.TPI, limits)
+	// frequency.
+	p.ev.EvaluateInto(&p.ref, p.ev.maxSteps, obs.MemStep)
+	p.sweep.run(&p.ev, obs.MemStep, p.ref.MemLoad.Latency, p.ref.TPI, p.limits)
 
 	// Memory manager: reference is memory-at-max with cores at their
-	// current frequencies; same fresh allowance.
-	memRef := ev.Evaluate(obs.CoreSteps, 0)
-	memStep := memSearch(ev, obs.CoreSteps, memRef.TPI, limits)
+	// current frequencies.
+	p.ev.EvaluateInto(&p.ref, obs.CoreSteps, 0)
+	memStep := p.memSearch(obs.CoreSteps, p.ref.TPI, p.limits)
 
 	// Both managers' decisions take effect simultaneously.
-	return Decision{CoreSteps: coreSteps, MemStep: memStep}
+	return Decision{CoreSteps: p.sweep.best, MemStep: memStep}
 }
 
 // Observe implements Policy: the managers deliberately keep no cross-epoch
 // slack state ("assumes it has accumulated no CPI degradation").
 func (p *Uncoordinated) Observe(Observation) {}
-
-func uniformLimits(n int, v float64) []float64 {
-	//hot:alloc-ok result escapes: callers keep the returned limit vector
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = v
-	}
-	return out
-}
