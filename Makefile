@@ -8,8 +8,8 @@ GO ?= go
 
 ## check: the full gate — tier-1 verify + vet + gofmt + coscale-lint +
 ## escape-analysis gate + the load generator's own module tests + the
-## bit-identity tests (fleet rebalancer, frontier walk, comparison-policy
-## sweep, simulation goldens)
+## bit-identity tests (fleet rebalancer, frontier walk, capped walk and its
+## replay, comparison-policy sweep, simulation goldens)
 check: build vet fmt-check lint escapes test loadgen-test bit-identity
 
 build:
@@ -45,7 +45,8 @@ bench-smoke:
 ## bit-identity: the determinism gate behind DESIGN.md §13 — the fleet
 ## rebalancer's per-node fan-out against its serial replica, its frontier
 ## and decision reuse against a rebuild-everything replica, the frontier
-## walk against its reference walk, the comparison policies' table-backed
+## walk against its reference walk, PowerCap's capped walk and its trail
+## replay against their reference oracle, the comparison policies' table-backed
 ## core sweep against its direct reference (DESIGN.md §4) and the
 ## simulation goldens of every policy, under the race detector at both
 ## GOMAXPROCS=1 and the machine default, so neither scheduler width, reuse
@@ -53,6 +54,8 @@ bench-smoke:
 bit-identity:
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica|RebalancerReuseMatchesRebuild|BuilderMatchesReferenceWalk' ./internal/fastcap
 	$(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica|RebalancerReuseMatchesRebuild|BuilderMatchesReferenceWalk' ./internal/fastcap
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'PowerCapMatchesReferenceOracle|PowerCapReplayMatchesReferenceOracle|CapWalkEndsAtFloor' ./internal/core
+	$(GO) test -race -count=1 -run 'PowerCapMatchesReferenceOracle|PowerCapReplayMatchesReferenceOracle|CapWalkEndsAtFloor' ./internal/core
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'CoreSweepMatchesReference|BaselinePoliciesInfeasibleFallback' ./internal/policy
 	$(GO) test -race -count=1 -run 'CoreSweepMatchesReference|BaselinePoliciesInfeasibleFallback' ./internal/policy
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'GoldenBitIdentical' ./internal/sim

@@ -275,8 +275,9 @@ func BenchmarkAblation_ProfilingWindow(b *testing.B) {
 }
 
 // --- Headline benchmarks: the §3.1 search cost at 16-1024 cores (cold and
-// warm-started), one capped PowerCap decision, one fleet rebalancing epoch
-// (cold and stable), one fleet-store scheduler scan, steady-state epoch
+// warm-started), one capped PowerCap decision (cold, and replayed under a
+// moving cap), one frontier build, one fleet rebalancing epoch (cold and
+// stable), one fleet-store scheduler scan, steady-state epoch
 // simulation and one Offline comparison-policy decision. Each body is defined once, next to its fixture, and
 // cmd/coscale-bench runs the same bodies for BENCH_baseline.json.
 
@@ -290,6 +291,8 @@ func BenchmarkSearchWarm128Cores(b *testing.B)    { experiments.BenchSearchWarm1
 func BenchmarkSearchWarm512Cores(b *testing.B)    { experiments.BenchSearchWarm512Cores(b) }
 func BenchmarkSearchWarm1024Cores(b *testing.B)   { experiments.BenchSearchWarm1024Cores(b) }
 func BenchmarkPowerCapDecide(b *testing.B)        { experiments.BenchPowerCapDecide(b) }
+func BenchmarkPowerCapRedecide(b *testing.B)      { experiments.BenchPowerCapRedecide(b) }
+func BenchmarkFrontierBuild(b *testing.B)         { experiments.BenchFrontierBuild(b) }
 func BenchmarkRebalancerEpoch(b *testing.B)       { experiments.BenchRebalancerEpoch(b) }
 func BenchmarkRebalancerEpochStable(b *testing.B) { experiments.BenchRebalancerEpochStable(b) }
 func BenchmarkStoreDispatchable(b *testing.B)     { fleet.BenchStoreDispatchable(b) }

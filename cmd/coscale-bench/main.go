@@ -1,7 +1,7 @@
 // Command coscale-bench runs the headline performance benchmarks — the §3.1
 // search cost at 16-1024 cores (cold and warm-started), one capped PowerCap
-// decision, one fleet rebalancing epoch (cold, and with every node holding
-// its phase), one scheduler scan of the fleet job store, the raw
+// decision (cold, and replayed under a moving cap), one frontier build, one
+// fleet rebalancing epoch (cold, and with every node holding its phase), one scheduler scan of the fleet job store, the raw
 // epoch-simulation throughput and one Offline comparison-policy decision —
 // plus a timed figure regeneration, and writes the numbers as
 // machine-readable JSON, with the host's CPU count and GOMAXPROCS. The committed BENCH_baseline.json at the repository root
@@ -62,6 +62,8 @@ type Report struct {
 // Moves and NsPerMove expose per-step cost: the walk takes more moves at
 // higher core counts, so ns/op alone conflates walk length with per-move
 // cost; ns/move is the sub-linear-scaling figure of merit (DESIGN.md §10).
+// For the capped-walk benchmarks, EvalsPerOp counts the operating points
+// core.CapWalk evaluates per op, a machine-independent cost.
 type BenchRow struct {
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -70,6 +72,7 @@ type BenchRow struct {
 	Iterations  int     `json:"iterations"`
 	Moves       int     `json:"moves,omitempty"`
 	NsPerMove   float64 `json:"ns_per_move,omitempty"`
+	EvalsPerOp  float64 `json:"evals_per_op,omitempty"`
 	// BeforeNsPerOp and BeforeAllocsPerOp record, for a row added with a
 	// change that speeds up its path, the same body measured on the same
 	// host at the parent of that change. They are copied in by hand; this
@@ -209,6 +212,8 @@ var headline = []struct {
 	{"SearchWarm512Cores", experiments.BenchSearchWarm512Cores},
 	{"SearchWarm1024Cores", experiments.BenchSearchWarm1024Cores},
 	{"PowerCapDecide", experiments.BenchPowerCapDecide},
+	{"PowerCapRedecide", experiments.BenchPowerCapRedecide},
+	{"FrontierBuild", experiments.BenchFrontierBuild},
 	{"RebalancerEpoch", experiments.BenchRebalancerEpoch},
 	{"RebalancerEpochStable", experiments.BenchRebalancerEpochStable},
 	{"StoreDispatchable", fleet.BenchStoreDispatchable},
@@ -217,8 +222,8 @@ var headline = []struct {
 }
 
 // bench runs one benchmark body under the standard harness and flattens the
-// result into a BenchRow, taking Moves and NsPerMove from the metrics the
-// body reported. A body that fails leaves a zero result (N == 0), which is
+// result into a BenchRow, taking Moves, NsPerMove and EvalsPerOp from the
+// metrics the body reported. A body that fails leaves a zero result (N == 0), which is
 // an error.
 func bench(name string, fn func(b *testing.B)) (BenchRow, error) {
 	res := testing.Benchmark(fn)
@@ -233,6 +238,7 @@ func bench(name string, fn func(b *testing.B)) (BenchRow, error) {
 		Iterations:  res.N,
 		Moves:       int(res.Extra["moves"]),
 		NsPerMove:   res.Extra["ns/move"],
+		EvalsPerOp:  res.Extra["evals/op"],
 	}, nil
 }
 

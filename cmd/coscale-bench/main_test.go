@@ -7,8 +7,8 @@ import (
 )
 
 // TestBench checks that a failing body is an error rather than a zero row,
-// and that a row's Moves and NsPerMove come from the metrics its body
-// reported.
+// and that a row's Moves, NsPerMove and EvalsPerOp come from the metrics its
+// body reported.
 func TestBench(t *testing.T) {
 	bt := flag.Lookup("test.benchtime")
 	defer bt.Value.Set(bt.Value.String())
@@ -21,12 +21,13 @@ func TestBench(t *testing.T) {
 	row, err := bench("Reports", func(b *testing.B) {
 		b.ReportMetric(7, "moves")
 		b.ReportMetric(3.5, "ns/move")
+		b.ReportMetric(12, "evals/op")
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row.Name != "Reports" || row.Iterations != 1 || row.Moves != 7 || row.NsPerMove != 3.5 {
-		t.Errorf("row = %+v, want Reports with 1 iteration, 7 moves, 3.5 ns/move", row)
+	if row.Name != "Reports" || row.Iterations != 1 || row.Moves != 7 || row.NsPerMove != 3.5 || row.EvalsPerOp != 12 {
+		t.Errorf("row = %+v, want Reports with 1 iteration, 7 moves, 3.5 ns/move, 12 evals/op", row)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"coscale/internal/perf"
 	"coscale/internal/policy"
@@ -37,13 +38,21 @@ type PowerCap struct {
 	// Decision-time scratch, reused every call so DecideCapped allocates
 	// nothing in steady state (DESIGN.md §7). The Decision it returns
 	// aliases best and is valid until the next call, as for CoScale.Decide.
-	walk     CapWalk   // the shared capped walk, reset per decision
-	limits   []float64 // per-core slack, then slowdown limits in place
-	scaled   []float64 // limits with the WithinBound epsilon applied
-	identity []int     // thread mapping fallback when ThreadIDs is nil
-	best     []int     // the decision's step vector
-	watts    float64   // the decision's predicted total power
-	slow     float64   // the decision's predicted worst slowdown
+	// The walk, its trail and the floor evaluation are pure functions of
+	// the observation (kept as the owned copy seen) and the scaled limits,
+	// so they are kept while both repeat bit for bit (walked): a new cap
+	// replays the trail and steps the walk only past its end.
+	walk     CapWalk            // the shared capped walk
+	seen     policy.Observation // owned copy of the walk's observation
+	walked   bool               // walk, seen, scaled, floorW and floorS are valid
+	limits   []float64          // per-core slack, then scaled limits in place
+	scaled   []float64          // the walk's scaled limits
+	identity []int              // thread mapping fallback when ThreadIDs is nil
+	floorW   float64            // the all-minimum point's predicted total power
+	floorS   float64            // the all-minimum point's predicted worst slowdown
+	best     []int              // the decision's step vector
+	watts    float64            // the decision's predicted total power
+	slow     float64            // the decision's predicted worst slowdown
 }
 
 // NewPowerCap builds a power-capping controller with the given full-system
@@ -113,51 +122,52 @@ func (p *PowerCap) DecideCapped(obs policy.Observation) (policy.Decision, error)
 	// watts, not starve one program beyond its SLO if avoidable.
 	p.limits = p.slack.AvailableInto(p.limits, threadsFor(&p.identity, obs))
 	p.limits = p.cfg.LimitsInto(p.limits, p.limits)
-	p.scaled = policy.ScaleLimits(p.scaled, p.limits)
+	p.limits = policy.ScaleLimits(p.limits, p.limits)
 	w := &p.walk
-	w.Reset(p.cfg, obs, p.scaled)
-
-	// Feasibility pre-check at the ladder floor: an infeasible cap clamps
-	// at once instead of walking every configuration to find the floor.
+	minMem := p.cfg.MemLadder.Steps() - 1
 	p.best = perf.Resize(p.best, p.cfg.NCores)
 	for i := range p.best {
 		p.best[i] = p.cfg.CoreLadder.Steps() - 1
 	}
-	minMem := p.cfg.MemLadder.Steps() - 1
-	p.watts, p.slow = w.Evaluate(p.best, minMem)
-	if p.watts > p.capW {
-		return policy.Decision{CoreSteps: p.best, MemStep: minMem},
-			fmt.Errorf("%w: cap %g W below minimum achievable %g W", ErrCapInfeasible, p.capW, p.watts)
+	if !p.walked || !p.seen.BitEqual(&obs) || !sameBits(p.limits, p.scaled) {
+		obs.CloneInto(&p.seen)
+		p.limits, p.scaled = p.scaled, p.limits
+		w.Reset(p.cfg, p.seen, p.scaled)
+		p.floorW, p.floorS = w.Evaluate(p.best, minMem)
+		p.walked = true
 	}
 
-	// Walk down from all-max until the cap is met. Until a point fits, the
-	// decision tracks the lowest-power point visited as a fallback.
-	steps, bestMem := w.Point()
-	copy(p.best, steps)
-	curPower, curSlow := w.Predicted()
-	p.watts, p.slow = curPower, curSlow
-	bestSlow := math.Inf(1)
-	found := curPower <= p.capW
-	if found {
-		bestSlow = curSlow
+	// Feasibility pre-check at the ladder floor: an infeasible cap clamps
+	// at once instead of walking every configuration to find the floor.
+	if p.floorW > p.capW {
+		p.watts, p.slow = p.floorW, p.floorS
+		return policy.Decision{CoreSteps: p.best, MemStep: minMem},
+			fmt.Errorf("%w: cap %g W below minimum achievable %g W", ErrCapInfeasible, p.capW, p.floorW)
 	}
-	for curPower > p.capW && w.Step() {
-		curPower, curSlow = w.Predicted()
-		switch {
-		case curPower <= p.capW && curSlow < bestSlow:
-			bestSlow, found = curSlow, true
-		case !found && curPower < p.watts: // a new lowest-power fallback
-		default:
-			continue
-		}
-		steps, bestMem = w.Point()
-		copy(p.best, steps)
-		p.watts, p.slow = curPower, curSlow
+
+	// The decision is the first trail point that fits the cap, stepping
+	// the walk past the trail's end while none does. The walk ends at the
+	// floor, which the pre-check has shown fits.
+	t := w.Trail()
+	i := 0
+	for t.Watts[i] > p.capW && (i+1 < t.Len() || w.Step()) {
+		i++
 	}
-	return policy.Decision{CoreSteps: p.best, MemStep: bestMem}, nil
+	copy(p.best, t.Steps(i))
+	p.watts, p.slow = t.Watts[i], t.Slow[i]
+	return policy.Decision{CoreSteps: p.best, MemStep: t.Mems[i]}, nil
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // Predicted returns the predicted total power and worst per-core slowdown
 // of the decision the last DecideCapped call returned — the walk's own
 // evaluation of that point, for the infeasible clamp too.
 func (p *PowerCap) Predicted() (watts, maxSlow float64) { return p.watts, p.slow }
+
+// Evals returns how many operating points the controller's walk has
+// evaluated since it was made (CapWalk.Evals).
+func (p *PowerCap) Evals() int64 { return p.walk.Evals() }

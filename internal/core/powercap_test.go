@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"coscale/internal/cache"
@@ -210,9 +211,11 @@ func TestPowerCapWithRescaledSystem(t *testing.T) {
 // refDecideCapped is DecideCapped as it stood before the single-evaluation
 // rewrite, kept as the reference oracle of the equivalence property: a
 // fresh evaluator per call, a full Evaluate and step-vector copies per
-// candidate, and a second evaluation of every candidate when no move fits
-// the slack bound. fellBack reports whether any move took that fallback.
-func refDecideCapped(p *PowerCap, obs policy.Observation) (d policy.Decision, fellBack bool, err error) {
+// candidate, every candidate of every move evaluated, and a second
+// evaluation of every candidate when no move fits the slack bound. edges
+// counts the moves that reached the cases the walk's selection must get
+// right.
+func refDecideCapped(p *PowerCap, obs policy.Observation) (d policy.Decision, edges refEdges, err error) {
 	ev := &policy.Evaluator{UseTables: true}
 	ev.Reset(p.cfg, obs)
 	n := p.cfg.NCores
@@ -224,7 +227,7 @@ func refDecideCapped(p *PowerCap, obs policy.Observation) (d policy.Decision, fe
 	minEval := ev.Evaluate(minSteps, minMem)
 	if minEval.Power.Total > p.capW {
 		return policy.Decision{CoreSteps: minSteps, MemStep: minMem},
-			false, fmt.Errorf("%w: cap %g W below minimum achievable %g W",
+			edges, fmt.Errorf("%w: cap %g W below minimum achievable %g W",
 				ErrCapInfeasible, p.capW, minEval.Power.Total)
 	}
 	limits := p.cfg.Limits(p.slack.AvailableFor(obs.CoreThreads()))
@@ -241,11 +244,10 @@ func refDecideCapped(p *PowerCap, obs policy.Observation) (d policy.Decision, fe
 	}
 	maxIters := p.cfg.MemLadder.Steps() + p.cfg.CoreLadder.Steps()*n
 	for iter := 0; iter < maxIters && cur.Power.Total > p.capW; iter++ {
-		move, pass, ok := refBestMove(p, ev, steps, memStep, cur, limits)
+		move, ok := refBestMove(p, ev, steps, memStep, cur, limits, &edges)
 		if !ok {
 			break
 		}
-		fellBack = fellBack || pass == 1
 		steps, memStep, cur = move.steps, move.memStep, move.eval
 		under := cur.Power.Total <= p.capW
 		switch {
@@ -258,7 +260,21 @@ func refDecideCapped(p *PowerCap, obs policy.Observation) (d policy.Decision, fe
 			best = policy.Decision{CoreSteps: append([]int(nil), steps...), MemStep: memStep}
 		}
 	}
-	return best, fellBack, nil
+	return best, edges, nil
+}
+
+// refEdges counts the moves of reference walks that reached each case of
+// the candidate selection the walk's early exit and fallback must match.
+type refEdges struct {
+	fallbacks  int // no candidate within the slack bound
+	infOutside int // the first +Inf candidate is outside the bound, a later one inside
+	multiInf   int // two or more candidates have +Inf utility
+}
+
+func (e *refEdges) add(o refEdges) {
+	e.fallbacks += o.fallbacks
+	e.infOutside += o.infOutside
+	e.multiInf += o.multiInf
 }
 
 type refMove struct {
@@ -267,9 +283,9 @@ type refMove struct {
 	eval    policy.Eval
 }
 
-// refBestMove is the reference oracle's candidate selection; pass reports
-// which of the two passes chose the move.
-func refBestMove(p *PowerCap, ev *policy.Evaluator, steps []int, memStep int, cur policy.Eval, limits []float64) (refMove, int, bool) {
+// refBestMove is the reference oracle's candidate selection. It counts in
+// edges the selection cases the move reached.
+func refBestMove(p *PowerCap, ev *policy.Evaluator, steps []int, memStep int, cur policy.Eval, limits []float64, edges *refEdges) (refMove, bool) {
 	var cands []refMove
 	if !p.cfg.MemLadder.Bottom(memStep) {
 		cands = append(cands, refMove{steps: append([]int(nil), steps...), memStep: memStep + 1})
@@ -285,14 +301,26 @@ func refBestMove(p *PowerCap, ev *policy.Evaluator, steps []int, memStep int, cu
 	bestU := math.Inf(-1)
 	var best refMove
 	bestOK := false
-	pass := 0
-	for ; pass < 2 && !bestOK; pass++ {
+	infs, firstInfWithin, laterInfWithin := 0, false, false
+	for pass := 0; pass < 2 && !bestOK; pass++ {
+		if pass == 1 {
+			edges.fallbacks++
+		}
 		for _, c := range cands {
 			e := ev.Evaluate(c.steps, c.memStep)
-			if pass == 0 && !policy.WithinBound(e, limits) {
+			u := Utility(cur.Power.Total-e.Power.Total, e.MaxSlow-cur.MaxSlow)
+			within := policy.WithinBound(e, limits)
+			if pass == 0 && math.IsInf(u, 1) {
+				if infs++; infs == 1 {
+					firstInfWithin = within
+				} else {
+					laterInfWithin = laterInfWithin || within
+				}
+			}
+			if pass == 0 && !within {
 				continue
 			}
-			if u := Utility(cur.Power.Total-e.Power.Total, e.MaxSlow-cur.MaxSlow); u > bestU {
+			if u > bestU {
 				bestU = u
 				c.eval = e
 				best = c
@@ -300,7 +328,13 @@ func refBestMove(p *PowerCap, ev *policy.Evaluator, steps []int, memStep int, cu
 			}
 		}
 	}
-	return best, pass - 1, bestOK
+	if infs > 0 && !firstInfWithin && laterInfWithin {
+		edges.infOutside++
+	}
+	if infs >= 2 {
+		edges.multiInf++
+	}
+	return best, bestOK
 }
 
 // capMixObs synthesizes a node's profiling observation for one Table 1 mix
@@ -331,29 +365,41 @@ func capMixObs(cfg policy.Config, mix workload.Mix, llc *cache.ShareModel, frac 
 }
 
 // TestPowerCapMatchesReferenceOracle is the equivalence property of the
-// single-evaluation walk: over all 16 mixes, caps from 40% to 105% of the
-// all-max power and Gamma 0 and 0.10, DecideCapped must return exactly the
+// capped walk: over all 16 mixes, caps from 40% to 105% of the all-max
+// power and Gamma 0 and 0.10, DecideCapped must return exactly the
 // reference oracle's step vectors, memory step and infeasibility outcome,
 // and Predicted must report the Float64bits of a fresh evaluation of the
 // returned point.
 // Both controllers Observe a seeded epoch after every decision, so the
-// slack limits vary along the sequence. The grid must reach both the
-// infeasible clamp and the fallback to moves outside the slack bound.
+// slack limits vary along the sequence; a third pass at Gamma 0.10 jitters
+// each core's committed instructions in the observed epochs, so threads
+// bank different slack and the per-core limits differ. The grid must reach
+// the infeasible clamp, the fallback to moves outside the slack bound, a
+// move with several free (+Inf utility) candidates, and a move whose first
+// free candidate is outside the bound while a later one is inside.
 func TestPowerCapMatchesReferenceOracle(t *testing.T) {
-	rng := trace.NewRand(2012)
+	rng, jrng := trace.NewRand(2012), trace.NewRand(2013)
 	llc := cache.NewShareModel(cache.DefaultSizeMB)
-	decisions, infeasible, fallbacks := 0, 0, 0
+	decisions, infeasible := 0, 0
+	var edges refEdges
 	fresh := policy.Evaluator{UseTables: true}
 	var freshEval policy.Eval
 	for _, name := range workload.Names() {
 		mix := must(workload.Get(name))
-		for _, gamma := range []float64{0, 0.10} {
+		for _, pass := range []struct {
+			gamma  float64
+			jitter bool
+		}{{0, false}, {0.10, false}, {0.10, true}} {
 			cfg := testCfg(mix.Cores())
-			cfg.Gamma = gamma
+			cfg.Gamma = pass.gamma
+			r := rng
+			if pass.jitter {
+				r = jrng
+			}
 			got, ref := must(NewPowerCap(cfg, 1)), must(NewPowerCap(cfg, 1))
 			for k := 0; k <= 13; k++ {
 				frac := 0.40 + 0.05*float64(k)
-				obs := capMixObs(cfg, mix, llc, rng.Float64())
+				obs := capMixObs(cfg, mix, llc, r.Float64())
 				capW := policy.NewEvaluator(cfg, obs).Baseline().Power.Total * frac
 				if err := got.SetCap(capW); err != nil {
 					t.Fatal(err)
@@ -361,21 +407,10 @@ func TestPowerCapMatchesReferenceOracle(t *testing.T) {
 				if err := ref.SetCap(capW); err != nil {
 					t.Fatal(err)
 				}
-				want, fellBack, wantErr := refDecideCapped(ref, obs)
+				want, e, wantErr := refDecideCapped(ref, obs)
 				d, err := got.DecideCapped(obs)
-				ctx := fmt.Sprintf("%s gamma=%g cap=%.2f", name, gamma, frac)
-				if errors.Is(err, ErrCapInfeasible) != errors.Is(wantErr, ErrCapInfeasible) || (err == nil) != (wantErr == nil) {
-					t.Fatalf("%s: err = %v, reference %v", ctx, err, wantErr)
-				}
-				if d.MemStep != want.MemStep || len(d.CoreSteps) != len(want.CoreSteps) {
-					t.Fatalf("%s: mem step %d with %d cores, reference %d with %d",
-						ctx, d.MemStep, len(d.CoreSteps), want.MemStep, len(want.CoreSteps))
-				}
-				for i := range want.CoreSteps {
-					if d.CoreSteps[i] != want.CoreSteps[i] {
-						t.Fatalf("%s: core %d step %d, reference %d", ctx, i, d.CoreSteps[i], want.CoreSteps[i])
-					}
-				}
+				ctx := fmt.Sprintf("%s gamma=%g jitter=%t cap=%.2f", name, pass.gamma, pass.jitter, frac)
+				requireRefDecision(t, ctx, d, err, want, wantErr)
 				fresh.Reset(cfg, obs)
 				fresh.EvaluateInto(&freshEval, d.CoreSteps, d.MemStep)
 				if watts, slow := got.Predicted(); math.Float64bits(watts) != math.Float64bits(freshEval.Power.Total) ||
@@ -387,45 +422,239 @@ func TestPowerCapMatchesReferenceOracle(t *testing.T) {
 				if wantErr != nil {
 					infeasible++
 				}
-				if fellBack {
-					fallbacks++
+				edges.add(e)
+				obs.Window *= 0.9 + 0.2*r.Float64()
+				if pass.jitter {
+					for i := range obs.Cores {
+						obs.Cores[i].Instructions = uint64(float64(obs.Cores[i].Instructions) * (0.8 + 0.4*r.Float64()))
+					}
 				}
-				obs.Window *= 0.9 + 0.2*rng.Float64()
 				got.Observe(obs)
 				ref.Observe(obs)
 			}
 		}
 	}
-	if decisions != 16*14*2 || infeasible == 0 || fallbacks == 0 {
-		t.Fatalf("grid ran %d decisions, %d infeasible, %d with the fallback; want 448 and both cases reached",
-			decisions, infeasible, fallbacks)
+	if decisions != 16*14*3 || infeasible == 0 || edges.fallbacks == 0 || edges.infOutside == 0 || edges.multiInf == 0 {
+		t.Fatalf("grid ran %d decisions, %d infeasible, moves %+v; want 672 and every case reached",
+			decisions, infeasible, edges)
+	}
+	t.Logf("moves reaching each selection case: %+v", edges)
+}
+
+// requireRefDecision fails unless DecideCapped's decision and error match
+// the reference oracle's: the same step vector, memory step and
+// ErrCapInfeasible outcome.
+func requireRefDecision(t *testing.T, ctx string, d policy.Decision, err error, want policy.Decision, wantErr error) {
+	t.Helper()
+	if errors.Is(err, ErrCapInfeasible) != errors.Is(wantErr, ErrCapInfeasible) || (err == nil) != (wantErr == nil) {
+		t.Fatalf("%s: err = %v, reference %v", ctx, err, wantErr)
+	}
+	if d.MemStep != want.MemStep || !slices.Equal(d.CoreSteps, want.CoreSteps) {
+		t.Fatalf("%s: steps %v mem %d, reference %v mem %d", ctx, d.CoreSteps, d.MemStep, want.CoreSteps, want.MemStep)
+	}
+}
+
+// TestPowerCapReplayMatchesReferenceOracle is the equivalence property of
+// the trail replay. Per mix, at Gamma 0 and 0.10, one controller decides
+// on one observation under caps above the all-max power, at it, inside the
+// trail, beyond its end, exactly at a visited point's watts, at the floor
+// and below it (infeasible): descending, then ascending, then each cap
+// twice. The sequence runs again after flipping one stats bit of the
+// caller's observation in place, after turning a +0 field into −0, and
+// after an Observe that moves the slack. Every decision must match the
+// reference oracle's step vectors, memory step and infeasibility outcome,
+// with Predicted equal to a fresh evaluation by Float64bits; a decision
+// the kept trail already covers must evaluate nothing, and one after the
+// observation changed must walk afresh.
+func TestPowerCapReplayMatchesReferenceOracle(t *testing.T) {
+	llc := cache.NewShareModel(cache.DefaultSizeMB)
+	fresh := policy.Evaluator{UseTables: true}
+	var freshEval policy.Eval
+	replays, extends, rewalks := 0, 0, 0
+	for _, name := range workload.Names() {
+		mix := must(workload.Get(name))
+		for _, gamma := range []float64{0, 0.10} {
+			cfg := testCfg(mix.Cores())
+			cfg.Gamma = gamma
+			obs := capMixObs(cfg, mix, llc, 0.3)
+			obs.Cores[0].Mix.FPU = 0 // the +0 field the third pass negates
+			got, ref := must(NewPowerCap(cfg, 1)), must(NewPowerCap(cfg, 1))
+			fresh.Reset(cfg, obs)
+			full := fresh.Baseline().Power.Total
+			floorSteps := make([]int, cfg.NCores)
+			for i := range floorSteps {
+				floorSteps[i] = cfg.CoreLadder.Steps() - 1
+			}
+			fresh.EvaluateInto(&freshEval, floorSteps, cfg.MemLadder.Steps()-1)
+			floor := freshEval.Power.Total
+			base := []float64{1.05 * full, full, 0.85 * full, 0.7 * full, 0.55 * full, floor, math.Nextafter(floor, 0)}
+
+			// changed reports whether the observation or the limits moved
+			// since the last decision: 1 they did, 0 they did not, -1 unknown.
+			changed := 1
+			var refs map[uint64]policy.Decision
+			var refErrs map[uint64]error
+			decide := func(ctx string, capW float64) {
+				t.Helper()
+				if err := got.SetCap(capW); err != nil {
+					t.Fatal(err)
+				}
+				bits := math.Float64bits(capW)
+				if _, ok := refs[bits]; !ok {
+					if err := ref.SetCap(capW); err != nil {
+						t.Fatal(err)
+					}
+					refs[bits], _, refErrs[bits] = refDecideCapped(ref, obs)
+				}
+				tr := got.walk.Trail()
+				covered := capW < got.floorW || slices.ContainsFunc(tr.Watts, func(w float64) bool { return w <= capW })
+				evals := got.Evals()
+				d, err := got.DecideCapped(obs)
+				ctx = fmt.Sprintf("%s gamma=%g %s cap=%v W", name, gamma, ctx, capW)
+				requireRefDecision(t, ctx, d, err, refs[bits], refErrs[bits])
+				fresh.Reset(cfg, obs)
+				fresh.EvaluateInto(&freshEval, d.CoreSteps, d.MemStep)
+				if watts, slow := got.Predicted(); math.Float64bits(watts) != math.Float64bits(freshEval.Power.Total) ||
+					math.Float64bits(slow) != math.Float64bits(freshEval.MaxSlow) {
+					t.Fatalf("%s: Predicted() = (%v W, %v), fresh evaluation (%v W, %v)",
+						ctx, watts, slow, freshEval.Power.Total, freshEval.MaxSlow)
+				}
+				grew := got.Evals() != evals
+				switch {
+				case changed == 1 && !grew:
+					t.Fatalf("%s: the observation changed but the controller evaluated nothing", ctx)
+				case changed == 1:
+					rewalks++
+				case changed == 0 && covered && grew:
+					t.Fatalf("%s: the kept trail covers the cap but the controller evaluated %d points", ctx, got.Evals()-evals)
+				case changed == 0 && covered:
+					replays++
+				case changed == 0:
+					extends++
+				}
+				changed = 0
+			}
+			sequence := func(pass string) {
+				refs, refErrs = map[uint64]policy.Decision{}, map[uint64]error{}
+				caps := slices.Clone(base)
+				for _, c := range base {
+					decide(pass+" descending", c)
+					at, _ := got.Predicted() // exactly a visited point's watts: the trail's end
+					decide(pass+" at a trail point", at)
+					caps = append(caps, at)
+				}
+				slices.Sort(caps)
+				for _, c := range caps {
+					decide(pass+" ascending", c)
+				}
+				for _, c := range caps {
+					decide(pass+" repeated", c)
+					decide(pass+" repeated", c)
+				}
+			}
+			sequence("first")
+			obs.Cores[1].Stats.CPIBase = math.Float64frombits(math.Float64bits(obs.Cores[1].Stats.CPIBase) ^ 1)
+			changed = 1
+			sequence("stats bit flipped")
+			obs.Cores[0].Mix.FPU = math.Copysign(0, -1)
+			changed = 1
+			sequence("+0 negated")
+			epoch := obs.Clone()
+			epoch.Window *= 0.9
+			got.Observe(epoch)
+			ref.Observe(epoch)
+			changed = -1
+			sequence("after Observe")
+		}
+	}
+	if replays == 0 || extends == 0 || rewalks != 16*2*3 {
+		t.Fatalf("%d replayed, %d extended and %d fresh walks; want replays, extensions and %d fresh walks",
+			replays, extends, rewalks, 16*2*3)
+	}
+}
+
+// TestCapWalkEndsAtFloor pins why DecideCapped needs no fallback once the
+// floor pre-check passes: run to its end, the walk stands at the
+// all-minimum point with the floor evaluation's Float64bits, which is at or
+// under any cap the pre-check accepts.
+func TestCapWalkEndsAtFloor(t *testing.T) {
+	llc := cache.NewShareModel(cache.DefaultSizeMB)
+	for _, name := range workload.Names() {
+		mix := must(workload.Get(name))
+		for _, gamma := range []float64{0, 0.10} {
+			cfg := testCfg(mix.Cores())
+			cfg.Gamma = gamma
+			obs := capMixObs(cfg, mix, llc, 0.6)
+			p := must(NewPowerCap(cfg, 1e-3))
+			if _, err := p.DecideCapped(obs); !errors.Is(err, ErrCapInfeasible) {
+				t.Fatalf("%s gamma=%g: a 1 mW cap returned %v", name, gamma, err)
+			}
+			for p.walk.Step() {
+			}
+			tr := p.walk.Trail()
+			last := tr.Len() - 1
+			floor := make([]int, cfg.NCores)
+			for i := range floor {
+				floor[i] = cfg.CoreLadder.Steps() - 1
+			}
+			if !slices.Equal(tr.Steps(last), floor) || tr.Mems[last] != cfg.MemLadder.Steps()-1 ||
+				math.Float64bits(tr.Watts[last]) != math.Float64bits(p.floorW) ||
+				math.Float64bits(tr.Slow[last]) != math.Float64bits(p.floorS) {
+				t.Fatalf("%s gamma=%g: the walk ends at %v mem %d (%v W, %v), the floor is %v mem %d (%v W, %v)",
+					name, gamma, tr.Steps(last), tr.Mems[last], tr.Watts[last], tr.Slow[last],
+					floor, cfg.MemLadder.Steps()-1, p.floorW, p.floorS)
+			}
+		}
 	}
 }
 
 // TestPowerCapDecideZeroAllocSteadyState is the alloc-budget gate for the
-// capped walk (DESIGN.md §7): once the first call sizes the controller's
-// scratch, DecideCapped must not allocate, even across changing
-// observations.
+// capped walk (DESIGN.md §7): once the first calls size the controller's
+// scratch, DecideCapped must not allocate, neither across changing
+// observations (a fresh walk each call) nor on one observation under
+// alternating caps (the trail replay).
 func TestPowerCapDecideZeroAllocSteadyState(t *testing.T) {
 	cfg := testCfg(16)
 	llc := cache.NewShareModel(cache.DefaultSizeMB)
 	mix := must(workload.Get("MID1"))
 	obs := [2]policy.Observation{capMixObs(cfg, mix, llc, 0.2), capMixObs(cfg, mix, llc, 0.7)}
-	p := must(NewPowerCap(cfg, 0.8*policy.NewEvaluator(cfg, obs[0]).Baseline().Power.Total))
-	for _, o := range obs {
+	full := policy.NewEvaluator(cfg, obs[0]).Baseline().Power.Total
+	p := must(NewPowerCap(cfg, 0.6*full))
+	for _, o := range obs { // the 60% cap walks further than the 80% one below
 		if _, err := p.DecideCapped(o); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := p.SetCap(0.8 * full); err != nil {
+		t.Fatal(err)
+	}
 	i := 0
-	avg := testing.AllocsPerRun(100, func() {
+	if avg := testing.AllocsPerRun(100, func() {
 		if _, err := p.DecideCapped(obs[i&1]); err != nil {
 			t.Fatal(err)
 		}
 		i++
-	})
-	if avg != 0 {
-		t.Errorf("DecideCapped allocates %.1f times per call in steady state, want 0", avg)
+	}); avg != 0 {
+		t.Errorf("DecideCapped allocates %.1f times per call across changing observations, want 0", avg)
+	}
+	caps := [2]float64{0.6 * full, 0.8 * full}
+	replay := func() {
+		if err := p.SetCap(caps[i&1]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.DecideCapped(obs[0]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	replay() // walks obs[0] to the 60% cap's point, or replays it
+	replay()
+	evals := p.Evals()
+	if avg := testing.AllocsPerRun(100, replay); avg != 0 {
+		t.Errorf("DecideCapped allocates %.1f times per call replaying one observation, want 0", avg)
+	}
+	if p.Evals() != evals {
+		t.Errorf("replaying one observation evaluated %d points, want 0", p.Evals()-evals)
 	}
 }
 

@@ -280,8 +280,8 @@ func fastCapFleet(tables *policy.TableCache, nodes, epochs int) (policy.Config, 
 	return cfg, obs, provisioned, nil
 }
 
-// FastCapBench is the input of the PowerCapDecide and RebalancerEpoch
-// benchmarks: the fastcap study's per-node platform (all nodes sharing one
+// FastCapBench is the input of the PowerCapDecide, PowerCapRedecide,
+// FrontierBuild and RebalancerEpoch benchmarks: the fastcap study's per-node platform (all nodes sharing one
 // table cache), two per-node observation sets and the fleet's provisioned
 // (all-max) power. Obs is the study's first epoch. Later differs from Obs
 // bit for bit on every node, so a rebalancer fed Obs and Later in turn
@@ -319,28 +319,93 @@ func FastCapBenchFleet(nodes int) (FastCapBench, error) {
 	return fx, nil
 }
 
-// BenchPowerCapDecide measures one capped decision on its own: a 16-core
-// node of the fastcap study under a cap at 80% of its all-max power, on a
-// warm controller (the steady state the zero-alloc gate pins).
-func BenchPowerCapDecide(b *testing.B) {
+// fastCapBenchNode returns the one-node fixture of the single-node rows
+// and its two observations, Later first, so iterations that alternate
+// between them never repeat the previous observation.
+func fastCapBenchNode(b *testing.B) (FastCapBench, [2]policy.Observation) {
 	fx, err := FastCapBenchFleet(1)
 	if err != nil {
 		b.Fatal(err)
 	}
+	return fx, [2]policy.Observation{fx.Later[0], fx.Obs[0]}
+}
+
+// benchCounted times b.N calls of op after the body's warm-up and reports
+// evals/op, the growth of the walk evaluation counter evals per call.
+func benchCounted(b *testing.B, evals func() int64, op func(i int) error) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	e0 := evals()
+	for i := 0; i < b.N; i++ {
+		if err := op(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(evals()-e0)/float64(b.N), "evals/op")
+}
+
+// BenchPowerCapDecide measures one cold capped decision: a 16-core node of
+// the fastcap study under a cap at 80% of its all-max power, on a warm
+// controller (the steady state the zero-alloc gate pins). Iterations
+// alternate between the node's two observations, so each decision walks
+// afresh rather than replaying the previous one's trail.
+func BenchPowerCapDecide(b *testing.B) {
+	fx, obs := fastCapBenchNode(b)
 	pc, err := core.NewPowerCap(fx.Cfg, 0.8*fx.Provisioned)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := pc.DecideCapped(fx.Obs[0]); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pc.DecideCapped(fx.Obs[0]); err != nil {
+	for _, o := range obs {
+		if _, err := pc.DecideCapped(o); err != nil {
 			b.Fatal(err)
 		}
 	}
+	benchCounted(b, pc.Evals, func(i int) error {
+		_, err := pc.DecideCapped(obs[i%2])
+		return err
+	})
+}
+
+// BenchPowerCapRedecide measures a capped decision whose observation
+// repeats under a moving cap, as a node's does when the fleet reallocates
+// around it: one observation, caps alternating between 60% and 80% of the
+// node's all-max power, so each decision replays the trail the warm-up
+// walked.
+func BenchPowerCapRedecide(b *testing.B) {
+	fx, obs := fastCapBenchNode(b)
+	pc, err := core.NewPowerCap(fx.Cfg, fx.Provisioned)
+	if err != nil {
+		b.Fatal(err)
+	}
+	caps := [2]float64{0.6 * fx.Provisioned, 0.8 * fx.Provisioned}
+	decide := func(i int) error {
+		if err := pc.SetCap(caps[i%2]); err != nil {
+			return err
+		}
+		_, err := pc.DecideCapped(obs[1])
+		return err
+	}
+	for i := range caps {
+		if err := decide(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+	benchCounted(b, pc.Evals, decide)
+}
+
+// BenchFrontierBuild measures one cold frontier build of a 16-core node of
+// the fastcap study, alternating between the node's two observations on a
+// warm Builder.
+func BenchFrontierBuild(b *testing.B) {
+	fx, obs := fastCapBenchNode(b)
+	var bld fastcap.Builder
+	var f fastcap.Frontier
+	for _, o := range obs {
+		if err := bld.Build(&f, fx.Cfg, o); err != nil {
+			b.Fatal(err)
+		}
+	}
+	benchCounted(b, bld.Evals, func(i int) error { return bld.Build(&f, fx.Cfg, obs[i%2]) })
 }
 
 // BenchRebalancerEpoch measures one cold fleet rebalancing epoch: eight
@@ -378,13 +443,10 @@ func benchRebalancerEpoch(b *testing.B, stable bool) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if eps, err = r.Epoch(0.8*fx.Provisioned, sets[i%2], eps[:0]); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchCounted(b, r.Evals, func(i int) error {
+		eps, err = r.Epoch(0.8*fx.Provisioned, sets[i%2], eps[:0])
+		return err
+	})
 }
 
 // FormatFastCap renders the fleet capping study as a strategy × segment

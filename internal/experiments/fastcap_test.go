@@ -180,3 +180,39 @@ func TestFastCapBenchFleetObservationsDiffer(t *testing.T) {
 		}
 	}
 }
+
+// TestRebalancerEpochEvals pins the work behind the cold RebalancerEpoch
+// row: a cold epoch on each of the fixture's observation sets evaluates
+// the same number of operating points every time, and no more than the
+// early-exiting walk did when the row was last re-measured (14,341 on Obs,
+// 14,414 on Later; the walk without the early exit took 21,310 and 21,427).
+func TestRebalancerEpochEvals(t *testing.T) {
+	fx, err := FastCapBenchFleet(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := fastcap.NewRebalancer(fastcap.Fair)
+	for n := range fx.Obs {
+		if err := r.AddNode(fmt.Sprintf("node-%02d", n), fx.Cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var eps []fastcap.NodeEpoch
+	var got [2][2]int64
+	for round := range got {
+		for k, set := range [2][]policy.Observation{fx.Obs, fx.Later} {
+			before := r.Evals()
+			if eps, err = r.Epoch(0.8*fx.Provisioned, set, eps[:0]); err != nil {
+				t.Fatal(err)
+			}
+			got[round][k] = r.Evals() - before
+		}
+	}
+	if got[0] != got[1] {
+		t.Errorf("cold epochs evaluated %v points, then %v", got[0], got[1])
+	}
+	if got[0][0] > 14341 || got[0][1] > 14414 {
+		t.Errorf("cold epochs on Obs and Later evaluated %v points, want at most [14341 14414]", got[0])
+	}
+	t.Logf("cold epochs on Obs and Later evaluated %v points", got[0])
+}

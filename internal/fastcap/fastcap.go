@@ -63,24 +63,17 @@ func (f *Frontier) Point(i int) (coreSteps []int, memStep int) {
 // per-epoch rebuild settles into zero allocations once scratch is warm.
 type Builder struct {
 	walk core.CapWalk
-
-	// Walk recording (roughly descending watts); Pareto-filtered into the
-	// Frontier.
-	walkW     []float64
-	walkS     []float64
-	walkSteps [][]int
-	walkMems  []int
-	idx       []int
-	keep      []int
+	idx  []int
+	keep []int
 }
 
 // Build derives a node's frontier from its configuration and a profiling
 // observation, writing into dst (grow-only scratch reuse). The frontier is
-// the visited sequence of core.CapWalk, the walk PowerCap runs, taken to
-// the ladder floor without slack limits: starting from all-max it
-// repeatedly takes the move with the best Δpower/Δperformance utility,
-// which yields the marginal-utility-ordered chain the water-filling
-// allocator climbs back up.
+// the trail of core.CapWalk, the walk PowerCap runs, taken to the ladder
+// floor without slack limits: starting from all-max it repeatedly takes
+// the move with the best Δpower/Δperformance utility, which yields the
+// marginal-utility-ordered chain the water-filling allocator climbs back
+// up.
 func (b *Builder) Build(dst *Frontier, cfg policy.Config, obs policy.Observation) error {
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("fastcap: %w", err)
@@ -89,29 +82,10 @@ func (b *Builder) Build(dst *Frontier, cfg policy.Config, obs policy.Observation
 		return fmt.Errorf("fastcap: observation has %d cores, config %d", len(obs.Cores), cfg.NCores)
 	}
 	b.walk.Reset(cfg, obs, nil)
-
-	n := cfg.NCores
-	b.walkW = b.walkW[:0]
-	b.walkS = b.walkS[:0]
-	b.walkMems = b.walkMems[:0]
-	nVisited := 0
-	for {
-		steps, mem := b.walk.Point()
-		watts, slow := b.walk.Predicted()
-		b.walkW = append(b.walkW, watts)
-		b.walkS = append(b.walkS, slow)
-		if nVisited < len(b.walkSteps) {
-			b.walkSteps[nVisited] = perf.Resize(b.walkSteps[nVisited], n)
-		} else {
-			b.walkSteps = append(b.walkSteps, make([]int, n))
-		}
-		copy(b.walkSteps[nVisited], steps)
-		b.walkMems = append(b.walkMems, mem)
-		nVisited++
-		if !b.walk.Step() {
-			break
-		}
+	for b.walk.Step() {
 	}
+	t := b.walk.Trail()
+	nVisited := t.Len()
 
 	// Pareto-filter the visited set. The walk's watts are not strictly
 	// monotone — shedding one core's frequency can relieve memory
@@ -124,7 +98,7 @@ func (b *Builder) Build(dst *Frontier, cfg policy.Config, obs policy.Observation
 		b.idx[i] = nVisited - 1 - i // reverse: roughly ascending watts
 	}
 	for i := 1; i < nVisited; i++ {
-		for j := i; j > 0 && b.walkW[b.idx[j]] < b.walkW[b.idx[j-1]]; j-- {
+		for j := i; j > 0 && t.Watts[b.idx[j]] < t.Watts[b.idx[j-1]]; j-- {
 			b.idx[j], b.idx[j-1] = b.idx[j-1], b.idx[j]
 		}
 	}
@@ -132,7 +106,7 @@ func (b *Builder) Build(dst *Frontier, cfg policy.Config, obs policy.Observation
 	for _, id := range b.idx {
 		if len(b.keep) > 0 {
 			last := b.keep[len(b.keep)-1]
-			if b.walkW[id] <= b.walkW[last] || b.walkS[id] >= b.walkS[last] {
+			if t.Watts[id] <= t.Watts[last] || t.Slow[id] >= t.Slow[last] {
 				continue
 			}
 		}
@@ -148,14 +122,18 @@ func (b *Builder) Build(dst *Frontier, cfg policy.Config, obs policy.Observation
 	}
 	dst.steps = dst.steps[:nPoints]
 	for i, id := range b.keep {
-		dst.Watts[i] = b.walkW[id]
-		dst.Slow[i] = b.walkS[id]
-		dst.mems[i] = b.walkMems[id]
-		dst.steps[i] = perf.Resize(dst.steps[i], n)
-		copy(dst.steps[i], b.walkSteps[id])
+		dst.Watts[i] = t.Watts[id]
+		dst.Slow[i] = t.Slow[id]
+		dst.mems[i] = t.Mems[id]
+		dst.steps[i] = perf.Resize(dst.steps[i], cfg.NCores)
+		copy(dst.steps[i], t.Steps(id))
 	}
 	return nil
 }
+
+// Evals returns how many operating points the builder's walk has evaluated
+// since it was made (core.CapWalk.Evals).
+func (b *Builder) Evals() int64 { return b.walk.Evals() }
 
 // JainIndex returns Jain's fairness index (Σx)² / (n·Σx²) over the given
 // values: 1 when all are equal, approaching 1/n as one value dominates.

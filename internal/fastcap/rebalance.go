@@ -95,6 +95,16 @@ func (r *Rebalancer) Rebalances() int64 { return r.rebalances }
 // this grows by fewer than Len per epoch while workloads hold a phase.
 func (r *Rebalancer) Builds() int64 { return r.builds }
 
+// Evals returns how many operating points the nodes' frontier walks and
+// capped decisions have evaluated, summed over the nodes now managed.
+func (r *Rebalancer) Evals() int64 {
+	var sum int64
+	for i := range r.nodes {
+		sum += r.nodes[i].b.Evals() + r.nodes[i].cap.Evals()
+	}
+	return sum
+}
+
 // AddNode registers a node. The initial per-node cap is a placeholder —
 // the first Epoch call overwrites it with the node's real assignment.
 func (r *Rebalancer) AddNode(id string, cfg policy.Config) error {
