@@ -9,7 +9,8 @@ GO ?= go
 ## check: the full gate — tier-1 verify + vet + gofmt + coscale-lint +
 ## escape-analysis gate + the load generator's own module tests + the
 ## bit-identity tests (fleet rebalancer, frontier walk, capped walk and its
-## replay, comparison-policy sweep, simulation goldens)
+## replay, comparison-policy sweep, Offline against its reference,
+## simulation goldens)
 check: build vet fmt-check lint escapes test loadgen-test bit-identity
 
 build:
@@ -47,7 +48,8 @@ bench-smoke:
 ## and decision reuse against a rebuild-everything replica, the frontier
 ## walk against its reference walk, PowerCap's capped walk and its trail
 ## replay against their reference oracle, the comparison policies' table-backed
-## core sweep against its direct reference (DESIGN.md §4) and the
+## core sweep against its direct reference and Offline's trimmed decisions
+## against the direct refOffline on recorded traffic (DESIGN.md §4) and the
 ## simulation goldens of every policy, under the race detector at both
 ## GOMAXPROCS=1 and the machine default, so neither scheduler width, reuse
 ## nor a shared search can reach an assignment bit
@@ -56,8 +58,8 @@ bit-identity:
 	$(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica|RebalancerReuseMatchesRebuild|BuilderMatchesReferenceWalk' ./internal/fastcap
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'PowerCapMatchesReferenceOracle|PowerCapReplayMatchesReferenceOracle|CapWalkEndsAtFloor' ./internal/core
 	$(GO) test -race -count=1 -run 'PowerCapMatchesReferenceOracle|PowerCapReplayMatchesReferenceOracle|CapWalkEndsAtFloor' ./internal/core
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'CoreSweepMatchesReference|BaselinePoliciesInfeasibleFallback' ./internal/policy
-	$(GO) test -race -count=1 -run 'CoreSweepMatchesReference|BaselinePoliciesInfeasibleFallback' ./internal/policy
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'CoreSweepMatchesReference|BaselinePoliciesInfeasibleFallback|OfflineMatchesReference' ./internal/policy
+	$(GO) test -race -count=1 -run 'CoreSweepMatchesReference|BaselinePoliciesInfeasibleFallback|OfflineMatchesReference' ./internal/policy
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'GoldenBitIdentical' ./internal/sim
 	$(GO) test -race -count=1 -run 'GoldenBitIdentical' ./internal/sim
 

@@ -298,6 +298,7 @@ func BenchmarkRebalancerEpochStable(b *testing.B) { experiments.BenchRebalancerE
 func BenchmarkStoreDispatchable(b *testing.B)     { fleet.BenchStoreDispatchable(b) }
 func BenchmarkEpochSimulation(b *testing.B)       { experiments.BenchEpochSimulation(b) }
 func BenchmarkOfflineDecide(b *testing.B)         { experiments.BenchOfflineDecide(b) }
+func BenchmarkOfflineTraffic(b *testing.B)        { experiments.BenchOfflineTraffic(b) }
 
 // BenchmarkSearchNoCache quantifies the Figure 2 marginal-caching savings.
 func BenchmarkSearchNoCache16Cores(b *testing.B) {

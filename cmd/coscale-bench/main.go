@@ -2,8 +2,9 @@
 // search cost at 16-1024 cores (cold and warm-started), one capped PowerCap
 // decision (cold, and replayed under a moving cap), one frontier build, one
 // fleet rebalancing epoch (cold, and with every node holding its phase), one scheduler scan of the fleet job store, the raw
-// epoch-simulation throughput and one Offline comparison-policy decision —
-// plus a timed figure regeneration, and writes the numbers as
+// epoch-simulation throughput, one Offline comparison-policy decision and
+// one recorded cell of the traffic Offline serves — plus a timed figure
+// regeneration, and writes the numbers as
 // machine-readable JSON, with the host's CPU count and GOMAXPROCS. The committed BENCH_baseline.json at the repository root
 // is this program's output; regenerate it with `make bench-json`. Each row
 // runs the same body as the root package's BenchmarkX of that name
@@ -63,7 +64,10 @@ type Report struct {
 // higher core counts, so ns/op alone conflates walk length with per-move
 // cost; ns/move is the sub-linear-scaling figure of merit (DESIGN.md §10).
 // For the capped-walk benchmarks, EvalsPerOp counts the operating points
-// core.CapWalk evaluates per op, a machine-independent cost.
+// core.CapWalk evaluates per op, a machine-independent cost; for
+// OfflineTraffic, SweepsPerOp, InfeasiblePerOp and SkippedPerOp count the
+// core sweeps Offline runs, those that find nothing feasible and the
+// verifications it skips (DESIGN.md §4).
 type BenchRow struct {
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -73,6 +77,10 @@ type BenchRow struct {
 	Moves       int     `json:"moves,omitempty"`
 	NsPerMove   float64 `json:"ns_per_move,omitempty"`
 	EvalsPerOp  float64 `json:"evals_per_op,omitempty"`
+
+	SweepsPerOp     float64 `json:"sweeps_per_op,omitempty"`
+	InfeasiblePerOp float64 `json:"infeasible_per_op,omitempty"`
+	SkippedPerOp    float64 `json:"skipped_per_op,omitempty"`
 	// BeforeNsPerOp and BeforeAllocsPerOp record, for a row added with a
 	// change that speeds up its path, the same body measured on the same
 	// host at the parent of that change. They are copied in by hand; this
@@ -219,12 +227,13 @@ var headline = []struct {
 	{"StoreDispatchable", fleet.BenchStoreDispatchable},
 	{"EpochSimulation", experiments.BenchEpochSimulation},
 	{"OfflineDecide", experiments.BenchOfflineDecide},
+	{"OfflineTraffic", experiments.BenchOfflineTraffic},
 }
 
 // bench runs one benchmark body under the standard harness and flattens the
-// result into a BenchRow, taking Moves, NsPerMove and EvalsPerOp from the
-// metrics the body reported. A body that fails leaves a zero result (N == 0), which is
-// an error.
+// result into a BenchRow, taking Moves, NsPerMove, EvalsPerOp and the
+// Offline counts from the metrics the body reported. A body that fails
+// leaves a zero result (N == 0), which is an error.
 func bench(name string, fn func(b *testing.B)) (BenchRow, error) {
 	res := testing.Benchmark(fn)
 	if res.N == 0 {
@@ -239,6 +248,10 @@ func bench(name string, fn func(b *testing.B)) (BenchRow, error) {
 		Moves:       int(res.Extra["moves"]),
 		NsPerMove:   res.Extra["ns/move"],
 		EvalsPerOp:  res.Extra["evals/op"],
+
+		SweepsPerOp:     res.Extra["sweeps/op"],
+		InfeasiblePerOp: res.Extra["infeasible/op"],
+		SkippedPerOp:    res.Extra["skipped/op"],
 	}, nil
 }
 

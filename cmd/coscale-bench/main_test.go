@@ -7,8 +7,8 @@ import (
 )
 
 // TestBench checks that a failing body is an error rather than a zero row,
-// and that a row's Moves, NsPerMove and EvalsPerOp come from the metrics its
-// body reported.
+// and that a row's Moves, NsPerMove, EvalsPerOp and Offline counts come from
+// the metrics its body reported.
 func TestBench(t *testing.T) {
 	bt := flag.Lookup("test.benchtime")
 	defer bt.Value.Set(bt.Value.String())
@@ -22,12 +22,17 @@ func TestBench(t *testing.T) {
 		b.ReportMetric(7, "moves")
 		b.ReportMetric(3.5, "ns/move")
 		b.ReportMetric(12, "evals/op")
+		b.ReportMetric(300, "sweeps/op")
+		b.ReportMetric(75, "infeasible/op")
+		b.ReportMetric(88, "skipped/op")
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row.Name != "Reports" || row.Iterations != 1 || row.Moves != 7 || row.NsPerMove != 3.5 || row.EvalsPerOp != 12 {
-		t.Errorf("row = %+v, want Reports with 1 iteration, 7 moves, 3.5 ns/move, 12 evals/op", row)
+	if row.Name != "Reports" || row.Iterations != 1 || row.Moves != 7 || row.NsPerMove != 3.5 || row.EvalsPerOp != 12 ||
+		row.SweepsPerOp != 300 || row.InfeasiblePerOp != 75 || row.SkippedPerOp != 88 {
+		t.Errorf("row = %+v, want Reports with 1 iteration, 7 moves, 3.5 ns/move, 12 evals/op, "+
+			"300 sweeps, 75 infeasible, 88 skipped per op", row)
 	}
 }
 

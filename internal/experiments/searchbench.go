@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -129,6 +130,122 @@ func BenchOfflineDecide(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p.Decide(obs)
 	}
+}
+
+// OfflineCell is one recorded Offline cell: the Decide (oracle) and
+// Observe observations the simulation engine fed Offline on one mix at one
+// bound, in order.
+type OfflineCell struct {
+	Mix    string
+	Cfg    policy.Config
+	Events []OfflineEvent
+}
+
+// OfflineEvent is one call the engine made: Decide when Decide is set,
+// Observe otherwise.
+type OfflineEvent struct {
+	Decide bool
+	Obs    policy.Observation
+}
+
+// offlineRecorder is Offline with every observation it is fed recorded.
+type offlineRecorder struct {
+	*policy.Offline
+	cell *OfflineCell
+}
+
+func (r offlineRecorder) Decide(obs policy.Observation) policy.Decision {
+	r.cell.Events = append(r.cell.Events, OfflineEvent{Decide: true, Obs: obs.Clone()})
+	return r.Offline.Decide(obs)
+}
+
+func (r offlineRecorder) Observe(obs policy.Observation) {
+	r.cell.Events = append(r.cell.Events, OfflineEvent{Obs: obs.Clone()})
+	r.Offline.Observe(obs)
+}
+
+// RecordOfflineTraffic simulates Offline on every Table 1 mix at the
+// bounds 5%, 10% and 15% with budget instructions per application, and
+// returns each cell's recorded calls, mix-major.
+func RecordOfflineTraffic(budget uint64) ([]OfflineCell, error) {
+	var cells []OfflineCell
+	for _, name := range workload.Names() {
+		mix, err := workload.Get(name)
+		if err != nil {
+			return nil, err
+		}
+		for _, gamma := range []float64{0.05, 0.10, 0.15} {
+			sc := sim.Config{Mix: mix, InstrBudget: budget, Gamma: gamma}
+			cell := &OfflineCell{Mix: name, Cfg: sc.PolicyConfig()}
+			p, err := policy.NewOffline(cell.Cfg)
+			if err != nil {
+				return nil, err
+			}
+			sc.Policy = offlineRecorder{p, cell}
+			eng, err := sim.New(sc)
+			if err != nil {
+				return nil, err
+			}
+			if _, err := eng.Run(); err != nil {
+				return nil, err
+			}
+			cells = append(cells, *cell)
+		}
+	}
+	return cells, nil
+}
+
+// offlineTraffic is the served traffic BenchOfflineTraffic replays: every
+// Offline cell at the paper's 100M instructions per application, the
+// budget coscale-serve simulates by default. Recorded once per process.
+var offlineTraffic = sync.OnceValues(func() ([]OfflineCell, error) {
+	return RecordOfflineTraffic(100_000_000)
+})
+
+// BenchOfflineTraffic times Offline (§3.2) on the traffic it serves: one op
+// replays one recorded cell's Decide/Observe sequence on a Reset Offline,
+// taking the 16 mixes × 3 bounds in turn. Unlike BenchOfflineDecide's one
+// observation, this traffic has sweeps that find nothing feasible (DESIGN.md
+// §4); it reports sweeps, infeasible sweeps and skipped verifications per op.
+func BenchOfflineTraffic(b *testing.B) {
+	cells, err := offlineTraffic()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ps := make([]*policy.Offline, len(cells)) // sized by an untimed pass
+	for i, c := range cells {
+		if ps[i], err = policy.NewOffline(c.Cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	replay := func(i int) policy.OfflineStats {
+		p := ps[i]
+		p.Reset()
+		for _, e := range cells[i].Events {
+			if e.Decide {
+				p.Decide(e.Obs)
+			} else {
+				p.Observe(e.Obs)
+			}
+		}
+		return p.Stats()
+	}
+	for i := range cells {
+		replay(i)
+	}
+	var sum policy.OfflineStats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st := replay(i % len(cells))
+		sum.Sweeps += st.Sweeps
+		sum.Infeasible += st.Infeasible
+		sum.Repeats += st.Repeats
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(sum.Sweeps)/float64(b.N), "sweeps/op")
+	b.ReportMetric(float64(sum.Infeasible)/float64(b.N), "infeasible/op")
+	b.ReportMetric(float64(sum.Repeats)/float64(b.N), "skipped/op")
 }
 
 // epochBenchBudget is BenchEpochSimulation's per-application instruction

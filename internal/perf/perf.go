@@ -432,6 +432,19 @@ func (t *StepTable) FixedCol(s int) []float64 {
 	return t.cols[s*n : s*n+n]
 }
 
+// FixedCols builds every column and returns the flat column store: entry
+// s*n+i is FixedCol(s)[i] for n cores. Valid until the next Reset.
+//
+//hot:path
+func (t *StepTable) FixedCols() []float64 {
+	for s, ok := range t.built {
+		if !ok {
+			t.buildCol(s)
+		}
+	}
+	return t.cols
+}
+
 // buildCol fills one column. Runs at most Steps() times per epoch (cold
 // relative to the per-evaluation paths) into the flat column store.
 func (t *StepTable) buildCol(s int) {
@@ -444,25 +457,24 @@ func (t *StepTable) buildCol(s int) {
 	t.built[s] = true
 }
 
-// TPIAt predicts core i's TPI at ladder step s under memory latency lat —
-// bit-identical to stats[i].TPI(hz[s], lat): the memoized column holds the
-// identical first two terms, and the third is the same expression on the
-// same values.
+// LatencyTerm is the latency-dependent term of core i's TPI under memory
+// latency lat: FixedCol(s)[i] + LatencyTerm(i, lat) is bit-identical to
+// stats[i].TPI(hz[s], lat), since the memoized column holds the identical
+// first two terms and this is the third, the same expression on the same
+// values. Callers reading several steps of one core compute it once.
 //
 //hot:path
-func (t *StepTable) TPIAt(i, s int, lat float64) float64 {
-	return t.FixedCol(s)[i] + t.beta[i]*lat/t.mlpn[i]
+func (t *StepTable) LatencyTerm(i int, lat float64) float64 {
+	return t.beta[i] * lat / t.mlpn[i]
 }
 
-// TPIPairAt returns (TPIAt(i, s, lat), TPIAt(i, s+1, lat)) computing the
-// shared latency term beta·lat/mlp once — the same operations on the same
-// values produce the same bits, so each component is bit-identical to its
-// separate TPIAt call. Marginal scoring reads exactly this adjacent-step
-// pair per core, and the pair call also hoists one column bounds check.
+// TPIPairAt returns core i's TPI at steps s and s+1 under latency lat,
+// each bit-identical to CoreStats.TPI (see LatencyTerm). Marginal scoring
+// reads exactly this adjacent-step pair per core.
 //
 //hot:path
 func (t *StepTable) TPIPairAt(i, s int, lat float64) (cur, next float64) {
-	blat := t.beta[i] * lat / t.mlpn[i]
+	blat := t.LatencyTerm(i, lat)
 	return t.FixedCol(s)[i] + blat, t.FixedCol(s + 1)[i] + blat
 }
 

@@ -14,7 +14,15 @@ import "coscale/internal/perf"
 // an upper bound for CoScale, not a true oracle.
 type Offline struct {
 	searcher
-	memBest []int // bestForMem's winner
+	memBest, first []int // bestForMem's winner and its first round's sweep winner
+	stats          OfflineStats
+}
+
+// OfflineStats counts the work Offline's exact trims skip (DESIGN.md §4).
+type OfflineStats struct {
+	Sweeps     int
+	Infeasible int // sweeps that found no feasible vector
+	Repeats    int // second rounds that repeated the first's vector, skipping its verification
 }
 
 // NewOffline returns the Offline policy, or the configuration's validation
@@ -29,6 +37,12 @@ func NewOffline(cfg Config) (*Offline, error) {
 
 // Name implements Policy.
 func (p *Offline) Name() string { return "Offline" }
+
+// Stats returns the counts since construction or the last Reset.
+func (p *Offline) Stats() OfflineStats { return p.stats }
+
+// Reset returns the policy to its freshly constructed state.
+func (p *Offline) Reset() { p.slack.Reset(); p.stats = OfflineStats{} }
 
 // WantsOracle implements OraclePolicy.
 func (p *Offline) WantsOracle() bool { return true }
@@ -51,15 +65,26 @@ func (p *Offline) Decide(obs Observation) Decision {
 
 // bestForMem finds the best core assignment for one memory step, leaving
 // it in memBest and returning its SER. It iterates the shared-latency fixed
-// point twice and verifies each sweep's winner with the full joint model.
+// point twice and verifies each sweep's winner with the full joint model,
+// skipping what cannot change the result (DESIGN.md §4).
 func (p *Offline) bestForMem(m int, limits []float64) (float64, bool) {
-	p.ev.EvaluateInto(&p.e, p.ev.maxSteps, m)
-	latency := p.e.MemLoad.Latency
+	latency := p.ev.baseline.MemLoad.Latency // step 0's all-max point
+	if m > 0 {
+		p.ev.EvaluateInto(&p.e, p.ev.maxSteps, m)
+		latency = p.e.MemLoad.Latency
+	}
 	bestSER, found := 0.0, false
 	for round := 0; round < 2; round++ {
+		p.stats.Sweeps++
 		if !p.sweep.run(&p.ev, m, latency, p.ev.BaselineTPI(), limits) {
+			p.stats.Infeasible++
 			break
 		}
+		if round == 1 && sameInts(p.sweep.best, p.first) { // its verification repeats round 1's
+			p.stats.Repeats++
+			break
+		}
+		p.first = append(p.first[:0], p.sweep.best...)
 		p.ev.EvaluateInto(&p.e, p.sweep.best, m) // joint verification
 		// Retry at the latency the joint model predicts; when the
 		// fixed-latency estimate was optimistic the winner is discarded.

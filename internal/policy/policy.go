@@ -544,9 +544,9 @@ func (ev *Evaluator) finishTables(e *Eval, coreSteps []int, memStep int, memRate
 
 // Tables exposes the memoized per-epoch prediction tables so callers on the
 // marginal-scoring hot path can query them through inlinable methods:
-// StepTable.TPIAt(i, s, lat) is bit-identical to
-// Stats()[i].TPI(Cfg.CoreLadder.Hz(s), lat), and CoreTable.PowerAt(s, i, ips)
-// to Cfg.Power.Core.Power(Volts(s), Hz(s), ips, mix_i) (DESIGN.md §10).
+// StepTable.TPIPairAt(i, s, lat) is bit-identical to Stats()[i].TPI at
+// steps s and s+1, and CoreTable.PowerAt(s, i, ips) to
+// Cfg.Power.Core.Power(Volts(s), Hz(s), ips, mix_i) (DESIGN.md §10).
 // Valid only when UseTables is set, between a Reset and the next.
 func (ev *Evaluator) Tables() (*perf.StepTable, *power.CoreTable) {
 	return &ev.tbl, &ev.ptbl

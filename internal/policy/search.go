@@ -2,7 +2,6 @@ package policy
 
 import (
 	"math"
-	"slices"
 
 	"coscale/internal/perf"
 	"coscale/internal/power"
@@ -132,29 +131,34 @@ func serAgainst(ev *Evaluator, e Eval) float64 {
 // frequencies" reduces to sweeping the worst-allowed slowdown d over every
 // per-core step boundary, letting each core take its lowest frequency whose
 // slowdown stays within min(d, limit), and keeping the feasible candidate
-// with the lowest SER (DESIGN.md §4).
+// with the lowest SER. DESIGN.md §4 argues why each shortcut below is exact.
 //
 // Every per-(core, step) term a score needs is computed once per sweep. A
 // candidate's score sums its cores' terms in core order, the order the full
 // fixed-latency model sums them in, so it has the same bits as evaluating
 // the candidate with that model and taking its SER against the baseline.
 type coreSweep struct {
-	terms []sweepTerm // [core*(steps+1) + step]; step steps is a NaN sentinel
-	cands []float64
-	lim   []float64 // each core's limit with the 1e-12 guard applied
-	pick  []int     // each core's step at the current d
-	best  []int     // the winning candidate; all zeros when none is feasible
-	ser   float64   // best's SER against the baseline (+Inf when none is feasible)
+	terms      []sweepTerm // [core*steps + step]
+	cands, tmp []sweepCand // the thresholds d, ascending; one core's run, to merge in
+	pick       []int       // each core's step at the current d
+	best       []int       // the winning candidate; all zeros when none is feasible
+	ser        float64     // best's SER against the baseline (+Inf when none is feasible)
 }
 
-// sweepTerm is one core's contribution at one step and the sweep's latency.
+// sweepTerm is one core's contribution at one step and the sweep's latency;
+// only an in-limit step, the only kind ever scored, has more than ok set.
 type sweepTerm struct {
-	reach float64 // min TPI/refTPI over this and every lower-frequency step (NaN: none compares)
 	ratio float64 // TPI / baseline TPI, the SER time factor (0 without a baseline)
 	cpu   float64 // core power
 	l2    float64 // L2 accesses per second
 	rate  float64 // memory requests per second
 	ok    bool    // within the core's limit against refTPI
+}
+
+// sweepCand is a threshold: a core's in-limit slowdown at a step, or 1.
+type sweepCand struct {
+	d          float64
+	core, step int32
 }
 
 // run sweeps memory step m at a fixed memory latency, with slowdowns
@@ -164,26 +168,29 @@ type sweepTerm struct {
 //hot:path
 func (w *coreSweep) run(ev *Evaluator, m int, latency float64, refTPI, limits []float64) bool {
 	n, steps := len(refTPI), ev.Cfg.CoreLadder.Steps()
-	stride := steps + 1
 	tbl, ptbl := ev.Tables()
-	base := ev.baseline.TPI
-	w.terms = perf.Grow(w.terms, n*stride)
-	w.lim = perf.Grow(w.lim, n)
-	w.cands = w.cands[:0]
-	for i := 0; i < n; i++ {
+	fixed, base := tbl.FixedCols(), ev.baseline.TPI
+	w.terms = perf.Grow(w.terms, n*steps)
+	w.pick = perf.Resize(w.pick, n)
+	w.best = perf.Resize(w.best, n)
+	w.ser = math.Inf(1)
+	w.cands = append(w.cands[:0], sweepCand{1, -1, 0})
+	for i, inLimit := 0, false; i < n; i++ {
 		lim := limits[i] * (1 + 1e-12)
-		w.lim[i] = lim
-		mpi, l2pi := ev.stats[i].MemPerInstr, ev.obs.Cores[i].L2PerInstr
-		row := w.terms[i*stride : i*stride+stride]
-		row[steps].reach = math.NaN()
-		for s := steps - 1; s >= 0; s-- {
+		mpi, l2pi, blat := ev.stats[i].MemPerInstr, ev.obs.Cores[i].L2PerInstr, tbl.LatencyTerm(i, latency)
+		row := w.terms[i*steps : i*steps+steps]
+		w.tmp, inLimit = w.tmp[:0], false
+		for s := 0; s < steps; s++ {
 			t := &row[s]
-			tpi := tbl.TPIAt(i, s, latency)
+			tpi := fixed[s*n+i] + blat
 			slow := tpi / refTPI[i]
 			if slow <= lim {
-				w.cands = append(w.cands, slow)
+				w.tmp = append(w.tmp, sweepCand{slow, int32(i), int32(s)})
 			}
-			t.ok = refTPI[i] <= 0 || !(slow > lim)
+			if t.ok = refTPI[i] <= 0 || !(slow > lim); !t.ok {
+				continue
+			}
+			inLimit = true
 			t.ratio = 0
 			if base[i] > 0 {
 				t.ratio = tpi / base[i]
@@ -196,44 +203,47 @@ func (w *coreSweep) run(ev *Evaluator, m int, latency float64, refTPI, limits []
 			}
 			t.cpu = ptbl.PowerAt(s, i, ips)
 			t.l2 = ips * l2pi
-			t.reach = row[s+1].reach
-			if slow < t.reach || math.IsNaN(t.reach) {
-				t.reach = slow
+		}
+		if !inLimit {
+			return false // every candidate puts this core over its limit
+		}
+		// Sort the core's run (one pass when its slowdown ascends down the
+		// ladder) and merge it into the thresholds from the back.
+		for a := 1; a < len(w.tmp); a++ {
+			for b := a; b > 0 && w.tmp[b].d < w.tmp[b-1].d; b-- {
+				w.tmp[b], w.tmp[b-1] = w.tmp[b-1], w.tmp[b]
+			}
+		}
+		a := len(w.cands) - 1
+		w.cands = append(w.cands, w.tmp...)
+		for b, k := len(w.tmp)-1, len(w.cands)-1; b >= 0; k-- {
+			if a >= 0 && w.tmp[b].d < w.cands[a].d {
+				w.cands[k], a = w.cands[a], a-1
+			} else {
+				w.cands[k], b = w.tmp[b], b-1
 			}
 		}
 	}
-	w.cands = append(w.cands, 1)
-	slices.Sort(w.cands)
 
-	w.pick = perf.Resize(w.pick, n)
-	w.best = perf.Resize(w.best, n)
 	u := power.MemUsage{BusHz: ev.Cfg.MemLadder.Hz(m), MCVolts: ev.Cfg.MemLadder.Volts(m), UtilBus: ev.obs.UtilBus}
-	found, prev, moved := false, math.NaN(), true
-	w.ser = math.Inf(1)
-	for _, d := range w.cands {
-		//lint:ignore floateq exact dedup of sorted candidates; a tolerance would merge distinct settings
-		if d == prev {
-			continue
-		}
-		prev = d
-		// Each core takes the lowest frequency whose slowdown is within
-		// min(d, limit) (guard applied after the min; rounding is
-		// monotone, so applying it to both first is the same). That set
-		// only grows with d, and reach ascends down the ladder to the
-		// sentinel, so each core's pick only moves down.
+	at := ev.Cfg.Power.Mem.At(u.BusHz, u.MCVolts, u.UtilBus)
+	lo, prevx, moved := 0, math.Inf(-1), true
+	for j := 0; j < len(w.cands); {
+		// Each core takes the largest step among its candidates within the
+		// guarded d, joined at the threshold whose window (prevx, dx] holds it.
+		d := w.cands[j].d
 		dx := d * (1 + 1e-12)
-		for i, p := range w.pick {
-			x := w.lim[i]
-			if dx < x {
-				x = dx
-			}
-			if row := w.terms[i*stride:]; row[p+1].reach <= x {
-				for p++; row[p+1].reach <= x; p++ {
-				}
-				w.pick[i] = p
-				moved = true
+		for ; lo < len(w.cands) && w.cands[lo].d <= prevx; lo++ {
+		}
+		for k := lo; k < len(w.cands) && w.cands[k].d <= dx; k++ {
+			if c := w.cands[k]; c.core >= 0 && int(c.step) > w.pick[c.core] {
+				w.pick[c.core], moved = int(c.step), true
 			}
 		}
+		//lint:ignore floateq exact dedup of sorted candidates; a tolerance would merge distinct settings
+		for j++; j < len(w.cands) && w.cands[j].d == d; j++ {
+		}
+		prevx = dx
 		if !moved {
 			continue // same candidate as the last scored one
 		}
@@ -241,7 +251,7 @@ func (w *coreSweep) run(ev *Evaluator, m int, latency float64, refTPI, limits []
 		cpu, l2, rate, t := 0.0, 0.0, 0.0, 0.0
 		feasible := true
 		for i, p := range w.pick {
-			tm := &w.terms[i*stride+p]
+			tm := &w.terms[i*steps+p]
 			if !tm.ok {
 				feasible = false
 				break
@@ -264,10 +274,10 @@ func (w *coreSweep) run(ev *Evaluator, m int, latency float64, refTPI, limits []
 			busy = 1
 		}
 		u.ReadRate, u.WriteRate, u.ActRate, u.BusyFrac = rate*0.8, rate*0.2, rate, busy
-		if ser := t * ev.Cfg.Power.TotalFromCPU(cpu, l2, u).Total / ev.baseline.Power.Total; ser < w.ser {
-			w.ser, found = ser, true
+		if ser := t * ev.Cfg.Power.TotalAt(at, cpu, l2, u) / ev.baseline.Power.Total; ser < w.ser {
+			w.ser = ser
 			copy(w.best, w.pick)
 		}
 	}
-	return found
+	return !math.IsInf(w.ser, 1)
 }

@@ -32,11 +32,14 @@ func NewSlackBook(n int, gamma, reserve float64) *SlackBook {
 }
 
 // Reset forgets every thread's accumulated slack, returning the book to its
-// freshly constructed state (Reserve and gamma are kept). Benchmarks and
-// repeated bit-identical runs use it to rewind a controller without
-// reallocating its bookkeeping.
+// freshly constructed state (Reserve and gamma are kept): a zeroed tracker
+// is what Thread creates. Benchmarks and repeated bit-identical runs use it
+// to rewind a controller without reallocating its bookkeeping.
 func (b *SlackBook) Reset() {
-	clear(b.byThread)
+	//lint:ignore determinism order-independent: every tracker is zeroed
+	for _, s := range b.byThread {
+		s.Reset()
+	}
 }
 
 // Thread returns (creating if needed) the tracker for one software thread.

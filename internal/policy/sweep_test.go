@@ -50,8 +50,10 @@ func refAssembleSteps(slow [][]float64, limits []float64, d float64) []int {
 	return steps
 }
 
-// refSweepStats counts the tie paths a reference sweep took.
-type refSweepStats struct{ dupCands, serTies int }
+// refSweepStats counts the tie paths a reference sweep took, the thresholds
+// at which the 1e-12 guard alone let a core other than d's own advance, and
+// the sweeps with two cores whose slowdown rows are bit-identical.
+type refSweepStats struct{ dupCands, serTies, guardOthers, identicalRows int }
 
 // refCoreSweep is the direct form of coreSweep.run: build every core's
 // slowdown row, sort the candidate boundaries, then assemble, evaluate with
@@ -74,9 +76,16 @@ func refCoreSweep(ev *Evaluator, memStep int, latency float64, refTPI, limits []
 	}
 	cands = append(cands, 1)
 	sort.Float64s(cands)
+	for i := range slow {
+		if i > 0 && slices.ContainsFunc(slow[:i], func(r []float64) bool { return sameFloats(r, slow[i]) }) {
+			st.identicalRows++
+			break
+		}
+	}
 
 	var best []int
 	bestSER, prev := math.Inf(1), math.NaN()
+	last := make([]int, len(slow))
 	for _, d := range cands {
 		if d == prev {
 			st.dupCands++
@@ -84,6 +93,12 @@ func refCoreSweep(ev *Evaluator, memStep int, latency float64, refTPI, limits []
 		}
 		prev = d
 		steps := refAssembleSteps(slow, limits, d)
+		for i, s := range steps {
+			if s != last[i] && slow[i][s] > d && !slices.Contains(slow[i], d) {
+				st.guardOthers++
+			}
+		}
+		last = steps
 		e := refFixedLatency(ev, steps, memStep, latency)
 		if !withinRef(e, refTPI, limits) {
 			continue
@@ -102,16 +117,23 @@ func refCoreSweep(ev *Evaluator, memStep int, latency float64, refTPI, limits []
 	return best, bestSER, true
 }
 
+// sameFloats reports whether a and b hold the same bits.
+func sameFloats(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
 // sweepCase draws a random observation and sweep inputs. Cores get MLP
 // below, at and above 1 and sometimes Beta 0; some cases repeat one core's
 // statistics (candidate values equal across cores, or closer than the
 // 1e-12 guard), some zero CPIBase
 // (a row of equal slowdowns), some pin limits a hair below a reachable
-// slowdown (the 1e-12 guard decides), and some cap every core below 1
-// (nothing is feasible).
+// slowdown (the 1e-12 guard decides), some cap every core below 1
+// (nothing is feasible), and some give cores a negative CPIBase (TPI that
+// falls down the ladder, to below zero) or no work at all (a zero TPI, so
+// a zero baseline).
 func sweepCase(rng *trace.Rand, cfg Config) (obs Observation, memStep int, latency float64, limits []float64, kind int) {
 	n := cfg.NCores
-	kind = int(rng.Uint64() % 5)
+	kind = int(rng.Uint64() % 6)
 	obs = Observation{Window: 300e-6, CoreSteps: ZeroSteps(n), Cores: make([]CoreObs, n),
 		MemRate: 1e8 + rng.Float64()*3e8, MemLatency: 50e-9 + rng.Float64()*100e-9,
 		UtilBus: rng.Float64() * 0.8, BusyFrac: rng.Float64()}
@@ -124,6 +146,12 @@ func sweepCase(rng *trace.Rand, cfg Config) (obs Observation, memStep int, laten
 			StallL2: 7.5e-9, Beta: beta, MemPerInstr: beta * (1 + rng.Float64()), MLP: 0.5 + rng.Float64()*3}
 		if kind == 1 && i%3 == 2 {
 			st.CPIBase = 0
+		}
+		if kind == 5 && i%3 == 1 {
+			st.CPIBase = -0.5 - rng.Float64()
+		}
+		if kind == 5 && i%3 == 2 {
+			st = perf.CoreStats{StallL2: st.StallL2, MLP: st.MLP}
 		}
 		obs.Cores[i] = CoreObs{Instructions: 1_000_000, Stats: st, L2PerInstr: rng.Float64() * 0.05,
 			Mix: trace.InstrMix{ALU: rng.Float64() * 0.4, FPU: rng.Float64() * 0.3, Branch: 0.1, LoadStore: 0.3},
@@ -159,10 +187,10 @@ func sweepCase(rng *trace.Rand, cfg Config) (obs Observation, memStep int, laten
 func TestCoreSweepMatchesReference(t *testing.T) {
 	rng := trace.NewRand(18)
 	var st refSweepStats
-	var infeasible, foreignRef, guardCases int
+	var infeasible, foreignRef, guardCases, noRef, noBase, unsorted int
 	var w coreSweep
 	tab := &Evaluator{UseTables: true}
-	for c := 0; c < 400; c++ {
+	for c := 0; c < 600; c++ {
 		n := []int{1, 2, 3, 7, 16, 24}[c%6]
 		cfg := testCfg(n)
 		obs, memStep, latency, limits, kind := sweepCase(rng, cfg)
@@ -196,6 +224,15 @@ func TestCoreSweepMatchesReference(t *testing.T) {
 			}
 			guardCases++
 		}
+		if kind == 5 && n > 3 {
+			refTPI = slices.Clone(refTPI)
+			refTPI[3] = -refTPI[3] // a negative reference
+		}
+		for i := range refTPI {
+			noRef += btoi(refTPI[i] <= 0)
+			noBase += btoi(direct.Baseline().TPI[i] <= 0)
+			unsorted += btoi(!slowdownsAscend(direct, i, latency, refTPI[i]))
+		}
 
 		wantSteps, wantSER, wantFound := refCoreSweep(direct, memStep, latency, refTPI, limits, &st)
 		gotFound := w.run(tab, memStep, latency, refTPI, limits)
@@ -208,11 +245,34 @@ func TestCoreSweepMatchesReference(t *testing.T) {
 			infeasible++
 		}
 	}
-	// Every path the reference can take must have been exercised.
-	if infeasible == 0 || foreignRef == 0 || guardCases == 0 || st.dupCands == 0 || st.serTies == 0 {
-		t.Errorf("coverage: infeasible %d, foreign reference %d, guard %d, duplicate candidates %d, SER ties %d",
-			infeasible, foreignRef, guardCases, st.dupCands, st.serTies)
+	// Every path the reference can take, and every input class the sweep's
+	// shortcuts must survive, must have been exercised.
+	if infeasible == 0 || foreignRef == 0 || guardCases == 0 || st.dupCands == 0 || st.serTies == 0 ||
+		st.guardOthers == 0 || st.identicalRows == 0 || noRef == 0 || noBase == 0 || unsorted == 0 {
+		t.Errorf("coverage: infeasible %d, foreign reference %d, guard %d, duplicate candidates %d, SER ties %d, "+
+			"guard advancing another core %d, identical rows %d, reference <= 0 %d, baseline <= 0 %d, rows out of order %d",
+			infeasible, foreignRef, guardCases, st.dupCands, st.serTies, st.guardOthers, st.identicalRows,
+			noRef, noBase, unsorted)
 	}
+}
+
+// slowdownsAscend reports whether core i's slowdowns against ref never
+// fall down the ladder, so that the row yields its thresholds in order and
+// the sweep's per-row sort has nothing to do.
+func slowdownsAscend(ev *Evaluator, i int, latency, ref float64) bool {
+	for s := 1; s < ev.Cfg.CoreLadder.Steps(); s++ {
+		if !(ev.stats[i].TPI(ev.Cfg.CoreLadder.Hz(s), latency)/ref >= ev.stats[i].TPI(ev.Cfg.CoreLadder.Hz(s-1), latency)/ref) {
+			return false
+		}
+	}
+	return true
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestBaselinePoliciesInfeasibleFallback pins what the CPU-side policies

@@ -161,27 +161,42 @@ func (b Breakdown) Total() float64 {
 
 // Power returns the memory subsystem power and its breakdown at usage u.
 func (m MemModel) Power(u MemUsage) Breakdown {
+	a := m.At(u.BusHz, u.MCVolts, u.UtilBus)
+	return Breakdown{Background: m.background(a, u.BusyFrac), Activate: m.EActivate * u.ActRate,
+		ReadWrite: m.ERW * (u.ReadRate + u.WriteRate), PLLReg: a.pll, MC: a.mc}
+}
+
+// MemAt holds Power's terms of bus frequency, controller voltage and utilization.
+type MemAt struct{ bgScale, pll, mc float64 }
+
+// At computes a memory step's MemAt.
+func (m MemModel) At(busHz, mcVolts, utilBus float64) MemAt {
 	fr := 0.0
 	if m.FMax > 0 {
-		fr = u.BusHz / m.FMax
+		fr = busHz / m.FMax
 	}
 	vr := 1.0
 	if m.VNomMC > 0 {
-		vr = u.MCVolts / m.VNomMC
+		vr = mcVolts / m.VNomMC
 	}
-	busy := clamp01(u.BusyFrac)
-	util := clamp01(u.UtilBus)
+	util := clamp01(utilBus)
+	return MemAt{bgScale: (1 - m.BGFreqFrac) + m.BGFreqFrac*fr,
+		pll: (m.PLLMin + m.PLLFreq*fr*vr*vr + m.RegUtil*util) * float64(m.DIMMs),
+		mc:  (m.MCMin + m.MCSpan*util) * vr * vr * fr}
+}
 
-	perDIMMBG := busy*m.PBGActive + (1-busy)*m.PBGPowerdown
-	perDIMMBG *= (1 - m.BGFreqFrac) + m.BGFreqFrac*fr
-	bg := perDIMMBG * float64(m.DIMMs)
+// TotalAt is Power(u).Total() at the step a was computed for, bit for bit:
+// the same terms, summed in Breakdown.Total's order. u's BusHz, MCVolts and
+// UtilBus are not read.
+//
+//hot:path
+func (m *MemModel) TotalAt(a MemAt, u MemUsage) float64 {
+	return m.background(a, u.BusyFrac) + m.EActivate*u.ActRate + m.ERW*(u.ReadRate+u.WriteRate) + a.pll + a.mc
+}
 
-	act := m.EActivate * u.ActRate
-	rw := m.ERW * (u.ReadRate + u.WriteRate)
-	pll := (m.PLLMin + m.PLLFreq*fr*vr*vr + m.RegUtil*util) * float64(m.DIMMs)
-	mc := (m.MCMin + m.MCSpan*util) * vr * vr * fr
-
-	return Breakdown{Background: bg, Activate: act, ReadWrite: rw, PLLReg: pll, MC: mc}
+func (m *MemModel) background(a MemAt, busyFrac float64) float64 {
+	busy := clamp01(busyFrac)
+	return (busy*m.PBGActive + (1-busy)*m.PBGPowerdown) * a.bgScale * float64(m.DIMMs)
 }
 
 func clamp01(x float64) float64 {

@@ -209,3 +209,60 @@ func TestPowerProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// oneShotMemPower is MemModel.Power computed in one pass, every term from
+// the usage at once: the form MemModel.At splits in two.
+func oneShotMemPower(m MemModel, u MemUsage) Breakdown {
+	fr := 0.0
+	if m.FMax > 0 {
+		fr = u.BusHz / m.FMax
+	}
+	vr := 1.0
+	if m.VNomMC > 0 {
+		vr = u.MCVolts / m.VNomMC
+	}
+	busy := clamp01(u.BusyFrac)
+	util := clamp01(u.UtilBus)
+	perDIMMBG := busy*m.PBGActive + (1-busy)*m.PBGPowerdown
+	perDIMMBG *= (1 - m.BGFreqFrac) + m.BGFreqFrac*fr
+	return Breakdown{Background: perDIMMBG * float64(m.DIMMs), Activate: m.EActivate * u.ActRate,
+		ReadWrite: m.ERW * (u.ReadRate + u.WriteRate),
+		PLLReg:    (m.PLLMin + m.PLLFreq*fr*vr*vr + m.RegUtil*util) * float64(m.DIMMs),
+		MC:        (m.MCMin + m.MCSpan*util) * vr * vr * fr}
+}
+
+// TestTotalAtMatchesOneShotForm pins the memory step's terms computed once
+// (MemModel.At, then Power, MemModel.TotalAt and System.TotalAt per traffic
+// level) to the one-pass form, bit for bit, across steps, utilizations and
+// traffic.
+func TestTotalAtMatchesOneShotForm(t *testing.T) {
+	t.Parallel()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	s := CalibratedSystem(16, 0.5, 0.4, 0.1)
+	for _, hz := range []float64{200e6, 333e6, 800e6, 0} {
+		volts := 0.65 + hz/800e6*0.55
+		for _, util := range []float64{-0.1, 0, 0.3, 0.97, 1.5} {
+			at := s.Mem.At(hz, volts, util)
+			for _, rate := range []float64{0, 1e6, 3e8, 8e8} {
+				for _, busy := range []float64{-1, 0, 0.4, 1, 2} {
+					u := MemUsage{BusHz: hz, MCVolts: volts, ReadRate: rate * 0.8, WriteRate: rate * 0.2,
+						ActRate: rate, UtilBus: util, BusyFrac: busy}
+					got, want := s.Mem.Power(u), oneShotMemPower(s.Mem, u)
+					if !same(got.Background, want.Background) || !same(got.Activate, want.Activate) ||
+						!same(got.ReadWrite, want.ReadWrite) || !same(got.PLLReg, want.PLLReg) || !same(got.MC, want.MC) ||
+						!same(s.Mem.TotalAt(at, u), want.Total()) {
+						t.Fatalf("hz %g util %g rate %g busy %g: Power %+v, TotalAt %v, one pass %+v",
+							hz, util, rate, busy, got, s.Mem.TotalAt(at, u), want)
+					}
+					cpu, l2 := 150+rate*1e-8, rate*2
+					tot, split := s.TotalAt(at, cpu, l2, u), s.TotalFromCPU(cpu, l2, u)
+					wantTot := cpu*s.CPUScale + s.L2.Power(l2)*s.CPUScale + want.Total()*s.MemScale + s.Rest
+					if !same(tot, wantTot) || !same(split.Total, wantTot) {
+						t.Fatalf("hz %g util %g rate %g busy %g: TotalAt %v, TotalFromCPU %v, one pass %v",
+							hz, util, rate, busy, tot, split.Total, wantTot)
+					}
+				}
+			}
+		}
+	}
+}

@@ -51,19 +51,34 @@ func (s System) Total(cores []CoreOp, l2AccessRate float64, u MemUsage) Split {
 //
 //hot:path
 func (s System) TotalFromCPU(cpu, l2AccessRate float64, u MemUsage) Split {
-	cpuScale, memScale := s.CPUScale, s.MemScale
-	if cpuScale <= 0 {
-		cpuScale = 1
-	}
-	if memScale <= 0 {
-		memScale = 1
-	}
+	cpuScale, memScale := s.scales()
 	cpu *= cpuScale
 	l2 := s.L2.Power(l2AccessRate) * cpuScale // L2 shares the CPU budget in the 60/30/10 split
 	mem := s.Mem.Power(u).Total() * memScale
 	out := Split{CPU: cpu, L2: l2, Mem: mem, Rest: s.Rest}
 	out.Total = out.CPU + out.L2 + out.Mem + out.Rest
 	return out
+}
+
+// TotalAt is TotalFromCPU(cpu, l2AccessRate, u).Total with the memory
+// step's terms a from Mem.At, bit for bit: the same terms in the same order.
+//
+//hot:path
+func (s *System) TotalAt(a MemAt, cpu, l2AccessRate float64, u MemUsage) float64 {
+	cpuScale, memScale := s.scales()
+	return cpu*cpuScale + s.L2.Power(l2AccessRate)*cpuScale + s.Mem.TotalAt(a, u)*memScale + s.Rest
+}
+
+// scales returns CPUScale and MemScale, each 1 when unset.
+func (s *System) scales() (cpu, mem float64) {
+	cpu, mem = s.CPUScale, s.MemScale
+	if cpu <= 0 {
+		cpu = 1
+	}
+	if mem <= 0 {
+		mem = 1
+	}
+	return cpu, mem
 }
 
 // Reference operating point used for calibration: all cores at maximum
