@@ -89,8 +89,6 @@ type LoadModel struct {
 	invalid  bool // busHz <= 0
 	channels float64
 	banks    float64
-	invChan  float64 // 1/channels when exact (see pow2Inv), else 0
-	invBanks float64 // 1/banks when exact, else 0
 	maxUtil  float64
 	sBus     float64
 	sBank    float64
@@ -105,8 +103,6 @@ func (p Params) ModelAt(busHz float64) LoadModel {
 	return LoadModel{
 		channels: float64(p.Channels),
 		banks:    float64(p.BanksPerChannel),
-		invChan:  pow2Inv(p.Channels),
-		invBanks: pow2Inv(p.BanksPerChannel),
 		maxUtil:  p.MaxUtil,
 		sBus:     p.SBus(busHz),
 		sBank:    p.SBank(busHz),
@@ -121,10 +117,10 @@ func (m LoadModel) Evaluate(reqPerSec float64) Load {
 	if m.invalid {
 		return Load{Latency: math.Inf(1), XiBus: 1, XiBank: 1}
 	}
-	perChan := divide(reqPerSec, m.channels, m.invChan)
+	perChan := reqPerSec / m.channels
 
 	uBus := clampUtil(perChan*m.sBus, m.maxUtil)
-	uBank := clampUtil(divide(perChan*m.bankOcc, m.banks, m.invBanks), m.maxUtil)
+	uBank := clampUtil(perChan*m.bankOcc/m.banks, m.maxUtil)
 
 	xiBus := 1 / (1 - uBus)
 	xiBank := 1 / (1 - uBank)
@@ -143,23 +139,6 @@ func (m LoadModel) Evaluate(reqPerSec float64) Load {
 // data bus.
 func (p Params) PeakBandwidth(busHz float64) float64 {
 	return float64(p.Channels) * busHz / p.BurstCycles
-}
-
-// pow2Inv returns 1/n when n is a power of two, else 0. Such a reciprocal
-// is exact, so x·(1/n) rounds the same real number x/n does: the same bits.
-func pow2Inv(n int) float64 {
-	if n <= 0 || n&(n-1) != 0 {
-		return 0
-	}
-	return 1 / float64(n)
-}
-
-// divide is x/d, as the cheaper x·inv when inv is d's exact reciprocal.
-func divide(x, d, inv float64) float64 {
-	if inv > 0 {
-		return x * inv
-	}
-	return x / d
 }
 
 func clampUtil(u, max float64) float64 {

@@ -128,50 +128,3 @@ func TestEvaluateProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// divisionEvaluate is LoadModel.Evaluate in its division form: every
-// channel and bank count divides, whatever its value.
-func divisionEvaluate(m LoadModel, reqPerSec float64) Load {
-	if m.invalid {
-		return Load{Latency: math.Inf(1), XiBus: 1, XiBank: 1}
-	}
-	perChan := reqPerSec / m.channels
-	uBus := clampUtil(perChan*m.sBus, m.maxUtil)
-	uBank := clampUtil(perChan*m.bankOcc/m.banks, m.maxUtil)
-	xiBus := 1 / (1 - uBus)
-	xiBank := 1 / (1 - uBank)
-	return Load{Latency: xiBank * (m.sBank + xiBus*m.sBus), XiBus: xiBus, XiBank: xiBank,
-		UtilBus: uBus, UtilBank: uBank}
-}
-
-// TestEvaluateMatchesDivisionForm pins Evaluate's reciprocal
-// multiplication for power-of-two counts to the division it replaces, bit
-// for bit, on counts with and without an exact reciprocal and on rates
-// from idle through saturation, +Inf and NaN.
-func TestEvaluateMatchesDivisionForm(t *testing.T) {
-	t.Parallel()
-	counts := []int{1, 2, 3, 4, 6, 32, 33}
-	rates := []float64{0, math.SmallestNonzeroFloat64, 1, 1e6, 1e8, 3e8, 6e8, 8e8, 1e9, 1e10, 1e300,
-		math.MaxFloat64, math.Inf(1), math.NaN()}
-	for i := 0; i < 64; i++ {
-		rates = append(rates, float64(i)*2.5e7*(1+float64(i%7)*1e-9))
-	}
-	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	for _, ch := range counts {
-		for _, banks := range counts {
-			p := DefaultParams()
-			p.Channels, p.BanksPerChannel = ch, banks
-			for _, hz := range []float64{200e6, 533e6, 800e6} {
-				m := p.ModelAt(hz)
-				for _, r := range rates {
-					got, want := m.Evaluate(r), divisionEvaluate(m, r)
-					if !same(got.Latency, want.Latency) || !same(got.XiBus, want.XiBus) || !same(got.XiBank, want.XiBank) ||
-						!same(got.UtilBus, want.UtilBus) || !same(got.UtilBank, want.UtilBank) {
-						t.Fatalf("channels %d banks %d hz %g rate %g: Evaluate %+v, division form %+v",
-							ch, banks, hz, r, got, want)
-					}
-				}
-			}
-		}
-	}
-}

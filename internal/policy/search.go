@@ -227,15 +227,13 @@ func (w *coreSweep) run(ev *Evaluator, m int, latency float64, refTPI, limits []
 
 	u := power.MemUsage{BusHz: ev.Cfg.MemLadder.Hz(m), MCVolts: ev.Cfg.MemLadder.Volts(m), UtilBus: ev.obs.UtilBus}
 	at := ev.Cfg.Power.Mem.At(u.BusHz, u.MCVolts, u.UtilBus)
-	lo, prevx, moved := 0, math.Inf(-1), true
+	k, moved := 0, true
 	for j := 0; j < len(w.cands); {
 		// Each core takes the largest step among its candidates within the
-		// guarded d, joined at the threshold whose window (prevx, dx] holds it.
+		// guarded d. The guarded d never falls, so one cursor visits each
+		// candidate once, at the first threshold whose guard reaches it.
 		d := w.cands[j].d
-		dx := d * (1 + 1e-12)
-		for ; lo < len(w.cands) && w.cands[lo].d <= prevx; lo++ {
-		}
-		for k := lo; k < len(w.cands) && w.cands[k].d <= dx; k++ {
+		for dx := d * (1 + 1e-12); k < len(w.cands) && w.cands[k].d <= dx; k++ {
 			if c := w.cands[k]; c.core >= 0 && int(c.step) > w.pick[c.core] {
 				w.pick[c.core], moved = int(c.step), true
 			}
@@ -243,7 +241,6 @@ func (w *coreSweep) run(ev *Evaluator, m int, latency float64, refTPI, limits []
 		//lint:ignore floateq exact dedup of sorted candidates; a tolerance would merge distinct settings
 		for j++; j < len(w.cands) && w.cands[j].d == d; j++ {
 		}
-		prevx = dx
 		if !moved {
 			continue // same candidate as the last scored one
 		}

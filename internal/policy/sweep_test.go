@@ -52,8 +52,9 @@ func refAssembleSteps(slow [][]float64, limits []float64, d float64) []int {
 
 // refSweepStats counts the tie paths a reference sweep took, the thresholds
 // at which the 1e-12 guard alone let a core other than d's own advance, and
-// the sweeps with two cores whose slowdown rows are bit-identical.
-type refSweepStats struct{ dupCands, serTies, guardOthers, identicalRows int }
+// the sweeps with two cores whose slowdown rows are bit-identical, and the
+// thresholds of -Inf (a negative TPI over a zero reference).
+type refSweepStats struct{ dupCands, serTies, guardOthers, identicalRows, negInf int }
 
 // refCoreSweep is the direct form of coreSweep.run: build every core's
 // slowdown row, sort the candidate boundaries, then assemble, evaluate with
@@ -92,6 +93,7 @@ func refCoreSweep(ev *Evaluator, memStep int, latency float64, refTPI, limits []
 			continue
 		}
 		prev = d
+		st.negInf += btoi(math.IsInf(d, -1))
 		steps := refAssembleSteps(slow, limits, d)
 		for i, s := range steps {
 			if s != last[i] && slow[i][s] > d && !slices.Contains(slow[i], d) {
@@ -224,9 +226,10 @@ func TestCoreSweepMatchesReference(t *testing.T) {
 			}
 			guardCases++
 		}
-		if kind == 5 && n > 3 {
+		if kind == 5 && n > 4 {
 			refTPI = slices.Clone(refTPI)
 			refTPI[3] = -refTPI[3] // a negative reference
+			refTPI[4] = 0          // a zero reference on a negative-CPIBase core: -Inf slowdowns
 		}
 		for i := range refTPI {
 			noRef += btoi(refTPI[i] <= 0)
@@ -248,11 +251,12 @@ func TestCoreSweepMatchesReference(t *testing.T) {
 	// Every path the reference can take, and every input class the sweep's
 	// shortcuts must survive, must have been exercised.
 	if infeasible == 0 || foreignRef == 0 || guardCases == 0 || st.dupCands == 0 || st.serTies == 0 ||
-		st.guardOthers == 0 || st.identicalRows == 0 || noRef == 0 || noBase == 0 || unsorted == 0 {
+		st.guardOthers == 0 || st.identicalRows == 0 || noRef == 0 || noBase == 0 || unsorted == 0 || st.negInf == 0 {
 		t.Errorf("coverage: infeasible %d, foreign reference %d, guard %d, duplicate candidates %d, SER ties %d, "+
-			"guard advancing another core %d, identical rows %d, reference <= 0 %d, baseline <= 0 %d, rows out of order %d",
+			"guard advancing another core %d, identical rows %d, reference <= 0 %d, baseline <= 0 %d, rows out of order %d, "+
+			"-Inf thresholds %d",
 			infeasible, foreignRef, guardCases, st.dupCands, st.serTies, st.guardOthers, st.identicalRows,
-			noRef, noBase, unsorted)
+			noRef, noBase, unsorted, st.negInf)
 	}
 }
 
