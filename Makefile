@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt-check lint escapes escapes-baseline test loadgen-test test-race bench bench-smoke bench-json bench-compare bit-identity profile fmt fuzz-smoke fault-smoke serve-smoke fleet-smoke fastcap-smoke warm-smoke
+.PHONY: check build vet fmt-check lint escapes escapes-baseline test loadgen-test test-race bench bench-smoke bench-json bench-compare bit-identity profile fmt fuzz-smoke fault-smoke serve-smoke fleet-smoke fastcap-smoke
 
 ## check: the full gate — tier-1 verify + vet + gofmt + coscale-lint +
 ## escape-analysis gate + the load generator's own module tests + the
@@ -131,16 +131,6 @@ fastcap-smoke:
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica|RebalancerReuseMatchesRebuild|BuilderMatchesReferenceWalk' ./internal/fastcap
 	$(GO) test -race -count=1 -run 'TestFastCap' ./internal/experiments
 	$(GO) run -race ./cmd/coscale-experiments -exp fastcap -fastcap-nodes 3 -fastcap-epochs 12
-
-## warm-smoke: the warm-start search suite under the race detector — the
-## controller-level warm property tests (bound re-validation, Reset bit
-## identity, zero-alloc steady state), the sim-level golden replay, the
-## ablation gates, and a reduced-budget run of the -exp warmstart ablation
-## (run by CI's warm-smoke job; DESIGN.md §14)
-warm-smoke:
-	$(GO) test -race -count=1 -run 'TestWarm|TestRelDelta' ./internal/core ./internal/sim
-	$(GO) test -race -count=1 -run 'TestWarmStart' ./internal/experiments
-	$(GO) run -race ./cmd/coscale-experiments -exp warmstart -budget 100000000
 
 vet:
 	$(GO) vet ./...

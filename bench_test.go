@@ -274,9 +274,9 @@ func BenchmarkAblation_ProfilingWindow(b *testing.B) {
 	}
 }
 
-// --- Headline benchmarks: the §3.1 search cost at 16-1024 cores (cold and
-// warm-started), one capped PowerCap decision (cold, and replayed under a
-// moving cap), one frontier build, one fleet rebalancing epoch (cold and
+// --- Headline benchmarks: the §3.1 search cost at 16-1024 cores, one
+// capped PowerCap decision (cold, and replayed under a moving cap), one
+// frontier build, one fleet rebalancing epoch (cold and
 // stable), one fleet-store scheduler scan, steady-state epoch
 // simulation and one Offline comparison-policy decision. Each body is defined once, next to its fixture, and
 // cmd/coscale-bench runs the same bodies for BENCH_baseline.json.
@@ -287,9 +287,6 @@ func BenchmarkSearch128Cores(b *testing.B)        { experiments.BenchSearch128Co
 func BenchmarkSearch256Cores(b *testing.B)        { experiments.BenchSearch256Cores(b) }
 func BenchmarkSearch512Cores(b *testing.B)        { experiments.BenchSearch512Cores(b) }
 func BenchmarkSearch1024Cores(b *testing.B)       { experiments.BenchSearch1024Cores(b) }
-func BenchmarkSearchWarm128Cores(b *testing.B)    { experiments.BenchSearchWarm128Cores(b) }
-func BenchmarkSearchWarm512Cores(b *testing.B)    { experiments.BenchSearchWarm512Cores(b) }
-func BenchmarkSearchWarm1024Cores(b *testing.B)   { experiments.BenchSearchWarm1024Cores(b) }
 func BenchmarkPowerCapDecide(b *testing.B)        { experiments.BenchPowerCapDecide(b) }
 func BenchmarkPowerCapRedecide(b *testing.B)      { experiments.BenchPowerCapRedecide(b) }
 func BenchmarkFrontierBuild(b *testing.B)         { experiments.BenchFrontierBuild(b) }

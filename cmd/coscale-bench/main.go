@@ -1,6 +1,6 @@
 // Command coscale-bench runs the headline performance benchmarks — the §3.1
-// search cost at 16-1024 cores (cold and warm-started), one capped PowerCap
-// decision (cold, and replayed under a moving cap), one frontier build, one
+// search cost at 16-1024 cores, one capped PowerCap decision (cold, and
+// replayed under a moving cap), one frontier build, one
 // fleet rebalancing epoch (cold, and with every node holding its phase), one scheduler scan of the fleet job store, the raw
 // epoch-simulation throughput, one Offline comparison-policy decision and
 // one recorded cell of the traffic Offline serves — plus a timed figure
@@ -216,9 +216,6 @@ var headline = []struct {
 	{"Search256Cores", experiments.BenchSearch256Cores},
 	{"Search512Cores", experiments.BenchSearch512Cores},
 	{"Search1024Cores", experiments.BenchSearch1024Cores},
-	{"SearchWarm128Cores", experiments.BenchSearchWarm128Cores},
-	{"SearchWarm512Cores", experiments.BenchSearchWarm512Cores},
-	{"SearchWarm1024Cores", experiments.BenchSearchWarm1024Cores},
 	{"PowerCapDecide", experiments.BenchPowerCapDecide},
 	{"PowerCapRedecide", experiments.BenchPowerCapRedecide},
 	{"FrontierBuild", experiments.BenchFrontierBuild},

@@ -7,7 +7,7 @@
 //	coscale-experiments -budget 25000000 # faster, reduced budget
 //
 // Experiment names: table1 table2 fig5 fig6 fig7 fig8 fig10 fig11 fig12
-// fig13 fig14 fig15 fig16 fig17 ablations faults fastcap warmstart.
+// fig13 fig14 fig15 fig16 fig17 ablations faults fastcap.
 package main
 
 import (
@@ -152,13 +152,6 @@ func main() {
 			fail(err)
 		}
 		fmt.Println(experiments.FormatFastCap(rows))
-	}
-	if want("warmstart") {
-		rows, err := r.WarmStart(nil)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(experiments.FormatWarmStart(rows))
 	}
 	if want("ablations") {
 		rows, err := r.Ablations()

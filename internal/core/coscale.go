@@ -37,13 +37,6 @@ type Options struct {
 	// DisableMarginalCache recomputes every marginal on every iteration,
 	// for measuring the value of the Figure 2 caching.
 	DisableMarginalCache bool
-	// WarmStart seeds each epoch's search from the previous epoch's
-	// accepted solution when the phase detector classifies the epoch as
-	// stable, re-scoring only cores whose counters moved (warm.go;
-	// DESIGN.md §14). The warm seed is always re-validated against the
-	// slowdown bound with the full evaluator; a failed validation or a
-	// phase break falls back to the cold full search.
-	WarmStart bool
 }
 
 // SearchStats counts the work of the most recent Decide call's search walk,
@@ -56,21 +49,10 @@ type Options struct {
 // length with per-step cost (DESIGN.md §10). CoreEvals is the number of
 // per-core local marginal evaluations the eligibility scans ran (rebuild +
 // repair, bottom-step cores excluded).
-// The warm-start counters record the decision's outcome when
-// Options.WarmStart is on (warm.go): per Decide at most one of WarmHits and
-// ColdSearches is 1, and WarmFallbacks additionally marks a cold search that
-// was preceded by a failed warm attempt (the seed failed re-validation), so
-// WarmFallbacks is a subset of ColdSearches. Controllers without WarmStart
-// count every decision in ColdSearches. Consumers aggregate by summing
-// across decisions (the serve layer exports the sums at /metrics).
 type SearchStats struct {
 	Moves     int
 	Evals     int
 	CoreEvals int
-
-	WarmHits      int
-	WarmFallbacks int
-	ColdSearches  int
 }
 
 // SearchStats returns counters for the last Decide call's search.
@@ -87,9 +69,6 @@ type CoScale struct {
 	opts  Options
 	slack *policy.SlackBook
 
-	// last decision, re-used as the "settings in effect" for transitions.
-	last policy.Decision
-
 	// Steady-state scratch reused every epoch.
 	ev       *policy.Evaluator // Decide-time evaluator, reset per call
 	obsEv    *policy.Evaluator // Observe-time evaluator for the all-max reference
@@ -103,16 +82,6 @@ type CoScale struct {
 	tmax     []float64  // all-max reference times for slack accounting
 	identity []int      // thread mapping fallback when ThreadIDs is nil
 	sc       scanCtx    // walk state the marginal kernel reads, hoisted per scan
-
-	// Warm-start state (warm.go; active when opts.WarmStart).
-	warmRec     bool        // record marginal snapshots during the scans
-	warmStride  int         // CoreLadder.Steps(): warmTab row width
-	warmTab     []warmEntry // (core, step)-indexed marginal snapshots
-	prevCPI     []float64   // previous Decide's per-core phase signature
-	prevMPI     []float64
-	prevMemRate float64 // previous Decide's aggregate memory signature
-	prevMemLat  float64
-	prevValid   bool // a previous signature exists (false after Reset)
 
 	stats SearchStats // work counters for the last Decide's search
 }
@@ -132,7 +101,6 @@ func NewWithOptions(cfg policy.Config, opts Options) (*CoScale, error) {
 		cfg:   cfg,
 		opts:  opts,
 		slack: policy.NewSlackBook(n, cfg.Gamma, cfg.Reserve),
-		last:  policy.Decision{CoreSteps: policy.ZeroSteps(n)},
 		ev:    &policy.Evaluator{UseTables: true},
 		obsEv: &policy.Evaluator{UseTables: true},
 		st: searchState{
@@ -147,7 +115,6 @@ func NewWithOptions(cfg policy.Config, opts Options) (*CoScale, error) {
 		tmax:     make([]float64, n),
 		identity: make([]int, n),
 	}
-	c.initWarm()
 	return c, nil
 }
 
@@ -159,8 +126,6 @@ func (c *CoScale) Close() {}
 // Name implements policy.Policy.
 func (c *CoScale) Name() string {
 	switch {
-	case c.opts.WarmStart:
-		return "CoScale-Warm"
 	case c.opts.DisableGrouping:
 		return "CoScale-NoGrouping"
 	case c.opts.DisableMarginalCache:
@@ -174,15 +139,12 @@ func (c *CoScale) Name() string {
 func (c *CoScale) Slack() *policy.SlackBook { return c.slack }
 
 // Reset returns the controller to its freshly constructed state — slack
-// bookkeeping forgotten, last decision back at all-max — while keeping every
+// bookkeeping forgotten — while keeping every
 // scratch buffer, so repeated runs over one controller are bit-identical to
 // runs over fresh controllers without reallocating (the Engine.Reset
 // pattern; benchmarks use it to rewind between iterations).
 func (c *CoScale) Reset() {
 	c.slack.Reset()
-	c.last.CoreSteps = perf.Resize(c.last.CoreSteps, c.cfg.NCores)
-	c.last.MemStep = 0
-	c.resetWarm()
 }
 
 // threadsFor returns the thread-on-core mapping without allocating
@@ -228,17 +190,7 @@ func (c *CoScale) Decide(obs policy.Observation) policy.Decision {
 	c.limits = c.cfg.LimitsInto(c.limits, c.avail)
 	c.scaled = policy.ScaleLimits(c.scaled, c.limits)
 	c.stats = SearchStats{}
-	var d policy.Decision
-	if c.opts.WarmStart {
-		d = c.decideWarm(obs)
-	} else {
-		c.stats.ColdSearches = 1
-		d = c.search(c.ev)
-	}
-	c.last.CoreSteps = perf.Resize(c.last.CoreSteps, len(d.CoreSteps))
-	copy(c.last.CoreSteps, d.CoreSteps)
-	c.last.MemStep = d.MemStep
-	return d
+	return c.search(c.ev)
 }
 
 // searchState carries the walk's mutable state, persisting across decisions
@@ -276,7 +228,8 @@ type coreMarg struct {
 	dPower float64 // watts saved by one step down
 }
 
-// search is the cold path: the full Figure 2 walk from the all-max point.
+// search is the full Figure 2 walk from the all-max point: it returns the
+// minimum-SER configuration the greedy descent reaches.
 //
 //hot:path
 func (c *CoScale) search(ev *policy.Evaluator) policy.Decision {
@@ -288,19 +241,8 @@ func (c *CoScale) search(ev *policy.Evaluator) policy.Decision {
 	// The walk starts at the all-max point the evaluator already solved for
 	// its baseline; copying it is bit-identical to re-evaluating zeros.
 	ev.EvaluateBaselineInto(&st.cur)
-	return c.descend(ev, st)
-}
-
-// descend runs the greedy walk from wherever st stands — the all-max point
-// for the cold search, the re-validated previous solution for a warm start —
-// and returns the minimum-SER configuration it reaches.
-//
-//hot:path
-func (c *CoScale) descend(ev *policy.Evaluator, st *searchState) policy.Decision {
-	n := c.cfg.NCores
-	c.best = perf.Resize(c.best, n)
-	copy(c.best, st.steps)
-	bestMem := st.memStep
+	c.best = perf.Resize(c.best, n) // all-max, like st.steps
+	bestMem := 0
 	bestSER := st.cur.SER
 
 	maxIters := (c.cfg.MemLadder.Steps() + c.cfg.CoreLadder.Steps()*n) + 4
@@ -403,15 +345,12 @@ func (c *CoScale) rebuildCoreList(ev *policy.Evaluator, st *searchState) {
 		}
 	}
 	st.coreList = list
-	// Unstable sort ascending by dTPI. cmpDTPI's less-than outcomes are
-	// exactly the comparisons sort.Sort's Less-based pdqsort would make, and
-	// both run the same pdqsort template, so the resulting permutation —
-	// including how dTPI ties land — is unchanged; SortFunc just avoids the
-	// interface-dispatch Swap/Less of a sort.Interface.
+	// cmpDTPI is a total order, so the sort algorithm cannot reach a decision.
 	slices.SortFunc(st.coreList, cmpDTPI)
 }
 
-// cmpDTPI orders core marginals ascending by dTPI (ties compare equal).
+// cmpDTPI orders core marginals ascending by dTPI, breaking ties on core
+// index.
 func cmpDTPI(a, b coreMarg) int {
 	switch {
 	case a.dTPI < b.dTPI:
@@ -419,7 +358,7 @@ func cmpDTPI(a, b coreMarg) int {
 	case b.dTPI < a.dTPI:
 		return 1
 	default:
-		return 0
+		return int(a.core) - int(b.core)
 	}
 }
 
@@ -432,10 +371,6 @@ type scanCtx struct {
 	cpuScale float64
 	tbl      *perf.StepTable
 	ptbl     *power.CoreTable
-
-	// Warm-start signature source (warm.go), hoisted only when the
-	// controller records marginal snapshots (Options.WarmStart).
-	stats []perf.CoreStats // ev.Stats(): per-core counter-derived statistics
 }
 
 // setupScan hoists the walk state the kernel reads into c.sc. Within one
@@ -454,9 +389,6 @@ func (c *CoScale) setupScan(ev *policy.Evaluator, st *searchState) {
 	}
 	sc.cpuScale = cpuScale
 	sc.tbl, sc.ptbl = ev.Tables()
-	if c.warmRec {
-		sc.stats = ev.Stats()
-	}
 }
 
 // marginalFor is the marginal-scan kernel: it locally estimates the effect
@@ -473,14 +405,6 @@ func (c *CoScale) marginalFor(i int, pos int32) (coreMarg, bool) {
 	if c.cfg.CoreLadder.Bottom(step) {
 		return coreMarg{core: -1}, false
 	}
-	if c.warmRec {
-		// Kernel-level memoization across epochs (warm.go): a snapshot of
-		// this (core, step) whose counter signature still matches is reused
-		// — with a fresh bound recheck — instead of re-scored.
-		if m, handled := c.warmReuse(i, step, pos); handled {
-			return m, false
-		}
-	}
 	// The pair lookup computes the shared latency term once and is
 	// bit-identical to direct CoreStats.TPI calls at Hz(step) and
 	// Hz(step+1), as the PowerAt lookups below are to CoreModel.Power
@@ -489,17 +413,11 @@ func (c *CoScale) marginalFor(i int, pos int32) (coreMarg, bool) {
 	base := sc.base[i]
 	slowAfter := tpiNext / base
 	if slowAfter > c.scaled[i] {
-		if c.warmRec {
-			c.recordWarm(i, step, tpiCur, tpiNext, 0, warmBoundLimited)
-		}
 		return coreMarg{core: -1}, true
 	}
 	pCur := sc.ptbl.PowerAt(step, i, 1/tpiCur)
 	pNext := sc.ptbl.PowerAt(step+1, i, 1/tpiNext)
 	dPower := (pCur - pNext) * sc.cpuScale
-	if c.warmRec {
-		c.recordWarm(i, step, tpiCur, tpiNext, dPower, warmEligible)
-	}
 	return coreMarg{
 		core:   int32(i),
 		pos:    pos,

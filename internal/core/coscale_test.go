@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -254,6 +255,38 @@ func TestDecideDeterministic(t *testing.T) {
 	for i := range d1.CoreSteps {
 		if d1.CoreSteps[i] != d2.CoreSteps[i] {
 			t.Error("core steps differ across identical controllers")
+		}
+	}
+}
+
+// TestCmpDTPITotalOrder: the eligibility list's sort must not depend on the
+// input order, even when many marginals tie on dTPI. The list is long
+// enough that pdqsort leaves its stable insertion-sort base case.
+func TestCmpDTPITotalOrder(t *testing.T) {
+	list := make([]coreMarg, 200)
+	for i := range list {
+		list[i] = coreMarg{core: int32(i), pos: int32(i), dTPI: float64(i%3) * 1e-10}
+	}
+	rng := trace.NewRand(7)
+	var want []coreMarg
+	for perm := 0; perm < 50; perm++ {
+		for i := len(list) - 1; i > 0; i-- {
+			j := rng.Intn(uint64(i + 1))
+			list[i], list[j] = list[j], list[i]
+		}
+		got := slices.Clone(list)
+		slices.SortFunc(got, cmpDTPI)
+		if want == nil {
+			want = got
+			continue
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("permutation %d sorts to a different order", perm)
+		}
+	}
+	for i := 1; i < len(want); i++ {
+		if a, b := want[i-1], want[i]; cmpDTPI(a, b) >= 0 {
+			t.Fatalf("sorted list out of order at %d: %+v before %+v", i, a, b)
 		}
 	}
 }

@@ -21,7 +21,7 @@ func TestFaultFreeBoundInvariant(t *testing.T) {
 		t.Skip("full policy × mix sweep")
 	}
 	r := NewRunner(testBudget)
-	policies := append(append([]PolicyName{}, PracticalPolicies...), HardenedName, WarmName)
+	policies := append(append([]PolicyName{}, PracticalPolicies...), HardenedName)
 	mixes := workload.Names()
 
 	type cell struct {

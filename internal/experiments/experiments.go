@@ -37,10 +37,6 @@ const (
 	// HardenedName is CoScale wrapped in the graceful-degradation watchdog
 	// (policy.Harden), for the error-tolerance study.
 	HardenedName PolicyName = "CoScale-Hardened"
-	// WarmName is CoScale with warm-started search (core.Options.WarmStart):
-	// stable phases seed the walk from the previous epoch's solution and
-	// re-score only moved cores, for the warm-start ablation.
-	WarmName PolicyName = "CoScale-Warm"
 )
 
 // PracticalPolicies is the Figure 8/9 comparison set in presentation order.
@@ -82,8 +78,6 @@ func NewPolicy(name PolicyName, cfg policy.Config) (policy.Policy, error) {
 			return nil, err
 		}
 		return policy.Harden(cfg, p)
-	case WarmName:
-		return core.NewWithOptions(cfg, core.Options{WarmStart: true})
 	}
 	return nil, fmt.Errorf("experiments: unknown policy %q", name)
 }

@@ -17,9 +17,8 @@ import (
 )
 
 // SearchBenchObs builds the synthetic profiling observation behind the §3.1
-// search-cost benchmarks (BenchSearch*Cores, BenchSearchWarm*Cores): n cores
-// with deterministic pseudo-random memory intensities on the paper's default
-// system.
+// search-cost benchmarks (BenchSearch*Cores): n cores with deterministic
+// pseudo-random memory intensities on the paper's default system.
 func SearchBenchObs(n int) (policy.Config, policy.Observation) {
 	return SearchBenchObsSeed(n, 11)
 }
@@ -63,35 +62,25 @@ func SearchBenchObsSeed(n int, seed uint64) (policy.Config, policy.Observation) 
 // once: the root package's BenchmarkX and cmd/coscale-bench's row X both
 // run BenchX.
 
-// BenchSearch16Cores through BenchSearch1024Cores time one cold §3.1 search
+// BenchSearch16Cores through BenchSearch1024Cores time one §3.1 search
 // on SearchBenchObs(n). The paper measures <5 µs at 16 cores and projects
 // 83/360 µs at 64/128 cores.
-func BenchSearch16Cores(b *testing.B)   { benchSearch(b, 16, false) }
-func BenchSearch64Cores(b *testing.B)   { benchSearch(b, 64, false) }
-func BenchSearch128Cores(b *testing.B)  { benchSearch(b, 128, false) }
-func BenchSearch256Cores(b *testing.B)  { benchSearch(b, 256, false) }
-func BenchSearch512Cores(b *testing.B)  { benchSearch(b, 512, false) }
-func BenchSearch1024Cores(b *testing.B) { benchSearch(b, 1024, false) }
-
-// BenchSearchWarm128Cores through BenchSearchWarm1024Cores time the warm-hit
-// decision path (DESIGN.md §14): every timed Decide classifies the epoch as
-// stable, seeds from the previous solution and serves its marginals from the
-// snapshot table. The delta to the cold rows is the warm-start saving on a
-// perfectly stable phase — its upper bound.
-func BenchSearchWarm128Cores(b *testing.B)  { benchSearch(b, 128, true) }
-func BenchSearchWarm512Cores(b *testing.B)  { benchSearch(b, 512, true) }
-func BenchSearchWarm1024Cores(b *testing.B) { benchSearch(b, 1024, true) }
+func BenchSearch16Cores(b *testing.B)   { benchSearch(b, 16) }
+func BenchSearch64Cores(b *testing.B)   { benchSearch(b, 64) }
+func BenchSearch128Cores(b *testing.B)  { benchSearch(b, 128) }
+func BenchSearch256Cores(b *testing.B)  { benchSearch(b, 256) }
+func BenchSearch512Cores(b *testing.B)  { benchSearch(b, 512) }
+func BenchSearch1024Cores(b *testing.B) { benchSearch(b, 1024) }
 
 // benchSearch times Decide on SearchBenchObs(n) after one untimed Decide,
-// which sizes the first-call scratch and, when warm, primes the snapshot
-// table and phase signature. It reports the last search's committed moves,
+// which sizes the first-call scratch. It reports the last search's committed moves,
 // ns/move and per-core marginal evaluations: the walk takes more moves at
 // higher core counts, so ns/op alone conflates walk length with per-move
 // cost, and ns/move is the sub-linear-scaling figure of merit (DESIGN.md
 // §10).
-func benchSearch(b *testing.B, n int, warm bool) {
+func benchSearch(b *testing.B, n int) {
 	cfg, obs := SearchBenchObs(n)
-	cs, err := core.NewWithOptions(cfg, core.Options{WarmStart: warm})
+	cs, err := core.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -103,9 +92,6 @@ func benchSearch(b *testing.B, n int, warm bool) {
 	}
 	b.StopTimer()
 	st := cs.SearchStats()
-	if warm && st.WarmHits != 1 {
-		b.Fatalf("warm benchmark fell back to the cold search: %+v", st)
-	}
 	if st.Moves > 0 {
 		perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 		b.ReportMetric(float64(st.Moves), "moves")

@@ -51,16 +51,6 @@ type metrics struct {
 	searchSumNs atomic.Int64
 	searchMaxNs atomic.Int64
 
-	// Warm-start search outcomes (DESIGN.md §14), harvested by timedPolicy
-	// from controllers that export core.SearchStats. Every decision is one
-	// warm hit or one cold search; fallbacks count the cold searches that a
-	// failed warm attempt preceded. Policies without warm-start report every
-	// decision as a cold search, so the cold counter doubles as the
-	// full-search rate of the whole process.
-	warmHits      atomic.Int64
-	warmFallbacks atomic.Int64
-	coldSearches  atomic.Int64
-
 	mu        sync.Mutex
 	latencies [latencyWindow]float64 // seconds, ring buffer
 	latN      int                    // total samples ever recorded
@@ -147,9 +137,6 @@ func (m *metrics) write(w io.Writer, uptime time.Duration, tablesBuilds, tablesH
 	fmt.Fprintf(w, "coscale_search_decisions_total %d\n", m.searchCount.Load())
 	fmt.Fprintf(w, "coscale_search_duration_ns_sum %d\n", m.searchSumNs.Load())
 	fmt.Fprintf(w, "coscale_search_duration_ns_max %d\n", m.searchMaxNs.Load())
-	fmt.Fprintf(w, "coscale_search_warm_hits_total %d\n", m.warmHits.Load())
-	fmt.Fprintf(w, "coscale_search_warm_fallbacks_total %d\n", m.warmFallbacks.Load())
-	fmt.Fprintf(w, "coscale_search_cold_total %d\n", m.coldSearches.Load())
 	fmt.Fprintf(w, "coscale_epochs_simulated_total %d\n", epochs)
 	fmt.Fprintf(w, "coscale_epochs_per_second %g\n", eps)
 	fmt.Fprintf(w, "coscale_powercap_budget_watts %g\n", math.Float64frombits(m.capBudgetBits.Load()))

@@ -3,7 +3,6 @@ package server
 import (
 	"time"
 
-	"coscale/internal/core"
 	"coscale/internal/policy"
 )
 
@@ -11,12 +10,9 @@ import (
 // search per epoch — feeds the server-wide search-duration summary exposed
 // at /metrics (count, sum, max in nanoseconds). Timing wraps only the
 // decision, not Observe's slack accounting, so the numbers line up with the
-// §3.1 search-cost benchmarks. Controllers that export per-decision
-// core.SearchStats (the CoScale family) additionally feed the warm-start
-// outcome counters.
+// §3.1 search-cost benchmarks.
 type timedPolicy struct {
 	inner policy.Policy
-	stats interface{ SearchStats() core.SearchStats }
 	m     *metrics
 }
 
@@ -25,7 +21,6 @@ type timedPolicy struct {
 // observations, so a plain wrapper would silently change their behaviour.
 func timed(pol policy.Policy, m *metrics) policy.Policy {
 	tp := timedPolicy{inner: pol, m: m}
-	tp.stats, _ = pol.(interface{ SearchStats() core.SearchStats })
 	if op, ok := pol.(policy.OraclePolicy); ok {
 		return &timedOracle{tp, op}
 	}
@@ -39,12 +34,6 @@ func (t *timedPolicy) Decide(obs policy.Observation) policy.Decision {
 	start := time.Now()
 	d := t.inner.Decide(obs)
 	t.m.observeSearch(time.Since(start))
-	if t.stats != nil {
-		s := t.stats.SearchStats()
-		t.m.warmHits.Add(int64(s.WarmHits))
-		t.m.warmFallbacks.Add(int64(s.WarmFallbacks))
-		t.m.coldSearches.Add(int64(s.ColdSearches))
-	}
 	return d
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"coscale/internal/core"
 	"coscale/internal/policy"
 )
 
@@ -53,57 +52,6 @@ func TestTimedPolicyFeedsSearchMetrics(t *testing.T) {
 	}
 	if sum, max := m.searchSumNs.Load(), m.searchMaxNs.Load(); max > sum {
 		t.Errorf("searchMaxNs %d exceeds searchSumNs %d", max, sum)
-	}
-}
-
-// statsPolicy is a stub controller exporting per-decision SearchStats, the
-// way the CoScale family does.
-type statsPolicy struct {
-	countingPolicy
-	stats core.SearchStats
-}
-
-func (p *statsPolicy) SearchStats() core.SearchStats { return p.stats }
-
-func TestTimedPolicyHarvestsWarmCounters(t *testing.T) {
-	var m metrics
-	stub := &statsPolicy{}
-	tp := timed(stub, &m)
-
-	stub.stats = core.SearchStats{WarmHits: 1}
-	tp.Decide(policy.Observation{})
-	tp.Decide(policy.Observation{})
-	stub.stats = core.SearchStats{WarmFallbacks: 1, ColdSearches: 1}
-	tp.Decide(policy.Observation{})
-
-	if got := m.warmHits.Load(); got != 2 {
-		t.Errorf("warmHits = %d, want 2", got)
-	}
-	if got := m.warmFallbacks.Load(); got != 1 {
-		t.Errorf("warmFallbacks = %d, want 1", got)
-	}
-	if got := m.coldSearches.Load(); got != 1 {
-		t.Errorf("coldSearches = %d, want 1", got)
-	}
-
-	var sb strings.Builder
-	m.write(&sb, time.Second, 0, 0)
-	out := sb.String()
-	for _, want := range []string{
-		"coscale_search_warm_hits_total 2\n",
-		"coscale_search_warm_fallbacks_total 1\n",
-		"coscale_search_cold_total 1\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("/metrics output missing %q", want)
-		}
-	}
-
-	// A policy without SearchStats must keep the counters untouched.
-	plain := timed(plainPolicy{&countingPolicy{}}, &m)
-	plain.Decide(policy.Observation{})
-	if got := m.coldSearches.Load(); got != 1 {
-		t.Errorf("plain policy moved coldSearches to %d", got)
 	}
 }
 
