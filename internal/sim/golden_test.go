@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"coscale/internal/core"
+	"coscale/internal/fault"
 	"coscale/internal/policy"
 	"coscale/internal/workload"
 )
@@ -16,6 +18,9 @@ import (
 // all promise results identical to their allocating predecessors. The rows
 // for the five §3.2 comparison policies were captured the same way, before
 // their searches moved onto the memoized prediction tables (DESIGN.md §4).
+// The migrating and fault-injected rows were captured before the engine
+// began reusing unchanged ground truth (DESIGN.md §7): they pin that reuse
+// to thread placement and to the actuation path's real settings.
 
 type goldenApp struct {
 	name   string
@@ -24,16 +29,18 @@ type goldenApp struct {
 }
 
 type goldenRun struct {
-	mix    string
-	policy string // policy name; "Baseline" = no DVFS
-	epochs int
-	wall   uint64
-	cpu    uint64
-	l2     uint64
-	mem    uint64
-	rest   uint64
-	total  uint64 // TotalInstructions
-	apps   []goldenApp
+	mix     string
+	policy  string // policy name; "Baseline" = no DVFS
+	migrate int    // Config.MigrateEvery
+	faults  bool   // run under goldenFaults()
+	epochs  int
+	wall    uint64
+	cpu     uint64
+	l2      uint64
+	mem     uint64
+	rest    uint64
+	total   uint64 // TotalInstructions
+	apps    []goldenApp
 }
 
 var goldenRuns = []goldenRun{
@@ -310,13 +317,102 @@ var goldenRuns = []goldenRun{
 			{"perlbmk", 36257856, 0x3f773dbda160e8c4},
 		},
 	},
+	{
+		mix: "MEM1", policy: "CoScale", migrate: 1, epochs: 7,
+		wall: 0x3fa1e8afa3558fd2,
+		cpu:  0x4002b7bde501b3ea, l2: 0x3fe505b7dabf512e,
+		mem: 0x401066fb18fe3897, rest: 0x3ff738cf4393a371,
+		total: 417872068,
+		apps: []goldenApp{
+			{"swim", 28212331, 0x3f94164ed41edd0f},
+			{"swim", 28212331, 0x3f94164ed41edd0f},
+			{"swim", 28144318, 0x3f94164ed41edd0f},
+			{"swim", 28162229, 0x3f9411d482224c49},
+			{"applu", 16014741, 0x3fa1e4b65785c428},
+			{"applu", 16014741, 0x3fa1e4b65785c428},
+			{"applu", 16014741, 0x3fa1e4b65785c428},
+			{"applu", 16000000, 0x3fa1e8afa3558fd2},
+			{"galgel", 42253435, 0x3f8b061a23dc3098},
+			{"galgel", 42253435, 0x3f8b061a23dc3098},
+			{"galgel", 42299608, 0x3f8b061a23dc3098},
+			{"galgel", 42360341, 0x3f8b193c3020daf7},
+			{"equake", 17992539, 0x3fa001b9e8345965},
+			{"equake", 17992539, 0x3fa001b9e8345965},
+			{"equake", 17974105, 0x3fa0028355245f18},
+			{"equake", 17970634, 0x3fa00366d0a03615},
+		},
+	},
+	{
+		mix: "MIX2", policy: "Offline", migrate: 1, epochs: 3,
+		wall: 0x3f8b17a64ce9c7d1,
+		cpu:  0x3ffeba1a5d8dfb6e, l2: 0x3fcf6fd24b6abe4f,
+		mem: 0x3feade083518d499, rest: 0x3fe1909ce281618a,
+		total: 435001675,
+		apps: []goldenApp{
+			{"milc", 16000000, 0x3f8b17a64ce9c7d1},
+			{"milc", 16000000, 0x3f8b17a64ce9c7d1},
+			{"milc", 16000000, 0x3f8b17a64ce9c7d1},
+			{"milc", 16023320, 0x3f8b0a3594b713f4},
+			{"gobmk", 32185537, 0x3f7a44bc4b68fdd7},
+			{"gobmk", 32185537, 0x3f7a44bc4b68fdd7},
+			{"gobmk", 32185537, 0x3f7a44bc4b68fdd7},
+			{"gobmk", 32146233, 0x3f7a44bc4b68fdd7},
+			{"facerec", 24240278, 0x3f81691c3e029218},
+			{"facerec", 24240278, 0x3f81691c3e029218},
+			{"facerec", 24240278, 0x3f81691c3e029218},
+			{"facerec", 24643857, 0x3f81691c3e029218},
+			{"perlbmk", 36237937, 0x3f773dbda160e8c4},
+			{"perlbmk", 36237937, 0x3f773dbda160e8c4},
+			{"perlbmk", 36237937, 0x3f773dbda160e8c4},
+			{"perlbmk", 36197009, 0x3f773dbda160e8c4},
+		},
+	},
+	{
+		mix: "MEM1", policy: "CoScale", faults: true, epochs: 8,
+		wall: 0x3fa1eda569c32743,
+		cpu:  0x4003c058c7ec55e8, l2: 0x3fe50bc619256871,
+		mem: 0x401091a214ff2357, rest: 0x3ff73f3dbd311a28,
+		total: 417743911,
+		apps: []goldenApp{
+			{"swim", 27712180, 0x3f9447d5838b9b6f},
+			{"swim", 28449878, 0x3f93fbd3c7a1b485},
+			{"swim", 27688470, 0x3f944d38041b198a},
+			{"swim", 28483637, 0x3f93ec13c092ce66},
+			{"applu", 16048340, 0x3fa1e09567680180},
+			{"applu", 15999999, 0x3fa1eda569c32743},
+			{"applu", 16040011, 0x3fa1e307553db89e},
+			{"applu", 16048340, 0x3fa1e09567680180},
+			{"galgel", 42058466, 0x3f89f58c5fc2c3a1},
+			{"galgel", 42058466, 0x3f89f58c5fc2c3a1},
+			{"galgel", 42199870, 0x3f89f58c5fc2c3a1},
+			{"galgel", 42493241, 0x3f8a1dd6d4616cb3},
+			{"equake", 17804139, 0x3fa0290b9d4e6446},
+			{"equake", 18476502, 0x3f9f76d2204d8291},
+			{"equake", 18327271, 0x3f9f40bfc757e3aa},
+			{"equake", 17855101, 0x3fa025e466885bf4},
+		},
+	},
 }
 
 func goldenConfig(t *testing.T, g goldenRun) Config {
 	t.Helper()
-	cfg := Config{Mix: workload.MustGet(g.mix), InstrBudget: 16_000_000}
+	cfg := Config{Mix: workload.MustGet(g.mix), InstrBudget: 16_000_000, MigrateEvery: g.migrate}
+	if g.faults {
+		cfg.Faults = goldenFaults()
+	}
 	cfg.Policy = goldenPolicy(g.policy, cfg.PolicyConfig())
 	return cfg
+}
+
+// goldenFaults is the fault-injected rows' scenario: noisy counters and an
+// actuator that lags one epoch and often sticks, so the settings the engine
+// runs at differ from the ones the policy asked for.
+func goldenFaults() *fault.Config {
+	return &fault.Config{
+		Seed:      0x5EED,
+		Counters:  fault.CounterFaults{Noise: 0.05},
+		Actuation: fault.ActuationFaults{LagEpochs: 1, StuckProb: 0.3, StuckEpochs: 2},
+	}
 }
 
 // goldenPolicy builds a fresh controller by name (nil for the no-DVFS
@@ -341,6 +437,18 @@ func goldenPolicy(name string, cfg policy.Config) policy.Policy {
 		return must(policy.NewOffline(cfg))
 	}
 	panic("golden: unknown policy " + name)
+}
+
+// name labels a golden row's subtest.
+func (g goldenRun) name() string {
+	n := g.mix + "/" + g.policy
+	if g.migrate > 0 {
+		n += fmt.Sprintf("/migrate%d", g.migrate)
+	}
+	if g.faults {
+		n += "/faults"
+	}
+	return n
 }
 
 func checkGolden(t *testing.T, g goldenRun, res *Result) {
@@ -379,8 +487,7 @@ func checkGolden(t *testing.T, g goldenRun, res *Result) {
 // TestGoldenBitIdentical replays the captured runs on a fresh engine.
 func TestGoldenBitIdentical(t *testing.T) {
 	for _, g := range goldenRuns {
-		name := g.mix + "/" + g.policy
-		t.Run(name, func(t *testing.T) {
+		t.Run(g.name(), func(t *testing.T) {
 			eng, err := New(goldenConfig(t, g))
 			if err != nil {
 				t.Fatal(err)
@@ -399,8 +506,7 @@ func TestGoldenBitIdentical(t *testing.T) {
 // warmed scratch buffers must not perturb a single bit of the result.
 func TestGoldenBitIdenticalAfterReset(t *testing.T) {
 	for _, g := range goldenRuns {
-		name := g.mix + "/" + g.policy
-		t.Run(name, func(t *testing.T) {
+		t.Run(g.name(), func(t *testing.T) {
 			cfg := goldenConfig(t, g)
 			eng, err := New(cfg)
 			if err != nil {
