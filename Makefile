@@ -49,10 +49,12 @@ bench-smoke:
 ## walk against its reference walk, PowerCap's capped walk and its trail
 ## replay against their reference oracle, the comparison policies' table-backed
 ## core sweep against its direct reference and Offline's trimmed decisions
-## against the direct refOffline on recorded traffic (DESIGN.md §4) and the
-## simulation goldens of every policy, under the race detector at both
-## GOMAXPROCS=1 and the machine default, so neither scheduler width, reuse
-## nor a shared search can reach an assignment bit
+## against the direct refOffline on recorded traffic (DESIGN.md §4), the
+## simulation goldens of every policy (with migration and fault injection
+## among them) and the engine's exact solve and true-state reuse counts
+## (DESIGN.md §7), under the race detector at both GOMAXPROCS=1 and the
+## machine default, so neither scheduler width, reuse nor a shared search
+## can reach an assignment bit
 bit-identity:
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica|RebalancerReuseMatchesRebuild|BuilderMatchesReferenceWalk' ./internal/fastcap
 	$(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica|RebalancerReuseMatchesRebuild|BuilderMatchesReferenceWalk' ./internal/fastcap
@@ -60,8 +62,8 @@ bit-identity:
 	$(GO) test -race -count=1 -run 'PowerCapMatchesReferenceOracle|PowerCapReplayMatchesReferenceOracle|CapWalkEndsAtFloor' ./internal/core
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'CoreSweepMatchesReference|BaselinePoliciesInfeasibleFallback|OfflineMatchesReference' ./internal/policy
 	$(GO) test -race -count=1 -run 'CoreSweepMatchesReference|BaselinePoliciesInfeasibleFallback|OfflineMatchesReference' ./internal/policy
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'GoldenBitIdentical' ./internal/sim
-	$(GO) test -race -count=1 -run 'GoldenBitIdentical' ./internal/sim
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'GoldenBitIdentical|EngineReusesUnchangedGroundTruth' ./internal/sim
+	$(GO) test -race -count=1 -run 'GoldenBitIdentical|EngineReusesUnchangedGroundTruth' ./internal/sim
 
 ## bench-json: regenerate BENCH_baseline.json (ns/op, allocs/op, figure
 ## wall-times; see DESIGN.md §7 for the schema)

@@ -3,7 +3,7 @@
 // replayed under a moving cap), one frontier build, one
 // fleet rebalancing epoch (cold, and with every node holding its phase), one scheduler scan of the fleet job store, the raw
 // epoch-simulation throughput, one Offline comparison-policy decision and
-// one recorded cell of the traffic Offline serves — plus a timed figure
+// a replay of all 48 recorded cells of the traffic Offline serves — plus a timed figure
 // regeneration, and writes the numbers as
 // machine-readable JSON, with the host's CPU count and GOMAXPROCS. The committed BENCH_baseline.json at the repository root
 // is this program's output; regenerate it with `make bench-json`. Each row

@@ -78,6 +78,26 @@ func waitState(t *testing.T, client *http.Client, base, id, want string) jobJSON
 	}
 }
 
+// waitIdle polls /readyz until no job is queued or running.
+func waitIdle(t *testing.T, client *http.Client, base string) {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		status, body := getJSON(t, client, base+"/readyz")
+		var rs ReadyState
+		if err := json.Unmarshal(body, &rs); err != nil {
+			t.Fatalf("readyz: status %d: decode %s: %v", status, body, err)
+		}
+		if rs.QueueDepth == 0 && rs.Running == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server still busy after 60s: %+v", rs)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // metricValue extracts one metric from the plaintext /metrics payload.
 func metricValue(t *testing.T, body, name string) float64 {
 	t.Helper()
@@ -201,6 +221,10 @@ func TestServeSmoke(t *testing.T) {
 	}
 
 	// The cancelled jobs freed the worker slot: a small job now completes.
+	// B can be cancelled while it still sits in the 1-deep queue, and
+	// stays there until the worker, still unwinding A, dequeues it; wait
+	// for the server to go idle, or the post can meet a full queue and 429.
+	waitIdle(t, client, ts.URL)
 	small := SimulateRequest{Workload: "ILP1", Instructions: 2_000_000}
 	resp, body = postJSON(t, client, ts.URL+"/v1/simulate?wait=1", small)
 	if resp.StatusCode != http.StatusOK {

@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"coscale/internal/cache"
@@ -210,6 +211,7 @@ type Engine struct {
 	// (DESIGN.md §7). Each buffer is fully written before it is read.
 	samplers  []trace.Sampler // per software thread, memoizing phase lookups
 	st        trueState
+	stPerm    []int // perm when st was last computed
 	weights   []float64
 	fracs     []float64
 	shares    []float64
@@ -223,6 +225,14 @@ type Engine struct {
 	delta     counters.System
 	obsDecide policy.Observation
 	obsEpoch  policy.Observation
+
+	// solveRes holds the solve of st at solvedSteps/solvedMem when st.gen
+	// equals solvedGen; see solve.
+	solvedGen   uint64
+	solvedSteps []int
+	solvedMem   int
+
+	solves, samplings int64
 }
 
 // New constructs an engine; the configuration is validated and defaulted.
@@ -261,6 +271,8 @@ func New(cfg Config) (*Engine, error) {
 	for th := range e.samplers {
 		e.samplers[th].Reset(profiles[th])
 	}
+	e.stPerm = make([]int, n)
+	e.solvedSteps = make([]int, n)
 	e.st = trueState{
 		stats:     make([]perf.CoreStats, n),
 		mix:       make([]trace.InstrMix, n),
@@ -335,6 +347,17 @@ func (e *Engine) Reset() {
 	}
 }
 
+// Solves returns how many joint solves the engine has run. A solve whose
+// inputs — the true state, the core steps and the memory step — match the
+// previous one's is skipped, so this grows by fewer than one per sub-interval
+// while applications hold a phase and the settings hold.
+func (e *Engine) Solves() int64 { return e.solves }
+
+// Samplings returns how many times the engine has recomputed the true state
+// of every core. The state is kept while no thread has moved and every
+// thread stays in the phase its last sampling saw.
+func (e *Engine) Samplings() int64 { return e.samplings }
+
 // SetPolicy swaps the controller driving the engine. Valid only between
 // runs (typically right after Reset); swapping mid-run is unsupported.
 func (e *Engine) SetPolicy(p policy.Policy) { e.cfg.Policy = p }
@@ -342,6 +365,7 @@ func (e *Engine) SetPolicy(p policy.Policy) { e.cfg.Policy = p }
 // trueState is the ground-truth characterization of every core at an
 // instant, plus derived per-core traffic components.
 type trueState struct {
+	gen       uint64 // bumped on every recomputation; 0 names no state
 	stats     []perf.CoreStats
 	mix       []trace.InstrMix
 	l2PKI     []float64 // L2 accesses per kilo-instruction
@@ -355,16 +379,34 @@ type trueState struct {
 // returned state points at the engine's scratch buffers and is valid until
 // the next trueStats call.
 //
+// The state is a pure function of each core's (thread, phase): the LLC
+// shares follow from the phases' access rates. So when no core's thread
+// has changed since the last computation and every thread is still inside
+// the phase its sampler memoized, the previous state is returned as is.
+// Reset invalidates the samplers, which forces a recomputation.
+//
 //hot:path
 func (e *Engine) trueStats() *trueState {
 	n := len(e.profiles)
 	st := &e.st
+	same := true
 	for i := 0; i < n; i++ {
 		th := e.perm[i]
 		frac := e.instr[th] / float64(e.cfg.InstrBudget)
 		frac -= math.Floor(frac) // finished apps keep running, wrapped
 		e.fracs[i] = frac
-		e.weights[i] = e.samplers[th].At(frac).L2APKI
+		if th != e.stPerm[i] || !e.samplers[th].Within(frac) {
+			same = false
+		}
+	}
+	if same {
+		return st
+	}
+	st.gen++
+	e.samplings++
+	copy(e.stPerm, e.perm)
+	for i := 0; i < n; i++ {
+		e.weights[i] = e.samplers[e.perm[i]].At(e.fracs[i]).L2APKI
 	}
 	e.llc.SharesInto(e.shares, e.weights)
 	for i := 0; i < n; i++ {
@@ -411,6 +453,27 @@ func (e *Engine) coreHz() []float64 {
 	return e.hz
 }
 
+// solve returns the joint steady state of st at the current settings, with
+// the core frequencies it used. The solver runs only when st's generation,
+// the core steps or the memory step differ from the previous solve's: the
+// frequencies are a pure function of the steps under the engine's fixed
+// ladders and the solver is a pure function of its inputs, so on a key
+// match solveRes already holds the exact result. The returned pointer is
+// the engine's scratch, valid until the next solve.
+//
+//hot:path
+func (e *Engine) solve(st *trueState) (*perf.Result, []float64) {
+	hz := e.coreHz()
+	if st.gen == e.solvedGen && e.memStep == e.solvedMem && slices.Equal(e.coreSteps, e.solvedSteps) {
+		return &e.solveRes, hz
+	}
+	e.solver.SolveInto(&e.solveRes, st.stats, hz, e.cfg.MemLadder.Hz(e.memStep))
+	e.solves++
+	e.solvedGen, e.solvedMem = st.gen, e.memStep
+	copy(e.solvedSteps, e.coreSteps)
+	return &e.solveRes, hz
+}
+
 // advance integrates dt seconds of execution at the current settings,
 // accumulating instructions, counters and energy, and recording budget
 // crossings. dead[i] (optional) removes transition dead time from core i's
@@ -421,10 +484,8 @@ func (e *Engine) advance(dt float64, st *trueState, dead []float64) {
 	if dt <= 0 {
 		return
 	}
-	hz := e.coreHz()
+	res, hz := e.solve(st)
 	busHz := e.cfg.MemLadder.Hz(e.memStep)
-	e.solver.SolveInto(&e.solveRes, st.stats, hz, busHz)
-	res := &e.solveRes
 
 	var reads, writes, l2Rate float64
 	cores := perf.Grow(e.powerOps, len(hz))
@@ -654,10 +715,7 @@ func (e *Engine) observationInto(obs *policy.Observation, delta *counters.System
 //
 //hot:path
 func (e *Engine) oracleObservationInto(obs *policy.Observation, st *trueState) {
-	hz := e.coreHz()
-	busHz := e.cfg.MemLadder.Hz(e.memStep)
-	e.solver.SolveInto(&e.solveRes, st.stats, hz, busHz)
-	res := &e.solveRes
+	res, _ := e.solve(st)
 	obs.Window = e.cfg.EpochLen.Seconds()
 	obs.CoreSteps = perf.Resize(obs.CoreSteps, len(e.coreSteps))
 	copy(obs.CoreSteps, e.coreSteps)
@@ -893,8 +951,7 @@ func (e *Engine) applyDecision(d policy.Decision, n int) []float64 {
 // for the timeline (Fig. 7) and the OnEpoch streaming hook.
 func (e *Engine) epochRecord(idx int, window float64, energyDelta float64) EpochRecord {
 	st := e.trueStats()
-	hz := e.coreHz()
-	res := e.solver.Solve(st.stats, hz, e.cfg.MemLadder.Hz(e.memStep))
+	res, hz := e.solve(st)
 	maxRes := e.solver.SolveUniform(st.stats, e.cfg.CoreLadder.MaxHz(), e.cfg.MemLadder.MaxHz())
 	rec := EpochRecord{
 		Index: idx,

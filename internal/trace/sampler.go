@@ -31,12 +31,21 @@ func (s *Sampler) Reset(p *AppProfile) {
 // Profile returns the profile the sampler reads.
 func (s *Sampler) Profile() *AppProfile { return s.p }
 
+// Within reports whether frac lies in the phase the sampler last memoized,
+// that is, whether At(frac) would return the cached Stats. It is false after
+// Reset until the next At.
+//
+//hot:path
+func (s *Sampler) Within(frac float64) bool {
+	return s.valid && frac >= s.lo && frac < s.hi
+}
+
 // At returns the profile statistics in effect at instruction fraction frac,
 // memoizing the containing phase. Equivalent to s.Profile().At(frac).
 //
 //hot:path
 func (s *Sampler) At(frac float64) Stats {
-	if s.valid && frac >= s.lo && frac < s.hi {
+	if s.Within(frac) {
 		return s.stats
 	}
 	p := s.p
