@@ -20,7 +20,11 @@ import (
 // their searches moved onto the memoized prediction tables (DESIGN.md §4).
 // The migrating and fault-injected rows were captured before the engine
 // began reusing unchanged ground truth (DESIGN.md §7): they pin that reuse
-// to thread placement and to the actuation path's real settings.
+// to thread placement and to the actuation path's real settings. The
+// PowerCap row (a binding cap at the default bound) and the Hardened row
+// (stale counters that trip the watchdog) were captured before every
+// controller began keeping its slack through policy.SlackBook: they pin
+// PowerCap's slack accounting and the watchdog's deficit tracker.
 
 type goldenApp struct {
 	name   string
@@ -30,9 +34,9 @@ type goldenApp struct {
 
 type goldenRun struct {
 	mix     string
-	policy  string // policy name; "Baseline" = no DVFS
-	migrate int    // Config.MigrateEvery
-	faults  bool   // run under goldenFaults()
+	policy  string        // policy name; "Baseline" = no DVFS
+	migrate int           // Config.MigrateEvery
+	faults  *fault.Config // the fault scenario, nil for none
 	epochs  int
 	wall    uint64
 	cpu     uint64
@@ -368,7 +372,7 @@ var goldenRuns = []goldenRun{
 		},
 	},
 	{
-		mix: "MEM1", policy: "CoScale", faults: true, epochs: 8,
+		mix: "MEM1", policy: "CoScale", faults: goldenFaults(), epochs: 8,
 		wall: 0x3fa1eda569c32743,
 		cpu:  0x4003c058c7ec55e8, l2: 0x3fe50bc619256871,
 		mem: 0x401091a214ff2357, rest: 0x3ff73f3dbd311a28,
@@ -392,14 +396,62 @@ var goldenRuns = []goldenRun{
 			{"equake", 17855101, 0x3fa025e466885bf4},
 		},
 	},
+	{
+		mix: "MEM1", policy: "CoScale-PowerCap", epochs: 7,
+		wall: 0x3fa1d98e7d40c300,
+		cpu:  0x400caf9cda5ebe30, l2: 0x3fe4f5e849a9a56c,
+		mem: 0x400bb1829943cb3f, rest: 0x3ff7253114c20de9,
+		total: 420139496,
+		apps: []goldenApp{
+			{"swim", 28308510, 0x3f93f96f37523c75},
+			{"swim", 28308510, 0x3f93f96f37523c75},
+			{"swim", 28308510, 0x3f93f96f37523c75},
+			{"swim", 28308510, 0x3f93f96f37523c75},
+			{"applu", 16000000, 0x3fa1d98e7d40c300},
+			{"applu", 16000000, 0x3fa1d98e7d40c300},
+			{"applu", 16034986, 0x3fa1d021b16ec14d},
+			{"applu", 16046250, 0x3fa1cd18de6315c8},
+			{"galgel", 42712193, 0x3f8a8dc7c33559b0},
+			{"galgel", 42712193, 0x3f8a8dc7c33559b0},
+			{"galgel", 42712193, 0x3f8a8dc7c33559b0},
+			{"galgel", 42712193, 0x3f8a8dc7c33559b0},
+			{"equake", 17955666, 0x3f9fe050064dd68c},
+			{"equake", 17955506, 0x3f9febd0e7daac51},
+			{"equake", 18032138, 0x3f9fcc27d4f712bb},
+			{"equake", 18032138, 0x3f9fcc27d4f712bb},
+		},
+	},
+	{
+		mix: "MEM1", policy: "CoScale-Hardened", faults: goldenStale(), epochs: 7,
+		wall: 0x3fa183061264a7cd,
+		cpu:  0x4007b408dcf2a903, l2: 0x3fe49229271c3cc0,
+		mem: 0x400fdbc6ee78873e, rest: 0x3ff6b4fcc7a2f178,
+		total: 416610164,
+		apps: []goldenApp{
+			{"swim", 28018030, 0x3f9360ffcb22dfe4},
+			{"swim", 28018030, 0x3f9360ffcb22dfe4},
+			{"swim", 28018030, 0x3f9360ffcb22dfe4},
+			{"swim", 28018030, 0x3f9360ffcb22dfe4},
+			{"applu", 16000000, 0x3fa183061264a7cd},
+			{"applu", 16000000, 0x3fa183061264a7cd},
+			{"applu", 16000000, 0x3fa183061264a7cd},
+			{"applu", 16000000, 0x3fa183061264a7cd},
+			{"galgel", 41995238, 0x3f8a0cabd35824d9},
+			{"galgel", 41995238, 0x3f8a0cabd35824d9},
+			{"galgel", 41995238, 0x3f8a0cabd35824d9},
+			{"galgel", 41995238, 0x3f8a0cabd35824d9},
+			{"equake", 18139273, 0x3f9f2d1199d6134b},
+			{"equake", 18139273, 0x3f9f2d1199d6134b},
+			{"equake", 18139273, 0x3f9f2d1199d6134b},
+			{"equake", 18139273, 0x3f9f2d1199d6134b},
+		},
+	},
 }
 
 func goldenConfig(t *testing.T, g goldenRun) Config {
 	t.Helper()
 	cfg := Config{Mix: workload.MustGet(g.mix), InstrBudget: 16_000_000, MigrateEvery: g.migrate}
-	if g.faults {
-		cfg.Faults = goldenFaults()
-	}
+	cfg.Faults = g.faults
 	cfg.Policy = goldenPolicy(g.policy, cfg.PolicyConfig())
 	return cfg
 }
@@ -414,6 +466,17 @@ func goldenFaults() *fault.Config {
 		Actuation: fault.ActuationFaults{LagEpochs: 1, StuckProb: 0.3, StuckEpochs: 2},
 	}
 }
+
+// goldenStale is the Hardened row's scenario: half of all counter windows
+// repeat the previous reading, so the watchdog both trips and keeps feeding
+// the sane epochs to CoScale and to its own deficit tracker.
+func goldenStale() *fault.Config {
+	return &fault.Config{Seed: 0x5EED, Counters: fault.CounterFaults{StaleProb: 0.5}}
+}
+
+// goldenCapW is the PowerCap row's budget: about 85% of MEM1's mean
+// uncapped power at the golden budget, so the cap binds.
+const goldenCapW = 262
 
 // goldenPolicy builds a fresh controller by name (nil for the no-DVFS
 // baseline); the names are the experiments package's.
@@ -435,6 +498,10 @@ func goldenPolicy(name string, cfg policy.Config) policy.Policy {
 		return p
 	case "Offline":
 		return must(policy.NewOffline(cfg))
+	case "CoScale-PowerCap":
+		return must(core.NewPowerCap(cfg, goldenCapW))
+	case "CoScale-Hardened":
+		return must(policy.Harden(cfg, must(core.New(cfg))))
 	}
 	panic("golden: unknown policy " + name)
 }
@@ -445,7 +512,7 @@ func (g goldenRun) name() string {
 	if g.migrate > 0 {
 		n += fmt.Sprintf("/migrate%d", g.migrate)
 	}
-	if g.faults {
+	if g.faults != nil {
 		n += "/faults"
 	}
 	return n
@@ -488,7 +555,8 @@ func checkGolden(t *testing.T, g goldenRun, res *Result) {
 func TestGoldenBitIdentical(t *testing.T) {
 	for _, g := range goldenRuns {
 		t.Run(g.name(), func(t *testing.T) {
-			eng, err := New(goldenConfig(t, g))
+			cfg := goldenConfig(t, g)
+			eng, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -497,7 +565,17 @@ func TestGoldenBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkGolden(t, g, res)
+			checkTripped(t, cfg.Policy)
 		})
+	}
+}
+
+// checkTripped asserts that a hardened row's watchdog tripped at least once,
+// so the row pins the failsafe hold as well as the deficit tracker.
+func checkTripped(t *testing.T, p policy.Policy) {
+	t.Helper()
+	if h, ok := p.(*policy.Hardened); ok && h.Stats().Trips == 0 {
+		t.Errorf("%s never tripped: %+v", h.Name(), h.Stats())
 	}
 }
 
@@ -516,12 +594,14 @@ func TestGoldenBitIdenticalAfterReset(t *testing.T) {
 				t.Fatal(err)
 			}
 			eng.Reset()
-			eng.SetPolicy(goldenPolicy(g.policy, cfg.PolicyConfig()))
+			p := goldenPolicy(g.policy, cfg.PolicyConfig())
+			eng.SetPolicy(p)
 			res, err := eng.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
 			checkGolden(t, g, res)
+			checkTripped(t, p)
 		})
 	}
 }
