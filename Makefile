@@ -49,9 +49,11 @@ bench-smoke:
 ## walk against its reference walk, PowerCap's capped walk and its trail
 ## replay against their reference oracle, the comparison policies' table-backed
 ## core sweep against its direct reference and Offline's trimmed decisions
-## against the direct refOffline on recorded traffic (DESIGN.md §4), the
-## simulation goldens of every policy (with migration and fault injection
-## among them) and the engine's exact solve and true-state reuse counts
+## against the direct refOffline on recorded traffic (DESIGN.md §4), every
+## slack-keeping controller's limits and slack against one reference ledger
+## (DESIGN.md §4), the simulation goldens of every policy (with migration,
+## fault injection, a binding power cap and the hardened watchdog among
+## them) and the engine's exact solve and true-state reuse counts
 ## (DESIGN.md §7), under the race detector at both GOMAXPROCS=1 and the
 ## machine default, so neither scheduler width, reuse nor a shared search
 ## can reach an assignment bit
@@ -60,8 +62,8 @@ bit-identity:
 	$(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica|RebalancerReuseMatchesRebuild|BuilderMatchesReferenceWalk' ./internal/fastcap
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'PowerCapMatchesReferenceOracle|PowerCapReplayMatchesReferenceOracle|CapWalkEndsAtFloor' ./internal/core
 	$(GO) test -race -count=1 -run 'PowerCapMatchesReferenceOracle|PowerCapReplayMatchesReferenceOracle|CapWalkEndsAtFloor' ./internal/core
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'CoreSweepMatchesReference|BaselinePoliciesInfeasibleFallback|OfflineMatchesReference' ./internal/policy
-	$(GO) test -race -count=1 -run 'CoreSweepMatchesReference|BaselinePoliciesInfeasibleFallback|OfflineMatchesReference' ./internal/policy
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'CoreSweepMatchesReference|BaselinePoliciesInfeasibleFallback|OfflineMatchesReference|ControllersKeepSlackAlike' ./internal/policy
+	$(GO) test -race -count=1 -run 'CoreSweepMatchesReference|BaselinePoliciesInfeasibleFallback|OfflineMatchesReference|ControllersKeepSlackAlike' ./internal/policy
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'GoldenBitIdentical|EngineReusesUnchangedGroundTruth' ./internal/sim
 	$(GO) test -race -count=1 -run 'GoldenBitIdentical|EngineReusesUnchangedGroundTruth' ./internal/sim
 

@@ -70,18 +70,13 @@ type CoScale struct {
 	slack *policy.SlackBook
 
 	// Steady-state scratch reused every epoch.
-	ev       *policy.Evaluator // Decide-time evaluator, reset per call
-	obsEv    *policy.Evaluator // Observe-time evaluator for the all-max reference
-	st       searchState
-	avail    []float64  // per-core slack
-	limits   []float64  // per-core slowdown limits
-	scaled   []float64  // limits with the WithinBound epsilon pre-applied
-	best     []int      // best step vector found by the walk
-	fresh    []coreMarg // repairCoreList scratch: moved cores' new marginals
-	merged   []coreMarg // repairCoreList scratch: merge output
-	tmax     []float64  // all-max reference times for slack accounting
-	identity []int      // thread mapping fallback when ThreadIDs is nil
-	sc       scanCtx    // walk state the marginal kernel reads, hoisted per scan
+	ev     *policy.Evaluator // Decide-time evaluator, reset per call
+	st     searchState
+	scaled []float64  // slowdown limits with the WithinBound epsilon pre-applied
+	best   []int      // best step vector found by the walk
+	fresh  []coreMarg // repairCoreList scratch: moved cores' new marginals
+	merged []coreMarg // repairCoreList scratch: merge output
+	sc     scanCtx    // walk state the marginal kernel reads, hoisted per scan
 
 	stats SearchStats // work counters for the last Decide's search
 }
@@ -100,20 +95,15 @@ func NewWithOptions(cfg policy.Config, opts Options) (*CoScale, error) {
 	c := &CoScale{
 		cfg:   cfg,
 		opts:  opts,
-		slack: policy.NewSlackBook(n, cfg.Gamma, cfg.Reserve),
+		slack: policy.NewSlackBook(cfg),
 		ev:    &policy.Evaluator{UseTables: true},
-		obsEv: &policy.Evaluator{UseTables: true},
 		st: searchState{
 			steps:    make([]int, n),
 			coreList: make([]coreMarg, 0, n),
 		},
-		avail:    make([]float64, n),
-		limits:   make([]float64, n),
-		best:     make([]int, n),
-		fresh:    make([]coreMarg, 0, n),
-		merged:   make([]coreMarg, 0, n),
-		tmax:     make([]float64, n),
-		identity: make([]int, n),
+		best:   make([]int, n),
+		fresh:  make([]coreMarg, 0, n),
+		merged: make([]coreMarg, 0, n),
 	}
 	return c, nil
 }
@@ -147,37 +137,11 @@ func (c *CoScale) Reset() {
 	c.slack.Reset()
 }
 
-// threadsFor returns the thread-on-core mapping without allocating
-// (Observation.CoreThreads builds a fresh identity slice when ThreadIDs is
-// nil; each controller keeps its own in *identity).
-//
-//hot:path
-func threadsFor(identity *[]int, obs policy.Observation) []int {
-	if obs.ThreadIDs != nil {
-		return obs.ThreadIDs
-	}
-	*identity = perf.Resize(*identity, len(obs.Cores))
-	for i := range *identity {
-		(*identity)[i] = i
-	}
-	return *identity
-}
-
 // Observe implements policy.Policy: end-of-epoch slack accounting against
-// the all-max reference, per §3 "Overall operation". The reference times are
-// the evaluator's all-max baseline — the same numbers TMaxForEpoch computes,
-// via the controller's persistent evaluator instead of a fresh one.
+// the all-max reference, per §3 "Overall operation" (SlackBook.Observe).
 //
 //hot:path
-func (c *CoScale) Observe(epoch policy.Observation) {
-	c.obsEv.Reset(c.cfg, epoch)
-	base := c.obsEv.BaselineTPI()
-	c.tmax = perf.Resize(c.tmax, len(epoch.Cores))
-	for i := range epoch.Cores {
-		c.tmax[i] = float64(epoch.Cores[i].Instructions) * base[i]
-	}
-	c.slack.RecordEpochFor(threadsFor(&c.identity, epoch), c.tmax, epoch.Window)
-}
+func (c *CoScale) Observe(epoch policy.Observation) { c.slack.Observe(epoch) }
 
 // Decide implements policy.Policy: the Figure 2 search. The returned
 // Decision aliases the controller's scratch and is valid until the next
@@ -186,9 +150,7 @@ func (c *CoScale) Observe(epoch policy.Observation) {
 //hot:path
 func (c *CoScale) Decide(obs policy.Observation) policy.Decision {
 	c.ev.Reset(c.cfg, obs)
-	c.avail = c.slack.AvailableInto(c.avail, threadsFor(&c.identity, obs))
-	c.limits = c.cfg.LimitsInto(c.limits, c.avail)
-	c.scaled = policy.ScaleLimits(c.scaled, c.limits)
+	c.scaled = policy.ScaleLimits(c.scaled, c.slack.Limits(obs))
 	c.stats = SearchStats{}
 	return c.search(c.ev)
 }

@@ -42,17 +42,16 @@ type PowerCap struct {
 	// the observation (kept as the owned copy seen) and the scaled limits,
 	// so they are kept while both repeat bit for bit (walked): a new cap
 	// replays the trail and steps the walk only past its end.
-	walk     CapWalk            // the shared capped walk
-	seen     policy.Observation // owned copy of the walk's observation
-	walked   bool               // walk, seen, scaled, floorW and floorS are valid
-	limits   []float64          // per-core slack, then scaled limits in place
-	scaled   []float64          // the walk's scaled limits
-	identity []int              // thread mapping fallback when ThreadIDs is nil
-	floorW   float64            // the all-minimum point's predicted total power
-	floorS   float64            // the all-minimum point's predicted worst slowdown
-	best     []int              // the decision's step vector
-	watts    float64            // the decision's predicted total power
-	slow     float64            // the decision's predicted worst slowdown
+	walk   CapWalk            // the shared capped walk
+	seen   policy.Observation // owned copy of the walk's observation
+	walked bool               // walk, seen, scaled, floorW and floorS are valid
+	limits []float64          // this call's scaled limits
+	scaled []float64          // the walk's scaled limits
+	floorW float64            // the all-minimum point's predicted total power
+	floorS float64            // the all-minimum point's predicted worst slowdown
+	best   []int              // the decision's step vector
+	watts  float64            // the decision's predicted total power
+	slow   float64            // the decision's predicted worst slowdown
 }
 
 // NewPowerCap builds a power-capping controller with the given full-system
@@ -70,12 +69,15 @@ func NewPowerCap(cfg policy.Config, capWatts float64) (*PowerCap, error) {
 	return &PowerCap{
 		cfg:   cfg,
 		capW:  capWatts,
-		slack: policy.NewSlackBook(cfg.NCores, cfg.Gamma, cfg.Reserve),
+		slack: policy.NewSlackBook(cfg),
 	}, nil
 }
 
 // Name implements policy.Policy.
 func (p *PowerCap) Name() string { return "CoScale-PowerCap" }
+
+// Slack exposes the per-program slack trackers (for tests and telemetry).
+func (p *PowerCap) Slack() *policy.SlackBook { return p.slack }
 
 // Cap returns the configured budget in watts.
 func (p *PowerCap) Cap() float64 { return p.capW }
@@ -91,11 +93,11 @@ func (p *PowerCap) SetCap(capWatts float64) error {
 	return nil
 }
 
-// Observe implements policy.Policy.
-func (p *PowerCap) Observe(epoch policy.Observation) {
-	tMax := policy.TMaxForEpoch(p.cfg, epoch, policy.ZeroSteps(p.cfg.NCores), 0)
-	p.slack.RecordEpochFor(epoch.CoreThreads(), tMax, epoch.Window)
-}
+// Observe implements policy.Policy: slack accounting as for CoScale
+// (SlackBook.Observe).
+//
+//hot:path
+func (p *PowerCap) Observe(epoch policy.Observation) { p.slack.Observe(epoch) }
 
 // Decide implements policy.Policy: descend until the cap is met, preferring
 // the moves that buy the most watts per unit of performance; among
@@ -120,9 +122,7 @@ func (p *PowerCap) Decide(obs policy.Observation) policy.Decision {
 func (p *PowerCap) DecideCapped(obs policy.Observation) (policy.Decision, error) {
 	// Performance limits still apply when Gamma > 0: a cap should shed
 	// watts, not starve one program beyond its SLO if avoidable.
-	p.limits = p.slack.AvailableInto(p.limits, threadsFor(&p.identity, obs))
-	p.limits = p.cfg.LimitsInto(p.limits, p.limits)
-	p.limits = policy.ScaleLimits(p.limits, p.limits)
+	p.limits = policy.ScaleLimits(p.limits, p.slack.Limits(obs))
 	w := &p.walk
 	minMem := p.cfg.MemLadder.Steps() - 1
 	p.best = perf.Resize(p.best, p.cfg.NCores)

@@ -612,7 +612,8 @@ func TestCapWalkEndsAtFloor(t *testing.T) {
 // capped walk (DESIGN.md §7): once the first calls size the controller's
 // scratch, DecideCapped must not allocate, neither across changing
 // observations (a fresh walk each call) nor on one observation under
-// alternating caps (the trail replay).
+// alternating caps (the trail replay), and Observe's slack accounting must
+// not allocate either.
 func TestPowerCapDecideZeroAllocSteadyState(t *testing.T) {
 	cfg := testCfg(16)
 	llc := cache.NewShareModel(cache.DefaultSizeMB)
@@ -655,6 +656,13 @@ func TestPowerCapDecideZeroAllocSteadyState(t *testing.T) {
 	}
 	if p.Evals() != evals {
 		t.Errorf("replaying one observation evaluated %d points, want 0", p.Evals()-evals)
+	}
+	p.Observe(obs[0]) // creates the threads' trackers and sizes the book's evaluator
+	if avg := testing.AllocsPerRun(100, func() {
+		p.Observe(obs[i&1])
+		i++
+	}); avg != 0 {
+		t.Errorf("Observe allocates %.1f times per call, want 0", avg)
 	}
 }
 

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
 	"math"
@@ -573,14 +572,14 @@ func (c *Coordinator) Budget() float64 {
 func (c *Coordinator) Submit(req server.SweepRequest) (SweepStatus, error) {
 	n, err := req.Normalized()
 	if err != nil {
-		return SweepStatus{}, errorf(http.StatusBadRequest, "invalid sweep: %v", err)
+		return SweepStatus{}, server.Errorf(http.StatusBadRequest, "invalid sweep: %v", err)
 	}
 	if c.liveWorkers(c.now()) == 0 {
 		c.m.shed.Add(1)
-		return SweepStatus{}, &apiError{
-			status:     http.StatusServiceUnavailable,
-			msg:        "no live workers: fleet cannot make progress, retry shortly",
-			retryAfter: server.RetryAfterSeconds(c.cfg.RetryAfterSeconds, c.cfg.RetryAfterJitterSeconds, &c.retrySeq),
+		return SweepStatus{}, &server.APIError{
+			Status:     http.StatusServiceUnavailable,
+			Msg:        "no live workers: fleet cannot make progress, retry shortly",
+			RetryAfter: server.RetryAfterSeconds(c.cfg.RetryAfterSeconds, c.cfg.RetryAfterJitterSeconds, &c.retrySeq),
 		}
 	}
 	id, total, err := c.store.AddSweep(n)
@@ -654,74 +653,24 @@ func (c *Coordinator) Workers() []WorkerInfo {
 
 // --- HTTP API ---
 
-// apiError mirrors the serving layer's error convention: handlers return
-// errors, wrap renders them as one JSON object with the mapped status.
-type apiError struct {
-	status     int
-	msg        string
-	retryAfter int
-}
-
-func (e *apiError) Error() string { return e.msg }
-
-func errorf(status int, format string, args ...any) *apiError {
-	return &apiError{status: status, msg: fmt.Sprintf(format, args...)}
-}
-
-func wrap(h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		err := h(w, r)
-		if err == nil {
-			return
-		}
-		status := http.StatusInternalServerError
-		if ae, ok := err.(*apiError); ok {
-			status = ae.status
-			if ae.retryAfter > 0 {
-				w.Header().Set("Retry-After", fmt.Sprintf("%d", ae.retryAfter))
-			}
-		}
-		writeJSON(w, status, map[string]string{"error": err.Error()})
-	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// decodeJSON strictly decodes the request body (unknown fields are errors).
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return errorf(http.StatusBadRequest, "invalid request body: %v", err)
-	}
-	if dec.More() {
-		return errorf(http.StatusBadRequest, "trailing data after request body")
-	}
-	return nil
-}
-
 // Handler returns the coordinator's HTTP API.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", wrap(c.handleHealth))
-	mux.HandleFunc("GET /readyz", wrap(c.handleReady))
-	mux.HandleFunc("GET /metrics", wrap(c.handleMetrics))
-	mux.HandleFunc("POST /v1/fleet/sweeps", wrap(c.handleSubmit))
-	mux.HandleFunc("GET /v1/fleet/sweeps", wrap(c.handleSweeps))
-	mux.HandleFunc("GET /v1/fleet/sweeps/{id}", wrap(c.handleSweep))
-	mux.HandleFunc("POST /v1/fleet/workers/join", wrap(c.handleJoin))
-	mux.HandleFunc("POST /v1/fleet/workers/{id}/heartbeat", wrap(c.handleHeartbeat))
-	mux.HandleFunc("GET /v1/fleet/workers", wrap(c.handleWorkers))
+	mux.HandleFunc("GET /healthz", server.Wrap(c.handleHealth))
+	mux.HandleFunc("GET /readyz", server.Wrap(c.handleReady))
+	mux.HandleFunc("GET /metrics", server.Wrap(c.handleMetrics))
+	mux.HandleFunc("POST /v1/fleet/sweeps", server.Wrap(c.handleSubmit))
+	mux.HandleFunc("GET /v1/fleet/sweeps", server.Wrap(c.handleSweeps))
+	mux.HandleFunc("GET /v1/fleet/sweeps/{id}", server.Wrap(c.handleSweep))
+	mux.HandleFunc("POST /v1/fleet/workers/join", server.Wrap(c.handleJoin))
+	mux.HandleFunc("POST /v1/fleet/workers/{id}/heartbeat", server.Wrap(c.handleHeartbeat))
+	mux.HandleFunc("GET /v1/fleet/workers", server.Wrap(c.handleWorkers))
 	return mux
 }
 
 // handleHealth is liveness only: the process is up.
 func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) error {
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok"})
 	return nil
 }
 
@@ -763,7 +712,7 @@ func (c *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) error 
 	if !fr.Ready {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, fr)
+	server.WriteJSON(w, status, fr)
 	return nil
 }
 
@@ -796,19 +745,19 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) erro
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) error {
 	var req server.SweepRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := server.DecodeJSON(r, &req); err != nil {
 		return err
 	}
 	st, err := c.Submit(req)
 	if err != nil {
 		return err
 	}
-	writeJSON(w, http.StatusAccepted, st)
+	server.WriteJSON(w, http.StatusAccepted, st)
 	return nil
 }
 
 func (c *Coordinator) handleSweeps(w http.ResponseWriter, r *http.Request) error {
-	writeJSON(w, http.StatusOK, map[string]any{"sweeps": c.store.SweepIDs()})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"sweeps": c.store.SweepIDs()})
 	return nil
 }
 
@@ -817,29 +766,29 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) error 
 	if v := r.URL.Query().Get("wait"); v == "1" || v == "true" {
 		st, err := c.WaitSweep(r.Context(), id)
 		if err != nil && st.ID == "" {
-			return errorf(http.StatusNotFound, "unknown sweep %q", id)
+			return server.Errorf(http.StatusNotFound, "unknown sweep %q", id)
 		}
-		writeJSON(w, http.StatusOK, st)
+		server.WriteJSON(w, http.StatusOK, st)
 		return nil
 	}
 	st, ok := c.store.Status(id)
 	if !ok {
-		return errorf(http.StatusNotFound, "unknown sweep %q", id)
+		return server.Errorf(http.StatusNotFound, "unknown sweep %q", id)
 	}
-	writeJSON(w, http.StatusOK, st)
+	server.WriteJSON(w, http.StatusOK, st)
 	return nil
 }
 
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) error {
 	var req JoinRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := server.DecodeJSON(r, &req); err != nil {
 		return err
 	}
 	if req.ID == "" || req.Addr == "" {
-		return errorf(http.StatusBadRequest, "join requires id and addr")
+		return server.Errorf(http.StatusBadRequest, "join requires id and addr")
 	}
 	assigned := c.register(req.ID, req.Addr)
-	writeJSON(w, http.StatusOK, JoinResponse{
+	server.WriteJSON(w, http.StatusOK, JoinResponse{
 		HeartbeatMillis:    c.cfg.HeartbeatInterval.Milliseconds(),
 		SuspectAfterMillis: c.cfg.SuspectAfter.Milliseconds(),
 		DeadAfterMillis:    c.cfg.DeadAfter.Milliseconds(),
@@ -852,14 +801,14 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) error {
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
 	var req HeartbeatRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := server.DecodeJSON(r, &req); err != nil {
 		return err
 	}
 	assigned, fleetBudget, ok := c.heartbeat(id, req.Addr, req.Ready)
 	if !ok {
-		return errorf(http.StatusNotFound, "unknown worker %q: rejoin", id)
+		return server.Errorf(http.StatusNotFound, "unknown worker %q: rejoin", id)
 	}
-	writeJSON(w, http.StatusOK, HeartbeatResponse{
+	server.WriteJSON(w, http.StatusOK, HeartbeatResponse{
 		Status:           "ok",
 		BudgetWatts:      assigned,
 		FleetBudgetWatts: fleetBudget,
@@ -868,6 +817,6 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) er
 }
 
 func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) error {
-	writeJSON(w, http.StatusOK, map[string]any{"workers": c.Workers()})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"workers": c.Workers()})
 	return nil
 }

@@ -114,15 +114,6 @@ func (sv *Solver) SolveInto(res *Result, cores []CoreStats, coreHz []float64, bu
 		//lint:ignore nopanic caller bug, not an input error: slices are built pairwise by the engine
 		panic("perf: cores and coreHz length mismatch")
 	}
-	tol := sv.Tol
-	if tol <= 0 {
-		tol = 1e-9
-	}
-	maxIter := sv.MaxIter
-	if maxIter <= 0 {
-		maxIter = 60
-	}
-
 	n := len(cores)
 
 	// Hoist everything constant across iterations: the memory service times

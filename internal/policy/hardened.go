@@ -94,11 +94,10 @@ type Hardened struct {
 
 	zeros []int // owned all-max step vector backing failsafe decisions
 
-	// deficitEv and tmax are the persistent evaluator and scratch behind
-	// recordDeficit's per-epoch all-max reference estimate, so the watchdog
-	// adds no steady-state allocations to the epoch loop.
+	// deficitEv is the persistent evaluator behind recordDeficit's
+	// per-epoch all-max reference estimate, so the watchdog adds no
+	// steady-state evaluator allocations to the epoch loop.
 	deficitEv *Evaluator
-	tmax      []float64
 }
 
 // Harden wraps inner with a watchdog. Oracle policies are rejected: their
@@ -292,18 +291,15 @@ func (h *Hardened) obsSane(obs Observation, tol float64) bool {
 }
 
 // recordDeficit accrues each thread's shortfall against its (1+γ) bound and
-// trips the watchdog on persistent violation. tMax is estimated from the
-// same (vetted) observation the inner policy received.
+// trips the watchdog on persistent violation. The all-max reference time is
+// estimated from the same (vetted) observation the inner policy received:
+// Instructions × the all-max TPI the evaluator's Reset solves.
 func (h *Hardened) recordDeficit(epoch Observation) {
-	if n := len(epoch.Cores); n > len(h.zeros) {
-		h.zeros = make([]int, n) //hot:alloc-ok capacity miss: grow-only scratch, amortized to zero in steady state
-	}
 	if h.deficitEv == nil {
 		h.deficitEv = &Evaluator{UseTables: true}
 	}
 	h.deficitEv.Reset(h.cfg, epoch)
-	h.tmax = h.deficitEv.TMaxInto(h.tmax, h.zeros[:len(epoch.Cores)], 0)
-	tMax := h.tmax
+	base := h.deficitEv.BaselineTPI()
 	threads := epoch.CoreThreads()
 	limit := hardenDeficitEpochs * h.cfg.Gamma * h.cfg.EpochLen.Seconds()
 	violated := false
@@ -314,7 +310,8 @@ func (h *Hardened) recordDeficit(epoch Observation) {
 			copy(grown, h.deficit)
 			h.deficit = grown
 		}
-		d := h.deficit[id] + epoch.Window - (1+h.cfg.Gamma)*tMax[i]
+		tMax := float64(epoch.Cores[i].Instructions) * base[i]
+		d := h.deficit[id] + epoch.Window - (1+h.cfg.Gamma)*tMax
 		if d < 0 {
 			d = 0 // headroom is not banked against future violations
 		}

@@ -259,7 +259,6 @@ type Evaluator struct {
 	hz       []float64
 	cores    []power.CoreOp
 	maxSteps []int
-	tmaxEval Eval
 
 	// Memoized per-epoch prediction tables (active when UseTables is set)
 	// plus the platform-derived columns they are built over. plat is
@@ -387,9 +386,6 @@ func (ev *Evaluator) Stats() []perf.CoreStats { return ev.stats }
 
 // ObsCore returns core i's observation.
 func (ev *Evaluator) ObsCore(i int) CoreObs { return ev.obs.Cores[i] }
-
-// Obs returns the observation the evaluator was built from.
-func (ev *Evaluator) Obs() Observation { return ev.obs }
 
 // Evaluate predicts the outcome of running with the given per-core and
 // memory steps.
@@ -552,23 +548,6 @@ func (ev *Evaluator) Tables() (*perf.StepTable, *power.CoreTable) {
 	return &ev.tbl, &ev.ptbl
 }
 
-// TMaxInto computes each core's maximum allowed epoch time at the given
-// operating point — Instructions·TPI, the slack-bookkeeping reference —
-// writing into dst. The allocation-free form of the TMaxForEpoch helper.
-//
-//hot:path
-func (ev *Evaluator) TMaxInto(dst []float64, coreSteps []int, memStep int) []float64 {
-	ev.EvaluateInto(&ev.tmaxEval, coreSteps, memStep)
-	if cap(dst) < len(ev.obs.Cores) {
-		dst = make([]float64, len(ev.obs.Cores)) //hot:alloc-ok capacity miss: runs once until the caller's scratch is warm
-	}
-	dst = dst[:len(ev.obs.Cores)]
-	for i, c := range ev.obs.Cores {
-		dst[i] = float64(c.Instructions) * ev.tmaxEval.TPI[i]
-	}
-	return dst
-}
-
 // finish fills slowdowns and predicted power for an Eval whose TPI and
 // MemLoad are already set. coreSteps and hz describe the same operating
 // point (hz[i] = CoreLadder.Hz(coreSteps[i])); taking both spares the
@@ -625,17 +604,12 @@ func (ev *Evaluator) finish(e *Eval, coreSteps []int, hz []float64, memStep int,
 	e.Power = ev.Cfg.Power.Total(cores, l2Rate, u)
 }
 
-// MaxSlowdowns converts per-core accumulated slack into the maximum
-// per-core slowdown permitted next epoch (§3 performance management): core i
-// may run at slowdown r if E ≤ E·(1+γ)/r + slack_i, i.e.
-// r ≤ E·(1+γ)/(E − slack_i). A slack at or above the epoch length leaves the
-// core unconstrained this epoch (returned as +Inf).
-func MaxSlowdowns(slacks []float64, epoch, gamma float64) []float64 {
-	return MaxSlowdownsInto(nil, slacks, epoch, gamma)
-}
-
-// MaxSlowdownsInto is MaxSlowdowns writing into dst, reusing dst's backing
-// array when its capacity suffices (dst may alias slacks).
+// MaxSlowdownsInto converts per-core accumulated slack into the maximum
+// per-core slowdown permitted next epoch (§3 performance management), writing
+// into dst and reusing its backing array when its capacity suffices (dst may
+// alias slacks): core i may run at slowdown r if E ≤ E·(1+γ)/r + slack_i,
+// i.e. r ≤ E·(1+γ)/(E − slack_i). A slack at or above the epoch length
+// leaves the core unconstrained this epoch (returned as +Inf).
 //
 //hot:path
 func MaxSlowdownsInto(dst, slacks []float64, epoch, gamma float64) []float64 {

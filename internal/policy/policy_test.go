@@ -2,6 +2,7 @@ package policy
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -158,7 +159,7 @@ func TestEvaluatorSERBalance(t *testing.T) {
 }
 
 func TestMaxSlowdowns(t *testing.T) {
-	limits := MaxSlowdowns([]float64{0, 2.5e-3, -2.5e-3, 10e-3}, 5e-3, 0.10)
+	limits := MaxSlowdownsInto(nil, []float64{0, 2.5e-3, -2.5e-3, 10e-3}, 5e-3, 0.10)
 	if math.Abs(limits[0]-1.10) > 1e-9 {
 		t.Errorf("zero slack limit = %g, want 1.10", limits[0])
 	}
@@ -368,34 +369,38 @@ func TestOfflineBeatsOrMatchesSingleKnob(t *testing.T) {
 	}
 }
 
-func TestTMaxForEpoch(t *testing.T) {
-	cfg := testCfg(4)
+// epochObs is synthObs stretched to a whole 5 ms epoch at maximum
+// frequencies: every core commits what it would in 5 ms at the all-max point.
+func epochObs(cfg Config) Observation {
 	obs := synthObs(cfg, computeStats())
 	obs.Window = 5e-3
 	for i := range obs.Cores {
 		obs.Cores[i].Instructions = uint64(float64(obs.Cores[i].Instructions) * (5e-3 / 300e-6))
 	}
-	tMax := TMaxForEpoch(cfg, obs, ZeroSteps(4), 0)
-	for i, tm := range tMax {
-		if tm <= 0 {
-			t.Errorf("tMax[%d] = %g", i, tm)
-		}
-		// At max frequencies tMax should be close to the window (the
-		// observation was generated at max settings).
-		if tm > 6e-3 || tm < 3e-3 {
-			t.Errorf("tMax[%d] = %g, want near 5ms", i, tm)
-		}
-	}
+	return obs
 }
 
+// TestSlackBookReserve: Observe credits each thread (1+γ) times its
+// instructions at the all-max TPI and charges the wall time plus the
+// reserve, so an epoch run at the all-max point nets about γ·E − reserve.
 func TestSlackBookReserve(t *testing.T) {
-	b := NewSlackBook(2, 0.10, 1e-3)
-	ids := []int{0, 1}
-	b.RecordEpochFor(ids, []float64{5e-3, 5e-3}, 5e-3)
-	// Slack = 5ms*1.1 - (5ms + 1ms reserve) = -0.5ms.
-	for i, s := range b.AvailableFor(ids) {
-		if math.Abs(s-(-0.5e-3)) > 1e-12 {
-			t.Errorf("slack[%d] = %g, want -5e-4", i, s)
+	cfg := testCfg(2)
+	cfg.Reserve = 1e-3
+	obs := epochObs(cfg)
+	b := NewSlackBook(cfg)
+	b.Observe(obs)
+	base := NewEvaluator(cfg, obs).Baseline().TPI
+	for i, s := range b.AvailableFor([]int{0, 1}) {
+		tMax := float64(obs.Cores[i].Instructions) * base[i]
+		if tMax > 6e-3 || tMax < 3e-3 {
+			t.Errorf("core %d all-max time = %g, want near the 5 ms it ran at the all-max point", i, tMax)
+		}
+		if want := tMax*(1+cfg.Gamma) - (obs.Window + cfg.Reserve); math.Float64bits(s) != math.Float64bits(want) {
+			t.Errorf("slack[%d] = %g, want %g", i, s, want)
+		}
+		// Slack = 5ms*1.1 - (5ms + 1ms reserve) = -0.5ms.
+		if math.Abs(s-(-0.5e-3)) > 1e-4 {
+			t.Errorf("slack[%d] = %g, want about -5e-4", i, s)
 		}
 	}
 }
@@ -403,14 +408,23 @@ func TestSlackBookReserve(t *testing.T) {
 func TestSlackBookFollowsThreads(t *testing.T) {
 	// A thread's slack must travel with it across cores: record a deficit
 	// for thread 7 on core 0, then read it back from core 1.
-	b := NewSlackBook(2, 0.10, 0)
-	b.RecordEpochFor([]int{7, 8}, []float64{5e-3, 5e-3}, 7e-3) // both 40% slow
-	moved := b.AvailableFor([]int{8, 7})                       // threads swapped cores
+	cfg := testCfg(2)
+	obs := epochObs(cfg)
+	obs.Window = 7e-3 // both threads 40% slow
+	obs.ThreadIDs = []int{7, 8}
+	b := NewSlackBook(cfg)
+	b.Observe(obs)
+	moved := b.AvailableFor([]int{8, 7}) // threads swapped cores
 	if moved[0] != moved[1] {
 		t.Fatalf("symmetric history should give equal slack: %v", moved)
 	}
 	if moved[0] >= 0 {
 		t.Errorf("deficit lost in migration: %g", moved[0])
+	}
+	// Limits read the same trackers through the observation's mapping.
+	obs.ThreadIDs = []int{8, 7}
+	if got, want := b.Limits(obs), cfg.Limits(moved); !slices.Equal(got, want) {
+		t.Errorf("limits after migration = %v, want %v", got, want)
 	}
 	// A brand-new thread starts with zero slack.
 	if got := b.AvailableFor([]int{99})[0]; got != 0 {

@@ -18,54 +18,27 @@ type searcher struct {
 	ev    Evaluator
 	sweep coreSweep
 
-	e, ref        Eval
-	steps         []int
-	threads       []int // identity thread mapping, for observations without ThreadIDs
-	avail, limits []float64
-	tmax          []float64
+	e, ref Eval
+	steps  []int
 }
 
 func newSearcher(cfg Config) (searcher, error) {
 	if err := cfg.Validate(); err != nil {
 		return searcher{}, err
 	}
-	return searcher{cfg: cfg, slack: NewSlackBook(cfg.NCores, cfg.Gamma, cfg.Reserve),
-		ev: Evaluator{UseTables: true}}, nil
+	return searcher{cfg: cfg, slack: NewSlackBook(cfg), ev: Evaluator{UseTables: true}}, nil
 }
 
 // begin re-points the evaluator at obs and returns the per-core slowdown
-// limits the scheduled threads' slack allows.
+// limits the scheduled threads' slack allows (valid until the next begin).
 func (s *searcher) begin(obs Observation) []float64 {
 	s.ev.Reset(s.cfg, obs)
-	s.avail = s.slack.AvailableInto(s.avail, s.threadsOf(obs))
-	s.limits = s.cfg.LimitsInto(s.limits, s.avail)
-	return s.limits
-}
-
-// threadsOf is Observation.CoreThreads without allocating per call.
-func (s *searcher) threadsOf(obs Observation) []int {
-	if obs.ThreadIDs != nil {
-		return obs.ThreadIDs
-	}
-	if len(s.threads) != len(obs.Cores) {
-		s.threads = identity(len(obs.Cores))
-	}
-	return s.threads
+	return s.slack.Limits(obs)
 }
 
 // Observe implements Policy for the slack-keeping baselines: end-of-epoch
-// slack accounting against the joint all-max reference, read from the
-// evaluator's baseline as CoScale.Observe does (the same solve
-// TMaxForEpoch runs, so the same bits).
-func (s *searcher) Observe(epoch Observation) {
-	s.ev.Reset(s.cfg, epoch)
-	base := s.ev.BaselineTPI()
-	s.tmax = perf.Grow(s.tmax, len(epoch.Cores))
-	for i := range epoch.Cores {
-		s.tmax[i] = float64(epoch.Cores[i].Instructions) * base[i]
-	}
-	s.slack.RecordEpochFor(s.threadsOf(epoch), s.tmax, epoch.Window)
-}
+// slack accounting against the joint all-max reference (SlackBook.Observe).
+func (s *searcher) Observe(epoch Observation) { s.slack.Observe(epoch) }
 
 // keep copies steps into the decision scratch (the engine reuses the
 // observation's buffers, so a decision may not alias them).

@@ -12,7 +12,10 @@ import "coscale/internal/perf"
 // carry-over); the memory manager makes the mirror-image assumptions. Both
 // then consume an entire γ allowance, so the combined slowdown can approach
 // 2γ — the bound violations Figure 9 shows.
-type Uncoordinated struct{ searcher }
+type Uncoordinated struct {
+	searcher
+	limits []float64 // the fixed 1+γ limit of every core
+}
 
 // NewUncoordinated returns the uncoordinated two-manager policy, or the
 // configuration's validation error.
@@ -21,7 +24,7 @@ func NewUncoordinated(cfg Config) (*Uncoordinated, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Uncoordinated{s}, nil
+	return &Uncoordinated{searcher: s}, nil
 }
 
 // Name implements Policy.

@@ -44,19 +44,19 @@ type LeaseExecuteResponse struct {
 // a hit, not a second simulation.
 func (s *Server) handleLeaseExecute(w http.ResponseWriter, r *http.Request) error {
 	var req LeaseExecuteRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := DecodeJSON(r, &req); err != nil {
 		return err
 	}
 	n, err := req.Simulate.Normalized()
 	if err != nil {
-		return errorf(http.StatusBadRequest, "invalid lease cell: %v", err)
+		return Errorf(http.StatusBadRequest, "invalid lease cell: %v", err)
 	}
 	hash, err := hashTagged("simulate", n)
 	if err != nil {
-		return errorf(http.StatusInternalServerError, "hash lease cell: %v", err)
+		return Errorf(http.StatusInternalServerError, "hash lease cell: %v", err)
 	}
 	if req.Hash != "" && req.Hash != hash {
-		return errorf(http.StatusBadRequest,
+		return Errorf(http.StatusBadRequest,
 			"lease hash mismatch: coordinator routed by %.12s but the cell hashes to %.12s", req.Hash, hash)
 	}
 	job, aerr := s.admit(&Job{Kind: "simulate", Hash: hash, simReq: &n})
@@ -79,6 +79,6 @@ func (s *Server) handleLeaseExecute(w http.ResponseWriter, r *http.Request) erro
 	if v.Err != nil {
 		resp.Error = v.Err.Error()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 	return nil
 }

@@ -163,53 +163,58 @@ func (s *Server) Drain(ctx context.Context) error {
 // Handler returns the HTTP API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.wrap(s.handleHealth))
-	mux.HandleFunc("GET /readyz", s.wrap(s.handleReady))
-	mux.HandleFunc("GET /metrics", s.wrap(s.handleMetrics))
-	mux.HandleFunc("POST /v1/simulate", s.wrap(s.handleSimulate))
-	mux.HandleFunc("POST /v1/sweep", s.wrap(s.handleSweep))
-	mux.HandleFunc("POST /v1/lease/execute", s.wrap(s.handleLeaseExecute))
-	mux.HandleFunc("GET /v1/jobs/{id}", s.wrap(s.handleJob))
-	mux.HandleFunc("GET /v1/jobs/{id}/stream", s.wrap(s.handleStream))
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.wrap(s.handleCancel))
+	mux.HandleFunc("GET /healthz", Wrap(s.handleHealth))
+	mux.HandleFunc("GET /readyz", Wrap(s.handleReady))
+	mux.HandleFunc("GET /metrics", Wrap(s.handleMetrics))
+	mux.HandleFunc("POST /v1/simulate", Wrap(s.handleSimulate))
+	mux.HandleFunc("POST /v1/sweep", Wrap(s.handleSweep))
+	mux.HandleFunc("POST /v1/lease/execute", Wrap(s.handleLeaseExecute))
+	mux.HandleFunc("GET /v1/jobs/{id}", Wrap(s.handleJob))
+	mux.HandleFunc("GET /v1/jobs/{id}/stream", Wrap(s.handleStream))
+	mux.HandleFunc("DELETE /v1/jobs/{id}", Wrap(s.handleCancel))
 	return mux
 }
 
-// apiError carries an HTTP status (and optional Retry-After) up to wrap.
-type apiError struct {
-	status     int
-	msg        string
-	retryAfter int
+// APIError carries an HTTP status (and optional Retry-After seconds) up to
+// Wrap. The serving layer and the fleet coordinator share it, so both render
+// errors the same way.
+type APIError struct {
+	Status     int
+	Msg        string
+	RetryAfter int // seconds; 0 sends no Retry-After header
 }
 
-func (e *apiError) Error() string { return e.msg }
+func (e *APIError) Error() string { return e.Msg }
 
-func errorf(status int, format string, args ...any) *apiError {
-	return &apiError{status: status, msg: fmt.Sprintf(format, args...)}
+// Errorf returns an APIError with the given status and formatted message.
+func Errorf(status int, format string, args ...any) *APIError {
+	return &APIError{Status: status, Msg: fmt.Sprintf(format, args...)}
 }
 
-// wrap adapts an error-returning handler: the nopanic discipline for the
+// Wrap adapts an error-returning handler: the nopanic discipline for the
 // serving layer is that handlers report failures as errors, which are
-// rendered as one JSON object with the mapped status.
-func (s *Server) wrap(h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
+// rendered as one JSON object with the mapped status (500 unless the error
+// is an APIError).
+func Wrap(h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		err := h(w, r)
 		if err == nil {
 			return
 		}
 		status := http.StatusInternalServerError
-		var ae *apiError
+		var ae *APIError
 		if errors.As(err, &ae) {
-			status = ae.status
-			if ae.retryAfter > 0 {
-				w.Header().Set("Retry-After", strconv.Itoa(ae.retryAfter))
+			status = ae.Status
+			if ae.RetryAfter > 0 {
+				w.Header().Set("Retry-After", strconv.Itoa(ae.RetryAfter))
 			}
 		}
-		writeJSON(w, status, map[string]string{"error": err.Error()})
+		WriteJSON(w, status, map[string]string{"error": err.Error()})
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as a JSON response with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -226,7 +231,7 @@ func (s *Server) logf(format string, args ...any) {
 // stays 200 through a drain — a draining worker is alive, just not ready —
 // so supervisors do not kill a process that is finishing its queue.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) error {
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]any{"status": "ok"})
 	return nil
 }
 
@@ -263,7 +268,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) error {
 	if !st.Ready {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, st)
+	WriteJSON(w, status, st)
 	return nil
 }
 
@@ -297,48 +302,48 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 	return nil
 }
 
-// decodeJSON strictly decodes the request body (unknown fields are errors:
+// DecodeJSON strictly decodes the request body (unknown fields are errors:
 // a typoed option must not silently select a default).
-func decodeJSON(r *http.Request, v any) error {
+func DecodeJSON(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return errorf(http.StatusBadRequest, "invalid request body: %v", err)
+		return Errorf(http.StatusBadRequest, "invalid request body: %v", err)
 	}
 	if dec.More() {
-		return errorf(http.StatusBadRequest, "invalid request body: trailing data")
+		return Errorf(http.StatusBadRequest, "invalid request body: trailing data")
 	}
 	return nil
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	var req SimulateRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := DecodeJSON(r, &req); err != nil {
 		return err
 	}
 	n, err := req.Normalized()
 	if err != nil {
-		return errorf(http.StatusBadRequest, "invalid simulate request: %v", err)
+		return Errorf(http.StatusBadRequest, "invalid simulate request: %v", err)
 	}
 	hash, err := hashTagged("simulate", n)
 	if err != nil {
-		return errorf(http.StatusInternalServerError, "hash request: %v", err)
+		return Errorf(http.StatusInternalServerError, "hash request: %v", err)
 	}
 	return s.submit(w, r, &Job{Kind: "simulate", Hash: hash, simReq: &n})
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 	var req SweepRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := DecodeJSON(r, &req); err != nil {
 		return err
 	}
 	n, err := req.Normalized()
 	if err != nil {
-		return errorf(http.StatusBadRequest, "invalid sweep request: %v", err)
+		return Errorf(http.StatusBadRequest, "invalid sweep request: %v", err)
 	}
 	hash, err := hashTagged("sweep", n)
 	if err != nil {
-		return errorf(http.StatusInternalServerError, "hash request: %v", err)
+		return Errorf(http.StatusInternalServerError, "hash request: %v", err)
 	}
 	return s.submit(w, r, &Job{Kind: "sweep", Hash: hash, sweepReq: &n})
 }
@@ -358,12 +363,12 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, proto *Job) erro
 // with 429 backpressure when the bounded queue is full. proto carries the
 // kind, hash and normalized request. It is shared by the HTTP submission
 // handlers and the fleet lease-execution endpoint.
-func (s *Server) admit(proto *Job) (*Job, *apiError) {
+func (s *Server) admit(proto *Job) (*Job, *APIError) {
 	if s.draining.Load() {
-		return nil, &apiError{
-			status:     http.StatusServiceUnavailable,
-			msg:        "server is draining",
-			retryAfter: s.retryAfterSeconds(),
+		return nil, &APIError{
+			Status:     http.StatusServiceUnavailable,
+			Msg:        "server is draining",
+			RetryAfter: s.retryAfterSeconds(),
 		}
 	}
 	now := time.Now()
@@ -386,10 +391,10 @@ func (s *Server) admit(proto *Job) (*Job, *apiError) {
 	}
 	if s.queueClosed {
 		s.mu.Unlock()
-		return nil, &apiError{
-			status:     http.StatusServiceUnavailable,
-			msg:        "server is draining",
-			retryAfter: s.retryAfterSeconds(),
+		return nil, &APIError{
+			Status:     http.StatusServiceUnavailable,
+			Msg:        "server is draining",
+			RetryAfter: s.retryAfterSeconds(),
 		}
 	}
 	job := newJob(s.newID(proto.Hash), proto.Kind, proto.Hash, now)
@@ -399,10 +404,10 @@ func (s *Server) admit(proto *Job) (*Job, *apiError) {
 	default:
 		s.mu.Unlock()
 		s.metrics.rejected.Add(1)
-		return nil, &apiError{
-			status:     http.StatusTooManyRequests,
-			msg:        fmt.Sprintf("job queue full (%d deep); retry shortly", s.cfg.QueueDepth),
-			retryAfter: s.retryAfterSeconds(),
+		return nil, &APIError{
+			Status:     http.StatusTooManyRequests,
+			Msg:        fmt.Sprintf("job queue full (%d deep); retry shortly", s.cfg.QueueDepth),
+			RetryAfter: s.retryAfterSeconds(),
 		}
 	}
 	s.jobs[job.ID] = job
@@ -522,7 +527,7 @@ func (s *Server) respondJob(w http.ResponseWriter, r *http.Request, j *Job) erro
 	if terminal(v.State) {
 		status = http.StatusOK
 	}
-	writeJSON(w, status, jobBody(j, v))
+	WriteJSON(w, status, jobBody(j, v))
 	return nil
 }
 
@@ -537,7 +542,7 @@ func waitRequested(r *http.Request) bool {
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) error {
 	j, ok := s.jobByID(r.PathValue("id"))
 	if !ok {
-		return errorf(http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+		return Errorf(http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 	}
 	return s.respondJob(w, r, j)
 }
@@ -545,15 +550,15 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) error {
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) error {
 	j, ok := s.jobByID(r.PathValue("id"))
 	if !ok {
-		return errorf(http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+		return Errorf(http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 	}
 	if !j.requestCancel() {
 		v, _ := j.view()
-		return errorf(http.StatusConflict, "job %s already %s", j.ID, v.State)
+		return Errorf(http.StatusConflict, "job %s already %s", j.ID, v.State)
 	}
 	s.logf("job %s: cancellation requested", j.ID)
 	v, _ := j.view()
-	writeJSON(w, http.StatusAccepted, jobBody(j, v))
+	WriteJSON(w, http.StatusAccepted, jobBody(j, v))
 	return nil
 }
 
@@ -598,7 +603,7 @@ func epochLine(rec sim.EpochRecord) streamLine {
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) error {
 	j, ok := s.jobByID(r.PathValue("id"))
 	if !ok {
-		return errorf(http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+		return Errorf(http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)

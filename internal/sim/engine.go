@@ -38,7 +38,6 @@ type Config struct {
 	MemLadder  *freq.Ladder
 	Mem        memsys.Params
 	Power      power.System
-	LLCSizeMB  float64
 
 	Gamma       float64       // performance bound (0.10 default)
 	EpochLen    time.Duration // 5 ms default
@@ -48,7 +47,6 @@ type Config struct {
 	Prefetch bool // enable the next-line prefetcher (Fig. 16)
 	OoO      bool // 128-instruction MLP window (Fig. 17-18)
 
-	SubSteps  int // ground-truth sub-intervals per epoch segment (default 4)
 	MaxEpochs int // safety cap (default 4000)
 
 	// MigrateEvery rotates the thread→core assignment every N epochs
@@ -88,9 +86,6 @@ func (c Config) withDefaults() Config {
 	if c.Power.Core.FNom <= 0 {
 		c.Power = power.DefaultSystem(c.Mix.Cores())
 	}
-	if c.LLCSizeMB <= 0 {
-		c.LLCSizeMB = cache.DefaultSizeMB
-	}
 	if c.Gamma <= 0 {
 		c.Gamma = 0.10
 	}
@@ -102,9 +97,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.InstrBudget == 0 {
 		c.InstrBudget = 100_000_000
-	}
-	if c.SubSteps == 0 {
-		c.SubSteps = 4
 	}
 	if c.MaxEpochs == 0 {
 		c.MaxEpochs = 4000
@@ -258,7 +250,7 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:       cfg,
 		solver:    perf.NewSolver(cfg.Mem),
-		llc:       cache.NewShareModel(cfg.LLCSizeMB),
+		llc:       cache.NewShareModel(cache.DefaultSizeMB),
 		profiles:  profiles,
 		perm:      perm,
 		coreSteps: make([]int, n),
@@ -886,14 +878,17 @@ func (e *Engine) step(epoch int, oracle bool) {
 	}
 }
 
-// integrate advances a segment in SubSteps chunks, re-sampling true state
+// subSteps is how many ground-truth sub-intervals integrate splits each
+// epoch segment into.
+const subSteps = 4
+
+// integrate advances a segment in subSteps chunks, re-sampling true state
 // each chunk so mid-epoch phase changes show up in ground truth.
 //
 //hot:path
 func (e *Engine) integrate(secs float64, dead []float64) {
-	steps := e.cfg.SubSteps
-	chunk := secs / float64(steps)
-	for k := 0; k < steps; k++ {
+	chunk := secs / subSteps
+	for k := 0; k < subSteps; k++ {
 		st := e.trueStats()
 		if k == 0 {
 			e.advance(chunk, st, dead)

@@ -243,7 +243,6 @@ func TestConfigValidation(t *testing.T) {
 		{"negative profile", "ProfileLen", func(c *Config) { c.ProfileLen = -time.Microsecond }},
 		{"gamma > 1", "Gamma", func(c *Config) { c.Gamma = 1.5 }},
 		{"gamma < 0", "Gamma", func(c *Config) { c.Gamma = -0.1 }},
-		{"negative substeps", "SubSteps", func(c *Config) { c.SubSteps = -1 }},
 		{"negative max epochs", "MaxEpochs", func(c *Config) { c.MaxEpochs = -1 }},
 		{"negative migrate", "MigrateEvery", func(c *Config) { c.MigrateEvery = -2 }},
 		{"degenerate ladder", "CoreLadder", func(c *Config) {

@@ -146,8 +146,8 @@ func TestEngineReusesUnchangedGroundTruth(t *testing.T) {
 			t.Fatal(err)
 		}
 		solves, samplings := eng.Solves(), eng.Samplings()
-		// Each epoch has a profile window and SubSteps sub-intervals.
-		if calls := int64(res.Epochs * (1 + cfg.withDefaults().SubSteps)); solves >= calls || samplings >= calls {
+		// Each epoch has a profile window and subSteps sub-intervals.
+		if calls := int64(res.Epochs * (1 + subSteps)); solves >= calls || samplings >= calls {
 			t.Errorf("%d solves and %d samplings over %d sub-intervals: nothing reused", solves, samplings, calls)
 		}
 		eng.Reset()

@@ -42,12 +42,6 @@ func (c Config) validateRaw() error {
 	if c.ProfileLen < 0 {
 		return &ConfigError{Field: "ProfileLen", Reason: "must be non-negative"}
 	}
-	if c.LLCSizeMB < 0 {
-		return &ConfigError{Field: "LLCSizeMB", Reason: "must be non-negative"}
-	}
-	if c.SubSteps < 0 {
-		return &ConfigError{Field: "SubSteps", Reason: "must be non-negative"}
-	}
 	if c.MaxEpochs < 0 {
 		return &ConfigError{Field: "MaxEpochs", Reason: "must be non-negative"}
 	}
