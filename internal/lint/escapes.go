@@ -24,8 +24,8 @@ import (
 // re-records the baseline after a reviewed change.
 //
 // Records are matched by (file, function, message) with multiplicity, not
-// by line number, so unrelated edits that shift lines do not churn the
-// gate. Escape analysis results legitimately differ between compiler
+// by line number, and the baseline stores no line numbers, so unrelated
+// edits that shift lines churn neither the gate nor the baseline file. Escape analysis results legitimately differ between compiler
 // versions; the baseline records the go version that produced it, and a
 // mismatched toolchain downgrades failures to warnings so the gate only
 // bites where its baseline is comparable.
@@ -34,7 +34,7 @@ import (
 // transitively hot function.
 type EscapeRecord struct {
 	File    string `json:"file"` // module-root-relative, slash-separated
-	Line    int    `json:"line"`
+	Line    int    `json:"-"`    // the fresh compile's line; not recorded in the baseline
 	Func    string `json:"func"`    // display name, e.g. "perf.(*StepTable).Reset"
 	Message string `json:"message"` // e.g. "make([]float64, n) escapes to heap"
 }
@@ -105,7 +105,8 @@ func compilerEscapes(root string) ([]string, error) {
 }
 
 // hotEscapes filters compiler diagnostics down to heap escapes inside the
-// hot closure, in (file, line) order.
+// hot closure, in (file, function, message, line) order: the baseline's
+// order, which does not move when lines shift.
 func hotEscapes(lines []string, ranges map[string][]hotRange) []EscapeRecord {
 	var recs []EscapeRecord
 	for _, line := range lines {
@@ -130,10 +131,13 @@ func hotEscapes(lines []string, ranges map[string][]hotRange) []EscapeRecord {
 		if a.File != b.File {
 			return a.File < b.File
 		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
+		if a.Func != b.Func {
+			return a.Func < b.Func
 		}
-		return a.Message < b.Message
+		if a.Message != b.Message {
+			return a.Message < b.Message
+		}
+		return a.Line < b.Line
 	})
 	return recs
 }

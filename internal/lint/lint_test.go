@@ -259,6 +259,9 @@ func TestEscapesGate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("committed baseline missing: %v", err)
 	}
+	if bytes.Contains(data, []byte(`"line"`)) {
+		t.Errorf("committed baseline records line numbers; re-record it with make escapes-baseline")
+	}
 	var base EscapeBaseline
 	if err := json.Unmarshal(data, &base); err != nil {
 		t.Fatal(err)
