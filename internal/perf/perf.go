@@ -340,19 +340,16 @@ func Grow[T any](s []T, n int) []T {
 // incremental gather that touches only the cores whose step changed since
 // the previous evaluation — zero of them on a memory-frequency move.
 //
-// Columns are built lazily on first use and their backing arrays are reused
-// across epochs, so the steady state allocates nothing. Column storage is
-// struct-of-arrays: every step's column lives in one flat backing array at
-// stride n, so a marginal scan walking cores [lo, hi) at one step reads a
-// single contiguous run of float64 lanes and adjacent columns prefetch
-// linearly. A StepTable is not safe for concurrent use: a lookup may build
-// a column.
+// Reset builds every column, and the backing arrays are reused across
+// epochs, so the steady state allocates nothing and every lookup is a
+// plain (inlinable) slice read. Column storage is struct-of-arrays: every
+// step's column lives in one flat backing array at stride n, so a marginal
+// scan walking cores [lo, hi) at one step reads a single contiguous run of
+// float64 lanes and adjacent columns prefetch linearly. A StepTable is not
+// safe for concurrent use: SolveTable updates its working row.
 type StepTable struct {
-	stats []CoreStats // per-core statistics (aliases the caller's epoch buffer)
-	hz    []float64   // candidate core frequency per ladder step
-
-	cols  []float64 // flat [step*n + core] CPIBase/hz + Alpha*StallL2
-	built []bool    // column s (cols[s*n : (s+1)*n]) is valid
+	n    int       // cores
+	cols []float64 // flat [step*n + core] CPIBase/hz + Alpha*StallL2
 
 	beta    []float64
 	mlpn    []float64 // MLP clamped to >= 1
@@ -364,26 +361,24 @@ type StepTable struct {
 }
 
 // Reset re-points the table at a new epoch's statistics and candidate
-// frequencies, invalidating every memoized column while reusing all backing
-// arrays. stats is retained (not copied) and must stay unchanged until the
-// next Reset; every hz must be positive (a frequency ladder guarantees it).
+// frequencies, building every column while reusing all backing arrays.
+// Neither slice is retained; every hz must be positive (a frequency ladder
+// guarantees it).
 //
 //hot:path
 func (t *StepTable) Reset(stats []CoreStats, stepHz []float64) {
 	n := len(stats)
-	t.stats = stats
-	t.hz = stepHz
+	t.n = n
 	steps := len(stepHz)
 	if cap(t.cols) < steps*n {
 		t.cols = make([]float64, steps*n) //hot:alloc-ok capacity miss: runs once until the ladder-sized scratch is warm
 	}
 	t.cols = t.cols[:steps*n]
-	if cap(t.built) < steps {
-		t.built = make([]bool, steps) //hot:alloc-ok capacity miss: runs once until the ladder-sized scratch is warm
-	}
-	t.built = t.built[:steps]
-	for s := range t.built {
-		t.built[s] = false
+	for s, hz := range stepHz {
+		col := t.cols[s*n : s*n+n]
+		for i, c := range stats {
+			col[i] = c.CPIBase/hz + c.Alpha*c.StallL2
+		}
 	}
 	t.beta = Grow(t.beta, n)
 	t.mlpn = Grow(t.mlpn, n)
@@ -411,42 +406,19 @@ func (t *StepTable) Reset(stats []CoreStats, stepHz []float64) {
 }
 
 // FixedCol returns the memoized latency-independent TPI column for ladder
-// step s, building it on first use after a Reset. The returned slice is a
-// view into the table's flat column store, valid until the next Reset.
+// step s. The returned slice is a view into the table's flat column store,
+// valid until the next Reset.
 //
 //hot:path
 func (t *StepTable) FixedCol(s int) []float64 {
-	if !t.built[s] {
-		t.buildCol(s)
-	}
-	n := len(t.stats)
-	return t.cols[s*n : s*n+n]
+	return t.cols[s*t.n : s*t.n+t.n]
 }
 
-// FixedCols builds every column and returns the flat column store: entry
-// s*n+i is FixedCol(s)[i] for n cores. Valid until the next Reset.
+// FixedCols returns the flat column store: entry s*n+i is FixedCol(s)[i]
+// for n cores. Valid until the next Reset.
 //
 //hot:path
-func (t *StepTable) FixedCols() []float64 {
-	for s, ok := range t.built {
-		if !ok {
-			t.buildCol(s)
-		}
-	}
-	return t.cols
-}
-
-// buildCol fills one column. Runs at most Steps() times per epoch (cold
-// relative to the per-evaluation paths) into the flat column store.
-func (t *StepTable) buildCol(s int) {
-	n := len(t.stats)
-	col := t.cols[s*n : s*n+n]
-	hz := t.hz[s]
-	for i, c := range t.stats {
-		col[i] = c.CPIBase/hz + c.Alpha*c.StallL2
-	}
-	t.built[s] = true
-}
+func (t *StepTable) FixedCols() []float64 { return t.cols }
 
 // LatencyTerm is the latency-dependent term of core i's TPI under memory
 // latency lat: FixedCol(s)[i] + LatencyTerm(i, lat) is bit-identical to
@@ -487,15 +459,15 @@ func (t *StepTable) gather(steps []int) {
 
 // SolveTable is SolveInto drawing its per-core constants from a memoized
 // StepTable instead of recomputing them: the result is bit-identical to
-// SolveInto(res, tbl.stats, hzOf(steps), busHz) when model was built from
-// the same memory parameters at busHz (memsys.Params.ModelAt is a pure
-// function of its inputs). The search hot path pairs it with a
+// SolveInto(res, stats, hzOf(steps), busHz) over the statistics the table
+// was Reset with, when model was built from the same memory parameters at
+// busHz (memsys.Params.ModelAt is a pure function of its inputs). The search hot path pairs it with a
 // memsys.ModelCache so a candidate evaluation performs no per-core model
 // preparation at all.
 //
 //hot:path
 func (sv *Solver) SolveTable(res *Result, tbl *StepTable, steps []int, model memsys.LoadModel) {
-	if len(steps) != len(tbl.stats) {
+	if len(steps) != tbl.n {
 		//lint:ignore nopanic caller bug, not an input error: the step vector and the table are built pairwise by the evaluator
 		panic("perf: steps and table length mismatch")
 	}
