@@ -718,9 +718,11 @@ func (s *Server) runJob(j *Job) {
 		s.metrics.failed.Add(1)
 	}
 	now := time.Now()
-	j.finish(state, raw, err, now)
-	s.retire(j)
+	// Account for the job before finish wakes its ?wait=1 waiters, so a
+	// client that reads /metrics after its response never sees it running.
 	s.metrics.running.Add(-1)
 	s.metrics.observeLatency(now.Sub(j.created))
+	j.finish(state, raw, err, now)
+	s.retire(j)
 	s.logf("job %s: %s", j.ID, state)
 }

@@ -336,6 +336,32 @@ func TestServeSmoke(t *testing.T) {
 	}
 }
 
+// TestWaitedJobNotRunning pins the order in which a worker settles a job:
+// by the time a ?wait=1 request returns, its job no longer counts as
+// running, so a /metrics read right after the response must show
+// coscale_jobs_running 0. Each request is distinct, so every one runs.
+func TestWaitedJobNotRunning(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 1})
+	defer s.Drain(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	client := ts.Client()
+	for k := range 100 {
+		req := SimulateRequest{Workload: "ILP1", Policy: "MemScale", Instructions: 100_000 + uint64(k)}
+		resp, body := postJSON(t, client, ts.URL+"/v1/simulate?wait=1", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", k, resp.StatusCode, body)
+		}
+		if job := decodeJob(t, body); job.State != StateDone || job.CacheHit {
+			t.Fatalf("request %d: state %s cacheHit %t, want a fresh done job", k, job.State, job.CacheHit)
+		}
+		_, m := getJSON(t, client, ts.URL+"/metrics")
+		if v := metricValue(t, string(m), "coscale_jobs_running"); v != 0 {
+			t.Fatalf("request %d: coscale_jobs_running = %v after its waited response, want 0", k, v)
+		}
+	}
+}
+
 // TestServerValidation covers the API error paths.
 func TestServerValidation(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 4})
