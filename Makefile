@@ -9,8 +9,8 @@ GO ?= go
 ## check: the full gate — tier-1 verify + vet + gofmt + coscale-lint +
 ## escape-analysis gate + the load generator's own module tests + the
 ## bit-identity tests (fleet rebalancer, frontier walk, capped walk and its
-## replay, comparison-policy sweep, Offline against its reference,
-## simulation goldens)
+## replay, evaluator against the direct model, comparison-policy sweep,
+## Offline against its reference, simulation goldens)
 check: build vet fmt-check lint escapes test loadgen-test bit-identity
 
 build:
@@ -47,10 +47,11 @@ bench-smoke:
 ## rebalancer's per-node fan-out against its serial replica, its frontier
 ## and decision reuse against a rebuild-everything replica, the frontier
 ## walk against its reference walk, PowerCap's capped walk and its trail
-## replay against their reference oracle, the comparison policies' table-backed
-## core sweep against its direct reference and Offline's trimmed decisions
-## against the direct refOffline on recorded traffic (DESIGN.md §4), every
-## slack-keeping controller's limits and slack against one reference ledger
+## replay against their reference oracle, the memoized evaluator against
+## the direct reference model (DESIGN.md §10), the comparison policies'
+## table-backed core sweep against its direct reference and Offline's
+## trimmed decisions against the direct refOffline on recorded traffic
+## (DESIGN.md §4), every slack-keeping controller's limits and slack against one reference ledger
 ## (DESIGN.md §4), the simulation goldens of every policy (with migration,
 ## fault injection, a binding power cap and the hardened watchdog among
 ## them) and the engine's exact solve and true-state reuse counts
@@ -62,8 +63,8 @@ bit-identity:
 	$(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica|RebalancerReuseMatchesRebuild|BuilderMatchesReferenceWalk' ./internal/fastcap
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'PowerCapMatchesReferenceOracle|PowerCapReplayMatchesReferenceOracle|CapWalkEndsAtFloor' ./internal/core
 	$(GO) test -race -count=1 -run 'PowerCapMatchesReferenceOracle|PowerCapReplayMatchesReferenceOracle|CapWalkEndsAtFloor' ./internal/core
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'CoreSweepMatchesReference|BaselinePoliciesInfeasibleFallback|OfflineMatchesReference|ControllersKeepSlackAlike' ./internal/policy
-	$(GO) test -race -count=1 -run 'CoreSweepMatchesReference|BaselinePoliciesInfeasibleFallback|OfflineMatchesReference|ControllersKeepSlackAlike' ./internal/policy
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TablesBitIdenticalToDirect|CoreSweepMatchesReference|BaselinePoliciesInfeasibleFallback|OfflineMatchesReference|ControllersKeepSlackAlike' ./internal/policy
+	$(GO) test -race -count=1 -run 'TablesBitIdenticalToDirect|CoreSweepMatchesReference|BaselinePoliciesInfeasibleFallback|OfflineMatchesReference|ControllersKeepSlackAlike' ./internal/policy
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'GoldenBitIdentical|EngineReusesUnchangedGroundTruth' ./internal/sim
 	$(GO) test -race -count=1 -run 'GoldenBitIdentical|EngineReusesUnchangedGroundTruth' ./internal/sim
 

@@ -11,11 +11,10 @@ import (
 // frontier builder share. From the all-max point each Step takes the
 // single-step-down move — one memory step, or one step on one core — that
 // sheds the most power per unit of worst slowdown (Utility), evaluating
-// each candidate at most once on the memoized-table path (bit-identical
-// to the direct path, DESIGN.md §10). The walk records every point it
-// visits in its Trail: PowerCap decides on the first trail point under its
-// cap, and the frontier builder runs the walk to the ladder floor and
-// filters the whole trail.
+// each candidate at most once on the memoized tables (DESIGN.md §10). The
+// walk records every point it visits in its Trail: PowerCap decides on the
+// first trail point under its cap, and the frontier builder runs the walk
+// to the ladder floor and filters the whole trail.
 //
 // The walk owns its evaluator and scratch, so it allocates nothing once
 // warm. A zero CapWalk is ready for Reset.
@@ -67,7 +66,6 @@ type capCand struct {
 //
 //hot:path
 func (w *CapWalk) Reset(cfg policy.Config, obs policy.Observation, scaled []float64) {
-	w.ev.UseTables = true
 	w.ev.Reset(cfg, obs)
 	w.scaled = scaled
 	w.steps = perf.Resize(w.steps, cfg.NCores)

@@ -96,7 +96,7 @@ func NewWithOptions(cfg policy.Config, opts Options) (*CoScale, error) {
 		cfg:   cfg,
 		opts:  opts,
 		slack: policy.NewSlackBook(cfg),
-		ev:    &policy.Evaluator{UseTables: true},
+		ev:    &policy.Evaluator{},
 		st: searchState{
 			steps:    make([]int, n),
 			coreList: make([]coreMarg, 0, n),

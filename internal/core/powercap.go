@@ -63,9 +63,8 @@ func NewPowerCap(cfg policy.Config, capWatts float64) (*PowerCap, error) {
 	if capWatts <= 0 || math.IsNaN(capWatts) {
 		return nil, fmt.Errorf("core: power cap %g W must be positive", capWatts)
 	}
-	// The walk evaluates on the memoized-table path: with Cfg.Tables wired
-	// in, sibling nodes of a capped fleet share one platform-column build
-	// per process.
+	// With Cfg.Tables wired in, sibling nodes of a capped fleet share one
+	// platform-column build per process.
 	return &PowerCap{
 		cfg:   cfg,
 		capW:  capWatts,

@@ -216,8 +216,7 @@ func TestPowerCapWithRescaledSystem(t *testing.T) {
 // counts the moves that reached the cases the walk's selection must get
 // right.
 func refDecideCapped(p *PowerCap, obs policy.Observation) (d policy.Decision, edges refEdges, err error) {
-	ev := &policy.Evaluator{UseTables: true}
-	ev.Reset(p.cfg, obs)
+	ev := policy.NewEvaluator(p.cfg, obs)
 	n := p.cfg.NCores
 	minSteps := make([]int, n)
 	for i := range minSteps {
@@ -382,7 +381,7 @@ func TestPowerCapMatchesReferenceOracle(t *testing.T) {
 	llc := cache.NewShareModel(cache.DefaultSizeMB)
 	decisions, infeasible := 0, 0
 	var edges refEdges
-	fresh := policy.Evaluator{UseTables: true}
+	var fresh policy.Evaluator
 	var freshEval policy.Eval
 	for _, name := range workload.Names() {
 		mix := must(workload.Get(name))
@@ -468,7 +467,7 @@ func requireRefDecision(t *testing.T, ctx string, d policy.Decision, err error, 
 // observation changed must walk afresh.
 func TestPowerCapReplayMatchesReferenceOracle(t *testing.T) {
 	llc := cache.NewShareModel(cache.DefaultSizeMB)
-	fresh := policy.Evaluator{UseTables: true}
+	var fresh policy.Evaluator
 	var freshEval policy.Eval
 	replays, extends, rewalks := 0, 0, 0
 	for _, name := range workload.Names() {
@@ -672,8 +671,8 @@ func TestPowerCapDecideZeroAllocSteadyState(t *testing.T) {
 // sequence: DecideCapped returns ErrCapInfeasible exactly when the
 // all-minimum configuration's predicted power exceeds the cap, and under a
 // feasible cap the returned decision's predicted power never exceeds it.
-// The floor and the decision's power come from an independent evaluator
-// on the direct path.
+// The floor and the decision's power come from an independent evaluator,
+// not from the walk's own.
 func TestPowerCapContracts(t *testing.T) {
 	rng := trace.NewRand(2012)
 	llc := cache.NewShareModel(cache.DefaultSizeMB)

@@ -1,16 +1,12 @@
 package core
 
-// Property test for the memoized per-epoch prediction tables (DESIGN.md §10):
-// the table path must be *bit-identical* to direct model evaluation — not
-// approximately equal, identical — across core counts, ladder sizes, and
-// randomized profiling observations. The tables are rebuilt from the same
-// model with the same operation order, so any divergence is a bug in the
-// memoization, and the first diverging seed is reproducible from the
-// iteration number printed on failure.
+// Controller-level tests of CoScale on the memoized per-epoch prediction
+// tables (DESIGN.md §10): the warm search allocates nothing, Reset replays
+// bit-identically, and the search's work counters add up. The tables'
+// bit-identity with the direct model is TestTablesBitIdenticalToDirect in
+// internal/policy.
 
 import (
-	"fmt"
-	"math"
 	"testing"
 	"time"
 
@@ -71,129 +67,6 @@ func randObs(rng *trace.Rand, n int) policy.Observation {
 		}
 	}
 	return obs
-}
-
-// requireBitsEqual compares two predictions field by field with
-// math.Float64bits — the bit pattern, not tolerance-based closeness.
-func requireBitsEqual(t *testing.T, ctx string, tab, dir policy.Eval) {
-	t.Helper()
-	eq := func(field string, a, b float64) {
-		t.Helper()
-		if math.Float64bits(a) != math.Float64bits(b) {
-			t.Fatalf("%s: %s diverges: table %v (%#x) vs direct %v (%#x)",
-				ctx, field, a, math.Float64bits(a), b, math.Float64bits(b))
-		}
-	}
-	eq("SER", tab.SER, dir.SER)
-	eq("MaxSlow", tab.MaxSlow, dir.MaxSlow)
-	eq("Power.CPU", tab.Power.CPU, dir.Power.CPU)
-	eq("Power.L2", tab.Power.L2, dir.Power.L2)
-	eq("Power.Mem", tab.Power.Mem, dir.Power.Mem)
-	eq("Power.Rest", tab.Power.Rest, dir.Power.Rest)
-	eq("Power.Total", tab.Power.Total, dir.Power.Total)
-	eq("MemLoad.Latency", tab.MemLoad.Latency, dir.MemLoad.Latency)
-	eq("MemLoad.XiBus", tab.MemLoad.XiBus, dir.MemLoad.XiBus)
-	eq("MemLoad.XiBank", tab.MemLoad.XiBank, dir.MemLoad.XiBank)
-	eq("MemLoad.UtilBus", tab.MemLoad.UtilBus, dir.MemLoad.UtilBus)
-	eq("MemLoad.UtilBank", tab.MemLoad.UtilBank, dir.MemLoad.UtilBank)
-	if len(tab.TPI) != len(dir.TPI) {
-		t.Fatalf("%s: TPI length %d vs %d", ctx, len(tab.TPI), len(dir.TPI))
-	}
-	for i := range dir.TPI {
-		if math.Float64bits(tab.TPI[i]) != math.Float64bits(dir.TPI[i]) {
-			t.Fatalf("%s: TPI[%d] diverges: %v vs %v", ctx, i, tab.TPI[i], dir.TPI[i])
-		}
-		if math.Float64bits(tab.Slowdown[i]) != math.Float64bits(dir.Slowdown[i]) {
-			t.Fatalf("%s: Slowdown[%d] diverges: %v vs %v", ctx, i, tab.Slowdown[i], dir.Slowdown[i])
-		}
-	}
-}
-
-// TestTablesBitIdenticalToDirect is the memoization cross-check. CoScale's
-// marginal kernel reads the tables through exactly two lookups, so both are
-// checked against the direct model for every core and every non-bottom
-// step: StepTable.TPIPairAt(i, s, lat) must equal CoreStats.TPI at Hz(s)
-// and Hz(s+1), and CoreTable.PowerAt must equal CoreModel.Power at steps s
-// and s+1 for the instruction rates the kernel feeds it — at the joint
-// latencies of the all-max point and of the decision point, which the walk
-// visits, and at a random one. The full
-// evaluators must also predict bit-identically at the controller's
-// decision point and at a random point. The controller Observes every
-// epoch so accumulated slack, and with it the decision point, varies.
-func TestTablesBitIdenticalToDirect(t *testing.T) {
-	rng := trace.NewRand(2026)
-	const perCombo = 35
-	iters := 0
-	for _, n := range []int{4, 16, 64, 128} {
-		for _, lad := range []struct{ core, mem int }{{10, 10}, {5, 3}, {16, 8}} {
-			cfg := propCfg(n, lad.core, lad.mem)
-			cs := must(New(cfg))
-			evTab := &policy.Evaluator{UseTables: true}
-			evDir := &policy.Evaluator{}
-			for k := 0; k < perCombo; k++ {
-				iters++
-				ctx := fmt.Sprintf("iter %d (n=%d ladders %d/%d)", iters, n, lad.core, lad.mem)
-				obs := randObs(rng, n)
-				d := cs.Decide(obs)
-
-				evTab.Reset(cfg, obs)
-				evDir.Reset(cfg, obs)
-				var eTab, eDir policy.Eval
-				evTab.EvaluateInto(&eTab, d.CoreSteps, d.MemStep)
-				evDir.EvaluateInto(&eDir, d.CoreSteps, d.MemStep)
-				requireBitsEqual(t, ctx+" decision point", eTab, eDir)
-				lats := []float64{evTab.Baseline().MemLoad.Latency, eTab.MemLoad.Latency, 20e-9 + rng.Float64()*200e-9}
-				requireLookupsEqual(t, ctx, cfg, evTab, lats)
-
-				steps := make([]int, n)
-				for i := range steps {
-					steps[i] = int(rng.Intn(uint64(cfg.CoreLadder.Steps())))
-				}
-				memStep := int(rng.Intn(uint64(cfg.MemLadder.Steps())))
-				evTab.EvaluateInto(&eTab, steps, memStep)
-				evDir.EvaluateInto(&eDir, steps, memStep)
-				requireBitsEqual(t, ctx+" random point", eTab, eDir)
-
-				cs.Observe(obs)
-			}
-		}
-	}
-	if iters < 400 {
-		t.Fatalf("only %d property iterations, want >= 400", iters)
-	}
-}
-
-// requireLookupsEqual checks the marginal kernel's two table lookups
-// against the direct model, by Float64bits, for every core and every
-// non-bottom step at each latency.
-func requireLookupsEqual(t *testing.T, ctx string, cfg policy.Config, ev *policy.Evaluator, lats []float64) {
-	t.Helper()
-	tbl, ptbl := ev.Tables()
-	lad := cfg.CoreLadder
-	bits := math.Float64bits
-	for _, lat := range lats {
-		for i, st := range ev.Stats() {
-			mix := ev.ObsCore(i).Mix
-			for s := 0; !lad.Bottom(s); s++ {
-				cur, next := tbl.TPIPairAt(i, s, lat)
-				wantCur, wantNext := st.TPI(lad.Hz(s), lat), st.TPI(lad.Hz(s+1), lat)
-				if bits(cur) != bits(wantCur) || bits(next) != bits(wantNext) {
-					t.Fatalf("%s: core %d step %d lat %v: TPIPairAt (%v, %v), direct (%v, %v)",
-						ctx, i, s, lat, cur, next, wantCur, wantNext)
-				}
-				for _, p := range []struct {
-					step int
-					ips  float64
-				}{{s, 1 / cur}, {s + 1, 1 / next}} {
-					got := ptbl.PowerAt(p.step, i, p.ips)
-					want := cfg.Power.Core.Power(lad.Volts(p.step), lad.Hz(p.step), p.ips, mix)
-					if bits(got) != bits(want) {
-						t.Fatalf("%s: core %d step %d ips %v: PowerAt %v, direct %v", ctx, i, p.step, p.ips, got, want)
-					}
-				}
-			}
-		}
-	}
 }
 
 // TestTablePathZeroAllocWarm gates the memoized path's steady state directly

@@ -442,7 +442,7 @@ func TestRebalancerMatchesSerialReplica(t *testing.T) {
 			if derr != nil && !errors.Is(derr, core.ErrCapInfeasible) {
 				t.Fatal(derr)
 			}
-			ev := policy.Evaluator{UseTables: true}
+			var ev policy.Evaluator
 			ev.Reset(cfg, obs[i])
 			var want policy.Eval
 			ev.EvaluateInto(&want, d.CoreSteps, d.MemStep)

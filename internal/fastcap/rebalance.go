@@ -211,7 +211,7 @@ func (r *Rebalancer) Epoch(budget float64, obs []policy.Observation, out []NodeE
 
 	// Drive each node's controller against its slice. The frontier's floor
 	// watts and PowerCap's own min-eval are bit-identical (both run the
-	// memoized table path), so an assignment at the floor is feasible at
+	// same evaluator), so an assignment at the floor is feasible at
 	// the boundary rather than spuriously infeasible.
 	r.work = r.work[:0]
 	for i := range r.nodes {

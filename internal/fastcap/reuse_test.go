@@ -64,7 +64,7 @@ func (r *rebuildReplica) epoch(budget float64, obs []policy.Observation) ([]Node
 		if derr != nil && !errors.Is(derr, core.ErrCapInfeasible) {
 			return nil, derr
 		}
-		ev := policy.Evaluator{UseTables: true}
+		var ev policy.Evaluator
 		ev.Reset(r.cfg, obs[i])
 		var e policy.Eval
 		ev.EvaluateInto(&e, d.CoreSteps, d.MemStep)

@@ -23,8 +23,7 @@ import (
 // first of equal utilities winning — run to the ladder floor, followed by
 // the same Pareto filter over the visited points.
 func refBuild(cfg policy.Config, obs policy.Observation) Frontier {
-	ev := &policy.Evaluator{UseTables: true}
-	ev.Reset(cfg, obs)
+	ev := policy.NewEvaluator(cfg, obs)
 	type visit struct {
 		steps       []int
 		mem         int

@@ -33,8 +33,8 @@ import (
 // An EscapeRecord is one compiler heap-escape diagnostic attributed to a
 // transitively hot function.
 type EscapeRecord struct {
-	File    string `json:"file"` // module-root-relative, slash-separated
-	Line    int    `json:"-"`    // the fresh compile's line; not recorded in the baseline
+	File    string `json:"file"`    // module-root-relative, slash-separated
+	Line    int    `json:"-"`       // the fresh compile's line; not recorded in the baseline
 	Func    string `json:"func"`    // display name, e.g. "perf.(*StepTable).Reset"
 	Message string `json:"message"` // e.g. "make([]float64, n) escapes to heap"
 }

@@ -1,5 +1,14 @@
 package policy
 
+// DirectEvaluator exposes the direct reference model to the package's
+// external tests.
+type DirectEvaluator = directEvaluator
+
+// NewDirectEvaluator returns the direct reference model for obs.
+func NewDirectEvaluator(cfg Config, obs Observation) *DirectEvaluator {
+	return newDirectEvaluator(cfg, obs)
+}
+
 // RefOfflineStats exposes refOfflineStats to the package's external tests.
 type RefOfflineStats = refOfflineStats
 

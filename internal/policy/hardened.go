@@ -97,7 +97,7 @@ type Hardened struct {
 	// deficitEv is the persistent evaluator behind recordDeficit's
 	// per-epoch all-max reference estimate, so the watchdog adds no
 	// steady-state evaluator allocations to the epoch loop.
-	deficitEv *Evaluator
+	deficitEv Evaluator
 }
 
 // Harden wraps inner with a watchdog. Oracle policies are rejected: their
@@ -295,9 +295,6 @@ func (h *Hardened) obsSane(obs Observation, tol float64) bool {
 // estimated from the same (vetted) observation the inner policy received:
 // Instructions × the all-max TPI the evaluator's Reset solves.
 func (h *Hardened) recordDeficit(epoch Observation) {
-	if h.deficitEv == nil {
-		h.deficitEv = &Evaluator{UseTables: true}
-	}
 	h.deficitEv.Reset(h.cfg, epoch)
 	base := h.deficitEv.BaselineTPI()
 	threads := epoch.CoreThreads()

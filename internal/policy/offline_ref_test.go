@@ -16,7 +16,7 @@ type refOfflineStats struct{ Sweeps, NoInLimit, Repeats, BaselineSolves int }
 // all-max point solved, both latency rounds swept with refCoreSweep, and
 // every sweep winner verified with the joint model, on a direct evaluator.
 func refOffline(cfg Config, obs Observation, limits []float64, st *refOfflineStats) Decision {
-	ev := NewEvaluator(cfg, obs)
+	ev := newDirectEvaluator(cfg, obs)
 	base := ev.Baseline()
 	best := Decision{CoreSteps: ZeroSteps(cfg.NCores)}
 	bestSER := base.SER
@@ -60,7 +60,7 @@ func refOffline(cfg Config, obs Observation, limits []float64, st *refOfflineSta
 // refHasInLimitStep reports whether some step of core i is within its
 // limit at the given latency: a zero or negative reference admits every
 // step, as WithinBound does.
-func refHasInLimitStep(ev *Evaluator, i int, latency, ref, limit float64) bool {
+func refHasInLimitStep(ev *directEvaluator, i int, latency, ref, limit float64) bool {
 	for s := 0; s < ev.Cfg.CoreLadder.Steps(); s++ {
 		if ref <= 0 || !(ev.stats[i].TPI(ev.Cfg.CoreLadder.Hz(s), latency)/ref > limit*(1+1e-12)) {
 			return true

@@ -92,7 +92,7 @@ func TestEvaluatorPlatformIdentityGuard(t *testing.T) {
 	cfg.Tables = &tc
 	obs := synthObs(cfg, memoryStats())
 
-	ev := &Evaluator{UseTables: true}
+	ev := &Evaluator{}
 	ev.Reset(cfg, obs)
 	if builds, hits := tc.Stats(); builds != 1 || hits != 0 {
 		t.Fatalf("first reset: builds %d hits %d, want 1 and 0", builds, hits)

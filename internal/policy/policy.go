@@ -41,11 +41,11 @@ type Config struct {
 	Reserve float64
 
 	// Tables, when set, is a shared per-platform table cache: evaluators
-	// on the table path fetch their platform-derived columns (ladder
-	// Hz/Volts tables, per-step memory queueing models) from it instead of
-	// rebuilding them, so sibling controllers over one platform — a sweep
-	// job's cells — build those tables once per process. Nil keeps the private per-evaluator build; results are
-	// bit-identical either way.
+	// fetch their platform-derived columns (ladder Hz/Volts tables,
+	// per-step memory queueing models) from it instead of rebuilding them,
+	// so sibling controllers over one platform — a sweep job's cells —
+	// build those tables once per process. Nil keeps the private
+	// per-evaluator build; results are bit-identical either way.
 	Tables *TableCache
 }
 
@@ -232,22 +232,20 @@ type OraclePolicy interface {
 }
 
 // Evaluator predicts performance, power and SER for candidate frequency
-// combinations against a fixed observation. It is re-pointed at a fresh
+// combinations against a fixed observation, on the memoized per-epoch
+// prediction tables of DESIGN.md §10. It is re-pointed at a fresh
 // observation once per decision — either rebuilt with NewEvaluator or, on
 // hot paths, recycled in place with Reset so its work arrays are reused
-// (DESIGN.md §7).
+// (DESIGN.md §7). The zero value is ready for Reset.
 type Evaluator struct {
-	Cfg    Config
-	Solver *perf.Solver
+	Cfg Config
 
-	// UseTables switches candidate evaluation onto the memoized per-epoch
-	// prediction tables (DESIGN.md §10): bit-identical results, but each
-	// evaluation's O(cores) model preparation collapses to an incremental
-	// gather of the cores whose step changed. Set before the first Reset
-	// (every controller in internal/core and every comparison policy here
-	// sets it; the direct path is the tests' reference).
+	// Deprecated: UseTables is ignored; every Evaluator evaluates on the
+	// memoized tables. It remains only because the load generator's
+	// power-capping replica (internal/loadgen/powercap.go) still sets it.
 	UseTables bool
 
+	solver     perf.Solver
 	stats      []perf.CoreStats
 	obs        Observation
 	busyPerReq float64 // measured rank-busy time per request, for power prediction
@@ -256,15 +254,13 @@ type Evaluator struct {
 
 	// Steady-state scratch reused across Evaluate calls.
 	solveRes perf.Result
-	hz       []float64
-	cores    []power.CoreOp
 	maxSteps []int
 
-	// Memoized per-epoch prediction tables (active when UseTables is set)
-	// plus the platform-derived columns they are built over. plat is
-	// fetched from Cfg.Tables when set (shared per-platform build) and
-	// built privately otherwise; platCore/platMem/platMemP remember the
-	// platform it reflects so per-decision Resets skip the rebuild.
+	// Memoized per-epoch prediction tables plus the platform-derived
+	// columns they are built over. plat is fetched from Cfg.Tables when
+	// set (shared per-platform build) and built privately otherwise;
+	// platCore/platMem/platMemP remember the platform it reflects so
+	// per-decision Resets skip the rebuild.
 	tbl      perf.StepTable
 	ptbl     power.CoreTable
 	mixes    []trace.InstrMix
@@ -293,22 +289,17 @@ func NewEvaluator(cfg Config, obs Observation) *Evaluator {
 	return ev
 }
 
-// Reset re-points the evaluator at a new observation, recomputing the
-// statistics and the all-max baseline while reusing every work array. A
-// reset evaluator is indistinguishable from a freshly constructed one.
+// Reset re-points the evaluator at a new observation: it rebuilds the
+// per-epoch tables and solves the all-max baseline, reusing every work
+// array. A reset evaluator is indistinguishable from a freshly
+// constructed one.
 //
 //hot:path
 func (ev *Evaluator) Reset(cfg Config, obs Observation) {
 	ev.Cfg = cfg
-	if ev.Solver == nil {
-		ev.Solver = perf.NewSolver(cfg.Mem)
-	} else {
-		ev.Solver.Mem = cfg.Mem
-	}
 	// Controller-side predictions need far less precision than ground
 	// truth; a looser fixed-point tolerance keeps the §3.1 search cheap.
-	ev.Solver.Tol = 1e-6
-	ev.Solver.MaxIter = 25
+	ev.solver = perf.Solver{Tol: 1e-6, MaxIter: 25}
 	ev.obs = obs
 	n := len(obs.Cores)
 	ev.stats = perf.Grow(ev.stats, n)
@@ -320,12 +311,9 @@ func (ev *Evaluator) Reset(cfg Config, obs Observation) {
 		ev.busyPerReq = obs.BusyFrac / obs.MemRate
 	}
 	ev.maxSteps = perf.Resize(ev.maxSteps, n)
-	if ev.UseTables {
-		ev.resetTables()
-	}
-	// Clear the stale baseline so finish() sees no reference to divide by
-	// (slowdowns come out exactly 1, as for a brand-new evaluator).
-	ev.baseline.TPI = ev.baseline.TPI[:0]
+	ev.resetTables()
+	// The baseline is its own reference: evaluateInto divides each TPI by
+	// itself, so every slowdown, and MaxSlow, comes out exactly 1.
 	ev.evaluateInto(&ev.baseline, ev.maxSteps, 0)
 	ev.baseline.SER = 1
 }
@@ -334,7 +322,7 @@ func (ev *Evaluator) Reset(cfg Config, obs Observation) {
 // the per-core instruction mixes and L2 rates the power path needs, the
 // platform-derived ladder/model columns (fetched or rebuilt only when the
 // platform changed), and the two per-epoch component tables themselves.
-// Every per-epoch column is invalidated; backing arrays are reused.
+// Backing arrays are reused.
 //
 //hot:path
 func (ev *Evaluator) resetTables() {
@@ -381,12 +369,6 @@ func (ev *Evaluator) Baseline() Eval { return ev.baseline }
 //hot:path
 func (ev *Evaluator) BaselineTPI() []float64 { return ev.baseline.TPI }
 
-// Stats returns the counter-derived per-core statistics in use.
-func (ev *Evaluator) Stats() []perf.CoreStats { return ev.stats }
-
-// ObsCore returns core i's observation.
-func (ev *Evaluator) ObsCore(i int) CoreObs { return ev.obs.Cores[i] }
-
 // Evaluate predicts the outcome of running with the given per-core and
 // memory steps.
 func (ev *Evaluator) Evaluate(coreSteps []int, memStep int) Eval {
@@ -424,85 +406,41 @@ func (ev *Evaluator) EvaluateBaselineInto(dst *Eval) {
 //hot:path
 func (ev *Evaluator) EvaluateInto(dst *Eval, coreSteps []int, memStep int) {
 	ev.evaluateInto(dst, coreSteps, memStep)
-	if ev.baseline.MaxSlow > 0 {
-		dst.SER = power.SER(dst.MaxSlow, dst.Power.Total, ev.baseline.MaxSlow, ev.baseline.Power.Total)
-	}
+	dst.SER = power.SER(dst.MaxSlow, dst.Power.Total, ev.baseline.MaxSlow, ev.baseline.Power.Total)
 }
 
-// coreHz fills the evaluator's frequency scratch; the returned slice is
-// valid until the next coreHz call.
-//
-//hot:path
-func (ev *Evaluator) coreHz(coreSteps []int) []float64 {
-	ev.hz = perf.Resize(ev.hz, len(coreSteps))
-	for i, s := range coreSteps {
-		ev.hz[i] = ev.Cfg.CoreLadder.Hz(s)
-	}
-	return ev.hz
-}
-
-// evaluateInto runs the joint model and fills dst completely (the solver's
-// TPI is copied, not aliased: Evals from one decision — current, candidate,
-// baseline — are alive simultaneously and must own their buffers).
+// evaluateInto runs the joint model on the memoized tables and fills dst
+// with everything but SER. The solver gathers its per-core constants
+// incrementally from the StepTable and takes the memory queueing model
+// from the platform's ModelCache; the solver's TPI is copied, not aliased,
+// since Evals from one decision — current, candidate, baseline — are alive
+// simultaneously and must own their buffers. Bit-identity with the direct
+// model is argued term by term in DESIGN.md §10 and enforced against the
+// test reference by TestTablesBitIdenticalToDirect.
 //
 //hot:path
 func (ev *Evaluator) evaluateInto(dst *Eval, coreSteps []int, memStep int) {
-	if ev.UseTables {
-		ev.evaluateTablesInto(dst, coreSteps, memStep)
-		return
-	}
-	hz := ev.coreHz(coreSteps)
-	busHz := ev.Cfg.MemLadder.Hz(memStep)
-	ev.Solver.SolveInto(&ev.solveRes, ev.stats, hz, busHz)
-	n := len(ev.solveRes.TPI)
-	dst.TPI = perf.Resize(dst.TPI, n)
-	copy(dst.TPI, ev.solveRes.TPI)
-	dst.Slowdown = perf.Resize(dst.Slowdown, n)
-	dst.MaxSlow = 0
-	dst.SER = 0
-	dst.MemLoad = ev.solveRes.Mem
-	ev.finish(dst, coreSteps, hz, memStep, ev.solveRes.MemRate)
-}
-
-// evaluateTablesInto is evaluateInto on the memoized-table path: the solver
-// gathers its per-core constants incrementally from the StepTable, the
-// memory queueing model comes from the ModelCache, and finishTables sums
-// per-core power from the CoreTable. Bit-identity with the direct path is
-// argued term by term in DESIGN.md §10 and enforced by the property test in
-// internal/core/tables_prop_test.go.
-//
-//hot:path
-func (ev *Evaluator) evaluateTablesInto(dst *Eval, coreSteps []int, memStep int) {
-	ev.Solver.SolveTable(&ev.solveRes, &ev.tbl, coreSteps, ev.plat.Models.At(memStep))
+	ev.solver.SolveTable(&ev.solveRes, &ev.tbl, coreSteps, ev.plat.Models.At(memStep))
 	n := len(ev.solveRes.TPI)
 	dst.TPI = perf.Grow(dst.TPI, n)
 	copy(dst.TPI, ev.solveRes.TPI)
 	dst.Slowdown = perf.Grow(dst.Slowdown, n)
-	dst.MaxSlow = 0
-	dst.SER = 0
 	dst.MemLoad = ev.solveRes.Mem
-	ev.finishTables(dst, coreSteps, memStep, ev.solveRes.MemRate)
-}
+	memRate := ev.solveRes.MemRate
 
-// finishTables is finish on the memoized-table path. The per-core power sum
-// reuses the solver's already-computed instruction rates (the same
-// 1/TPI-or-zero finish would rederive) and accumulates CoreTable terms in
-// ascending core order — the exact order System.Total sums — before handing
-// the sum to TotalFromCPU.
-//
-//hot:path
-func (ev *Evaluator) finishTables(e *Eval, coreSteps []int, memStep int, memRate float64) {
 	base := ev.baseline.TPI
-	sameLen := len(base) == len(e.TPI)
+	sameLen := len(base) == n
 	maxSlow := 0.0
-	n := len(coreSteps)
-	tpi, slow := e.TPI[:n], e.Slowdown[:n]
+	tpi, slow := dst.TPI[:n], dst.Slowdown[:n]
 	ips, l2pi := ev.solveRes.IPS[:n], ev.l2pi[:n]
 	cpu := 0.0
 	l2Rate := 0.0
 	// One fused pass: slowdown/max and the power sums accumulate
 	// independently, so interleaving them changes no per-accumulator
-	// operation order (bit-identical to two passes).
+	// operation order. The per-core power sum reuses the solver's
+	// instruction rates (the same 1/TPI-or-zero the direct model derives)
+	// and accumulates CoreTable terms in ascending core order, the exact
+	// order System.Total sums, before handing the sum to TotalFromCPU.
 	for i, s := range coreSteps {
 		sl := 1.0
 		if sameLen && base[i] > 0 {
@@ -519,7 +457,7 @@ func (ev *Evaluator) finishTables(e *Eval, coreSteps []int, memStep int, memRate
 	if maxSlow <= 0 {
 		maxSlow = 1
 	}
-	e.MaxSlow = maxSlow
+	dst.MaxSlow = maxSlow
 	busy := ev.busyPerReq * memRate
 	if busy > 1 {
 		busy = 1
@@ -532,76 +470,20 @@ func (ev *Evaluator) finishTables(e *Eval, coreSteps []int, memStep int, memRate
 		ReadRate:  memRate * 0.8,
 		WriteRate: memRate * 0.2,
 		ActRate:   memRate,
-		UtilBus:   e.MemLoad.UtilBus,
+		UtilBus:   dst.MemLoad.UtilBus,
 		BusyFrac:  busy,
 	}
-	e.Power = ev.Cfg.Power.TotalFromCPU(cpu, l2Rate, u)
+	dst.Power = ev.Cfg.Power.TotalFromCPU(cpu, l2Rate, u)
 }
 
 // Tables exposes the memoized per-epoch prediction tables so callers on the
 // marginal-scoring hot path can query them through inlinable methods:
-// StepTable.TPIPairAt(i, s, lat) is bit-identical to Stats()[i].TPI at
-// steps s and s+1, and CoreTable.PowerAt(s, i, ips) to
+// StepTable.TPIPairAt(i, s, lat) is bit-identical to core i's
+// CoreStats.TPI at steps s and s+1, and CoreTable.PowerAt(s, i, ips) to
 // Cfg.Power.Core.Power(Volts(s), Hz(s), ips, mix_i) (DESIGN.md §10).
-// Valid only when UseTables is set, between a Reset and the next.
+// Valid between a Reset and the next.
 func (ev *Evaluator) Tables() (*perf.StepTable, *power.CoreTable) {
 	return &ev.tbl, &ev.ptbl
-}
-
-// finish fills slowdowns and predicted power for an Eval whose TPI and
-// MemLoad are already set. coreSteps and hz describe the same operating
-// point (hz[i] = CoreLadder.Hz(coreSteps[i])); taking both spares the
-// nearest-frequency ladder scan the voltage lookup would otherwise need.
-//
-//hot:path
-func (ev *Evaluator) finish(e *Eval, coreSteps []int, hz []float64, memStep int, memRate float64) {
-	for i := range e.Slowdown {
-		if len(ev.baseline.TPI) == len(e.TPI) && ev.baseline.TPI[i] > 0 {
-			e.Slowdown[i] = e.TPI[i] / ev.baseline.TPI[i]
-		} else {
-			e.Slowdown[i] = 1
-		}
-		if e.Slowdown[i] > e.MaxSlow {
-			e.MaxSlow = e.Slowdown[i]
-		}
-	}
-	if e.MaxSlow <= 0 {
-		e.MaxSlow = 1
-	}
-
-	cores := perf.Grow(ev.cores, len(e.TPI))
-	ev.cores = cores
-	l2Rate := 0.0
-	for i, tpi := range e.TPI {
-		ips := 0.0
-		if tpi > 0 && !math.IsInf(tpi, 0) {
-			ips = 1 / tpi
-		}
-		cores[i] = power.CoreOp{
-			Volts: ev.Cfg.CoreLadder.Volts(coreSteps[i]),
-			Hz:    hz[i],
-			IPS:   ips,
-			Mix:   ev.obs.Cores[i].Mix,
-		}
-		l2Rate += ips * ev.obs.Cores[i].L2PerInstr
-	}
-	busHz := ev.Cfg.MemLadder.Hz(memStep)
-	busy := ev.busyPerReq * memRate
-	if busy > 1 {
-		busy = 1
-	}
-	// Split traffic into reads and writes in the observed proportion; the
-	// energy model treats them symmetrically anyway.
-	u := power.MemUsage{
-		BusHz:     busHz,
-		MCVolts:   ev.Cfg.MemLadder.Volts(memStep),
-		ReadRate:  memRate * 0.8,
-		WriteRate: memRate * 0.2,
-		ActRate:   memRate,
-		UtilBus:   e.MemLoad.UtilBus,
-		BusyFrac:  busy,
-	}
-	e.Power = ev.Cfg.Power.Total(cores, l2Rate, u)
 }
 
 // MaxSlowdownsInto converts per-core accumulated slack into the maximum

@@ -26,7 +26,7 @@ func newSearcher(cfg Config) (searcher, error) {
 	if err := cfg.Validate(); err != nil {
 		return searcher{}, err
 	}
-	return searcher{cfg: cfg, slack: NewSlackBook(cfg), ev: Evaluator{UseTables: true}}, nil
+	return searcher{cfg: cfg, slack: NewSlackBook(cfg)}, nil
 }
 
 // begin re-points the evaluator at obs and returns the per-core slowdown
@@ -58,7 +58,7 @@ func (s *searcher) memSearch(coreSteps []int, refTPI, limits []float64) int {
 		if !withinRef(s.e, refTPI, limits) {
 			continue
 		}
-		if ser := serAgainst(&s.ev, s.e); ser < bestSER {
+		if ser := serAgainst(&s.ev.baseline, s.e); ser < bestSER {
 			bestSER, bestStep = ser, m
 		}
 	}
@@ -80,9 +80,8 @@ func withinRef(e Eval, refTPI, limits []float64) bool {
 	return true
 }
 
-// serAgainst computes the SER of e against the evaluator's all-max baseline.
-func serAgainst(ev *Evaluator, e Eval) float64 {
-	b := &ev.baseline
+// serAgainst computes the SER of e against the all-max baseline b.
+func serAgainst(b *Eval, e Eval) float64 {
 	t := 0.0
 	for i, tpi := range e.TPI {
 		if b.TPI[i] > 0 {

@@ -33,7 +33,6 @@ func NewSlackBook(cfg Config) *SlackBook {
 	return &SlackBook{
 		cfg:      cfg,
 		byThread: make(map[int]*perf.Slack, cfg.NCores),
-		ev:       Evaluator{UseTables: true},
 	}
 }
 

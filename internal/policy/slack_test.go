@@ -76,12 +76,12 @@ func threadsOn(obs policy.Observation) []int {
 
 // refLedger is the slack rule written out once, independently of
 // SlackBook: each finished epoch credits a thread (1+γ) times its core's
-// instructions at the all-max TPI of a direct-path evaluator, and charges
+// instructions at the all-max TPI of the direct reference model, and charges
 // the epoch's wall time plus the reserve.
 type refLedger map[int]float64
 
 func (l refLedger) observe(cfg policy.Config, epoch policy.Observation) {
-	base := policy.NewEvaluator(cfg, epoch).Baseline().TPI
+	base := policy.NewDirectEvaluator(cfg, epoch).Baseline().TPI
 	for i, id := range threadsOn(epoch) {
 		tMax := float64(epoch.Cores[i].Instructions) * base[i]
 		l[id] += tMax*(1+cfg.Gamma) - (epoch.Window + cfg.Reserve)
@@ -202,7 +202,7 @@ func checkBits(t *testing.T, call int, what string, got, want []float64) {
 
 // TestHardenedDeficitKeepsSlackRule replays the same engine-recorded epochs
 // through a hardened CoScale and holds the watchdog's per-thread deficit to
-// a direct-path reference after every Observe: each sane epoch adds the
+// a reference on the direct model after every Observe: each sane epoch adds the
 // wall time less (1+γ) times the all-max time, clamped at zero, and a trip
 // clears the table.
 func TestHardenedDeficitKeepsSlackRule(t *testing.T) {
@@ -228,7 +228,7 @@ func TestHardenedDeficitKeepsSlackRule(t *testing.T) {
 			after := h.Stats()
 			if after.InsaneWindows == before.InsaneWindows {
 				sane++
-				base := policy.NewEvaluator(cfg, e.obs).Baseline().TPI
+				base := policy.NewDirectEvaluator(cfg, e.obs).Baseline().TPI
 				for i, id := range threadsOn(e.obs) {
 					tMax := float64(e.obs.Cores[i].Instructions) * base[i]
 					d := ref[id] + e.obs.Window - (1+cfg.Gamma)*tMax

@@ -13,8 +13,8 @@ import (
 
 // refFixedLatency is the full fixed-latency model the sweep's per-(core,
 // step) terms are summed from: per-core TPI at a pinned memory latency,
-// then slowdowns and power through the direct evaluator's finish.
-func refFixedLatency(ev *Evaluator, coreSteps []int, memStep int, latency float64) Eval {
+// then slowdowns and power through the direct reference's finish.
+func refFixedLatency(ev *directEvaluator, coreSteps []int, memStep int, latency float64) Eval {
 	hz := ev.coreHz(coreSteps)
 	e := Eval{TPI: make([]float64, len(ev.stats)), Slowdown: make([]float64, len(ev.stats))}
 	for i, s := range ev.stats {
@@ -61,7 +61,7 @@ type refSweepStats struct{ dupCands, serTies, guardOthers, identicalRows, negInf
 // the full fixed-latency model, bound-check and SER-score each candidate
 // from scratch. It returns the winner (all zeros when none is feasible),
 // its SER and whether any candidate was feasible.
-func refCoreSweep(ev *Evaluator, memStep int, latency float64, refTPI, limits []float64, st *refSweepStats) ([]int, float64, bool) {
+func refCoreSweep(ev *directEvaluator, memStep int, latency float64, refTPI, limits []float64, st *refSweepStats) ([]int, float64, bool) {
 	ladder := ev.Cfg.CoreLadder
 	slow := make([][]float64, len(refTPI))
 	var cands []float64
@@ -105,7 +105,7 @@ func refCoreSweep(ev *Evaluator, memStep int, latency float64, refTPI, limits []
 		if !withinRef(e, refTPI, limits) {
 			continue
 		}
-		ser := serAgainst(ev, e)
+		ser := serAgainst(&ev.baseline, e)
 		if ser == bestSER {
 			st.serTies++
 		}
@@ -191,12 +191,12 @@ func TestCoreSweepMatchesReference(t *testing.T) {
 	var st refSweepStats
 	var infeasible, foreignRef, guardCases, noRef, noBase, unsorted int
 	var w coreSweep
-	tab := &Evaluator{UseTables: true}
+	var tab Evaluator
 	for c := 0; c < 600; c++ {
 		n := []int{1, 2, 3, 7, 16, 24}[c%6]
 		cfg := testCfg(n)
 		obs, memStep, latency, limits, kind := sweepCase(rng, cfg)
-		direct := NewEvaluator(cfg, obs)
+		direct := newDirectEvaluator(cfg, obs)
 		tab.Reset(cfg, obs)
 
 		refTPI := direct.Baseline().TPI
@@ -238,7 +238,7 @@ func TestCoreSweepMatchesReference(t *testing.T) {
 		}
 
 		wantSteps, wantSER, wantFound := refCoreSweep(direct, memStep, latency, refTPI, limits, &st)
-		gotFound := w.run(tab, memStep, latency, refTPI, limits)
+		gotFound := w.run(&tab, memStep, latency, refTPI, limits)
 		if gotFound != wantFound || !slices.Equal(w.best, wantSteps) ||
 			math.Float64bits(w.ser) != math.Float64bits(wantSER) {
 			t.Fatalf("case %d (n=%d kind=%d): sweep = %v ser %v found %v, reference = %v ser %v found %v",
@@ -263,7 +263,7 @@ func TestCoreSweepMatchesReference(t *testing.T) {
 // slowdownsAscend reports whether core i's slowdowns against ref never
 // fall down the ladder, so that the row yields its thresholds in order and
 // the sweep's per-row sort has nothing to do.
-func slowdownsAscend(ev *Evaluator, i int, latency, ref float64) bool {
+func slowdownsAscend(ev *directEvaluator, i int, latency, ref float64) bool {
 	for s := 1; s < ev.Cfg.CoreLadder.Steps(); s++ {
 		if !(ev.stats[i].TPI(ev.Cfg.CoreLadder.Hz(s), latency)/ref >= ev.stats[i].TPI(ev.Cfg.CoreLadder.Hz(s-1), latency)/ref) {
 			return false
