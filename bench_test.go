@@ -287,6 +287,8 @@ func BenchmarkSearch128Cores(b *testing.B)        { experiments.BenchSearch128Co
 func BenchmarkSearch256Cores(b *testing.B)        { experiments.BenchSearch256Cores(b) }
 func BenchmarkSearch512Cores(b *testing.B)        { experiments.BenchSearch512Cores(b) }
 func BenchmarkSearch1024Cores(b *testing.B)       { experiments.BenchSearch1024Cores(b) }
+func BenchmarkControlOp1024(b *testing.B)         { experiments.BenchControlOp1024(b) }
+func BenchmarkSlackObserve1024(b *testing.B)      { experiments.BenchSlackObserve1024(b) }
 func BenchmarkPowerCapDecide(b *testing.B)        { experiments.BenchPowerCapDecide(b) }
 func BenchmarkPowerCapRedecide(b *testing.B)      { experiments.BenchPowerCapRedecide(b) }
 func BenchmarkFrontierBuild(b *testing.B)         { experiments.BenchFrontierBuild(b) }

@@ -1,5 +1,7 @@
 // Command coscale-bench runs the headline performance benchmarks — the §3.1
-// search cost at 16-1024 cores, one capped PowerCap decision (cold, and
+// search cost at 16-1024 cores, one op of the 1024-core control loop
+// (Observe then Decide), the slack book's Observe at 1024 cores, one capped
+// PowerCap decision (cold, and
 // replayed under a moving cap), one frontier build, one
 // fleet rebalancing epoch (cold, and with every node holding its phase), one scheduler scan of the fleet job store, the raw
 // epoch-simulation throughput, one Offline comparison-policy decision and
@@ -87,6 +89,16 @@ type BenchRow struct {
 	// program never fills them and -compare ignores them.
 	BeforeNsPerOp     float64 `json:"before_ns_per_op,omitempty"`
 	BeforeAllocsPerOp int64   `json:"before_allocs_per_op,omitempty"`
+	// Runs, NsPerOpMin and NsPerOpMax record, for a row measured over
+	// repeated runs, their number and the spread of ns/op (NsPerOp and
+	// BeforeNsPerOp are then medians); BeforeNsPerOpMin and
+	// BeforeNsPerOpMax are the parent's spread. Copied in by hand, like the
+	// Before fields.
+	Runs             int     `json:"runs,omitempty"`
+	NsPerOpMin       float64 `json:"ns_per_op_min,omitempty"`
+	NsPerOpMax       float64 `json:"ns_per_op_max,omitempty"`
+	BeforeNsPerOpMin float64 `json:"before_ns_per_op_min,omitempty"`
+	BeforeNsPerOpMax float64 `json:"before_ns_per_op_max,omitempty"`
 }
 
 // FigureRow records the wall time of one figure regeneration.
@@ -216,6 +228,8 @@ var headline = []struct {
 	{"Search256Cores", experiments.BenchSearch256Cores},
 	{"Search512Cores", experiments.BenchSearch512Cores},
 	{"Search1024Cores", experiments.BenchSearch1024Cores},
+	{"ControlOp1024", experiments.BenchControlOp1024},
+	{"SlackObserve1024", experiments.BenchSlackObserve1024},
 	{"PowerCapDecide", experiments.BenchPowerCapDecide},
 	{"PowerCapRedecide", experiments.BenchPowerCapRedecide},
 	{"FrontierBuild", experiments.BenchFrontierBuild},

@@ -100,6 +100,67 @@ func benchSearch(b *testing.B, n int) {
 	b.ReportMetric(float64(st.CoreEvals), "evals")
 }
 
+// BenchControlOp1024 times one op of the load generator's control-1024
+// workload: Observe of the epoch the previous decision predicts, then
+// Decide, on a 1024-core CoScale cycling through SearchBenchObsSeed(1024,
+// 1..16). The epoch prediction (each core retiring the instructions its
+// predicted TPI allows in one epoch) runs outside the timer, after one
+// untimed op that sizes the first-call scratch.
+func BenchControlOp1024(b *testing.B) {
+	const n, nObs = 1024, 16
+	var cfg policy.Config
+	obs := make([]policy.Observation, nObs)
+	for i := range obs {
+		cfg, obs[i] = SearchBenchObsSeed(n, uint64(i+1))
+	}
+	cs, err := core.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var (
+		ev    policy.Evaluator
+		e     policy.Eval
+		epoch policy.Observation
+	)
+	predict := func(o policy.Observation, d policy.Decision) {
+		ev.Reset(cfg, o)
+		ev.EvaluateInto(&e, d.CoreSteps, d.MemStep)
+		o.CloneInto(&epoch)
+		epoch.Window = cfg.EpochLen.Seconds()
+		epoch.CoreSteps = append(epoch.CoreSteps[:0], d.CoreSteps...)
+		epoch.MemStep = d.MemStep
+		for i := range epoch.Cores {
+			epoch.Cores[i].Instructions = uint64(epoch.Window / e.TPI[i])
+			epoch.Cores[i].IPS = 1 / e.TPI[i]
+		}
+	}
+	predict(obs[0], cs.Decide(obs[0]))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		o := obs[i%nObs]
+		cs.Observe(epoch)
+		d := cs.Decide(o)
+		b.StopTimer()
+		predict(o, d)
+		b.StartTimer()
+	}
+}
+
+// BenchSlackObserve1024 times SlackBook.Observe, the end-of-epoch slack
+// accounting of every slack-keeping controller, on SearchBenchObsSeed(1024,
+// 1), after one untimed Observe that sizes the book's scratch.
+func BenchSlackObserve1024(b *testing.B) {
+	cfg, obs := SearchBenchObsSeed(1024, 1)
+	book := policy.NewSlackBook(cfg)
+	book.Observe(obs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		book.Observe(obs)
+	}
+}
+
 // BenchOfflineDecide times one decision of the Offline comparison policy
 // (§3.2) on SearchBenchObs(16) after one untimed Decide that sizes its
 // scratch: a sweep over every memory step with the per-core candidate
