@@ -47,7 +47,9 @@ bench-smoke:
 ## rebalancer's per-node fan-out against its serial replica, its frontier
 ## and decision reuse against a rebuild-everything replica, the frontier
 ## walk against its reference walk, PowerCap's capped walk and its trail
-## replay against their reference oracle, the memoized evaluator against
+## replay against their reference oracle, CoScale's eligibility-list sorts
+## against the comparison sorts they replace, the joint solver against its
+## naive every-pass loop (DESIGN.md §10), the memoized evaluator against
 ## the direct reference model (DESIGN.md §10), the comparison policies'
 ## table-backed core sweep against its direct reference and Offline's
 ## trimmed decisions against the direct refOffline on recorded traffic
@@ -61,8 +63,10 @@ bench-smoke:
 bit-identity:
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica|RebalancerReuseMatchesRebuild|BuilderMatchesReferenceWalk' ./internal/fastcap
 	$(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica|RebalancerReuseMatchesRebuild|BuilderMatchesReferenceWalk' ./internal/fastcap
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'PowerCapMatchesReferenceOracle|PowerCapReplayMatchesReferenceOracle|CapWalkEndsAtFloor' ./internal/core
-	$(GO) test -race -count=1 -run 'PowerCapMatchesReferenceOracle|PowerCapReplayMatchesReferenceOracle|CapWalkEndsAtFloor' ./internal/core
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'PowerCapMatchesReferenceOracle|PowerCapReplayMatchesReferenceOracle|CapWalkEndsAtFloor|EligibilitySortsMatchComparator' ./internal/core
+	$(GO) test -race -count=1 -run 'PowerCapMatchesReferenceOracle|PowerCapReplayMatchesReferenceOracle|CapWalkEndsAtFloor|EligibilitySortsMatchComparator' ./internal/core
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'SolverMatchesNaiveLoop' ./internal/perf
+	$(GO) test -race -count=1 -run 'SolverMatchesNaiveLoop' ./internal/perf
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TablesBitIdenticalToDirect|CoreSweepMatchesReference|BaselinePoliciesInfeasibleFallback|OfflineMatchesReference|ControllersKeepSlackAlike' ./internal/policy
 	$(GO) test -race -count=1 -run 'TablesBitIdenticalToDirect|CoreSweepMatchesReference|BaselinePoliciesInfeasibleFallback|OfflineMatchesReference|ControllersKeepSlackAlike' ./internal/policy
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'GoldenBitIdentical|EngineReusesUnchangedGroundTruth' ./internal/sim

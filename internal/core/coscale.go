@@ -72,11 +72,12 @@ type CoScale struct {
 	// Steady-state scratch reused every epoch.
 	ev     *policy.Evaluator // Decide-time evaluator, reset per call
 	st     searchState
-	scaled []float64  // slowdown limits with the WithinBound epsilon pre-applied
-	best   []int      // best step vector found by the walk
-	fresh  []coreMarg // repairCoreList scratch: moved cores' new marginals
-	merged []coreMarg // repairCoreList scratch: merge output
-	sc     scanCtx    // walk state the marginal kernel reads, hoisted per scan
+	scaled []float64   // slowdown limits with the WithinBound epsilon pre-applied
+	best   []int       // best step vector found by the walk
+	fresh  []coreMarg  // repairCoreList scratch: moved cores' new marginals
+	merged []coreMarg  // repairCoreList merge output, rebuildCoreList sort scratch
+	radix  radixCounts // rebuildCoreList's byte histograms
+	sc     scanCtx     // walk state the marginal kernel reads, hoisted per scan
 
 	stats SearchStats // work counters for the last Decide's search
 }
@@ -306,9 +307,11 @@ func (c *CoScale) rebuildCoreList(ev *policy.Evaluator, st *searchState) {
 			list = append(list, m)
 		}
 	}
-	st.coreList = list
-	// cmpDTPI is a total order, so the sort algorithm cannot reach a decision.
-	slices.SortFunc(st.coreList, cmpDTPI)
+	// The list is in core order, so a stable sort by dTPI alone yields
+	// cmpDTPI's order; the scratch buffer swaps in when the result lands
+	// there.
+	sorted, spare := radixSortDTPI(list, c.merged, &c.radix)
+	st.coreList, c.merged = sorted, spare[:0]
 }
 
 // cmpDTPI orders core marginals ascending by dTPI, breaking ties on core
@@ -322,6 +325,130 @@ func cmpDTPI(a, b coreMarg) int {
 	default:
 		return int(a.core) - int(b.core)
 	}
+}
+
+// cmpFresh orders a repair's fresh marginals ascending by dTPI, breaking
+// ties on insertion position, descending.
+//
+// cmpDTPI and cmpFresh are strict total orders unless a dTPI is NaN: -0 and
+// +0 compare equal and fall to the tie-break, and core indices and insertion
+// positions are distinct within one list. A sorted list is therefore the
+// same whatever algorithm sorts it, which lets each eligibility sort pick
+// the algorithm that suits its input. A NaN key makes the order depend on
+// the algorithm, so a list holding one goes to slices.SortFunc untouched.
+func cmpFresh(a, b coreMarg) int {
+	switch {
+	case a.dTPI < b.dTPI:
+		return -1
+	case a.dTPI > b.dTPI:
+		return 1
+	default:
+		return int(b.pos) - int(a.pos)
+	}
+}
+
+// hasNaNDTPI reports whether any marginal's dTPI is NaN.
+//
+//hot:path
+func hasNaNDTPI(list []coreMarg) bool {
+	for i := range list {
+		if math.IsNaN(list[i].dTPI) {
+			return true
+		}
+	}
+	return false
+}
+
+// insertionSortFresh sorts a repair's fresh marginals into cmpFresh order.
+// They arrive nearly sorted — moved cores are re-scored in the order of the
+// ascending list they left — so an insertion sort usually finishes in far
+// fewer than n·log n steps. Past a budget of 8·n element shifts it hands the
+// partly sorted list to slices.SortFunc, which reaches the same order.
+//
+//hot:path
+func insertionSortFresh(s []coreMarg) {
+	if hasNaNDTPI(s) {
+		slices.SortFunc(s, cmpFresh)
+		return
+	}
+	budget := 8 * len(s)
+	for i := 1; i < len(s); i++ {
+		x := s[i]
+		j := i
+		for j > 0 && cmpFresh(x, s[j-1]) < 0 {
+			s[j] = s[j-1]
+			j--
+		}
+		s[j] = x
+		if budget -= i - j; budget < 0 {
+			slices.SortFunc(s, cmpFresh)
+			return
+		}
+	}
+}
+
+// radixCounts holds one 256-bucket histogram per byte of a radix key.
+type radixCounts [8][256]uint32
+
+// radixMinLen is the shortest list radixSortDTPI radix-sorts. Clearing and
+// summing its eight histograms is a fixed cost that, on 2 vCPUs, made the
+// radix sort slower than slices.SortFunc below about 150 elements.
+const radixMinLen = 256
+
+// radixKey maps a non-NaN dTPI to a uint64 whose unsigned order is the
+// float order, with -0 folded to +0 so the two tie as they do under <.
+func radixKey(d float64) uint64 {
+	b := math.Float64bits(d)
+	if b == 1<<63 { // -0
+		b = 0
+	}
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// radixSortDTPI sorts list, which must be in core order, into cmpDTPI
+// order: a stable LSD radix sort on radixKey(dTPI), one pass per key byte,
+// skipping every byte that is the same in all keys. Stability keeps equal
+// keys in core order, which is cmpDTPI's tie-break. It ping-pongs between
+// list and scratch and returns the sorted slice and the other buffer for
+// reuse. Lists shorter than radixMinLen go to slices.SortFunc instead.
+//
+//hot:path
+func radixSortDTPI(list, scratch []coreMarg, counts *radixCounts) (sorted, spare []coreMarg) {
+	n := len(list)
+	if n < radixMinLen || hasNaNDTPI(list) {
+		slices.SortFunc(list, cmpDTPI)
+		return list, scratch
+	}
+	*counts = radixCounts{}
+	for i := range list {
+		k := radixKey(list[i].dTPI)
+		for b := range counts {
+			counts[b][byte(k>>(8*b))]++
+		}
+	}
+	src, dst := list, perf.Grow(scratch, n)
+	for b := range counts {
+		shift := 8 * uint(b)
+		cnt := &counts[b]
+		if int(cnt[byte(radixKey(src[0].dTPI)>>shift)]) == n {
+			continue // every key has this byte: the pass would not move anything
+		}
+		off := uint32(0)
+		for d, c := range cnt {
+			cnt[d] = off
+			off += c
+		}
+		for i := range src {
+			d := byte(radixKey(src[i].dTPI) >> shift)
+			dst[cnt[d]] = src[i]
+			cnt[d]++
+		}
+		src, dst = dst, src
+	}
+	return src, dst
 }
 
 // scanCtx is the walk state the marginal kernel reads during one scan,
@@ -485,19 +612,7 @@ func (c *CoScale) repairCoreList(ev *policy.Evaluator, st *searchState, groupLen
 		st.coreValid = true
 		return
 	}
-	// (dTPI asc, pos desc) is a strict total order over the fresh marginals,
-	// so the unstable sort is deterministic — and moved order tracks the old
-	// ascending-dTPI list, leaving fresh nearly sorted already.
-	slices.SortFunc(fresh, func(a, b coreMarg) int {
-		switch {
-		case a.dTPI < b.dTPI:
-			return -1
-		case a.dTPI > b.dTPI:
-			return 1
-		default:
-			return int(b.pos) - int(a.pos)
-		}
-	})
+	insertionSortFresh(fresh)
 	if len(kept) == 0 {
 		// The whole list moved (a full-prefix group): the sorted fresh
 		// marginals ARE the new list. Swap backing arrays instead of copying.

@@ -169,7 +169,21 @@ func (sv *Solver) SolveInto(res *Result, cores []CoreStats, coreHz []float64, bu
 //     (rounding error is ~2⁻⁵², four orders below the band), and on the
 //     band the original division decides. The flag it computes is exactly
 //     "maxRel < tol": any prev ≤ 0 core pinned maxRel to at least 1, which
-//     blocks convergence iff !(1 < tol) (hoisted as oneBlocksConv).
+//     blocks convergence iff !(1 < tol) (hoisted as oneBlocksConv);
+//   - a pass whose latency has the same Float64bits as the previous pass's,
+//     while every stored TPI is > 0, would recompute the same TPIs, IPS and
+//     raw rate and find every change zero (an +Inf TPI's change is NaN,
+//     which blocks nothing), so it would converge: instead the loop damps
+//     the previous pass's raw rate, evaluates the load once and stops, with
+//     the same Iterations. The utilization clamp repeats latencies once
+//     demand is far past the memory's peak — every solve of the 1024-core
+//     search benchmark ends this way, no solve at 16 or 128 cores or in a
+//     frontier build does — and the positivity scan runs only on a repeat,
+//     so the per-core loops carry no extra work. ROADMAP item 1's root-find
+//     on the rate will replace this loop, and the skip with it.
+//
+// TestSolverMatchesNaiveLoop holds SolveInto and SolveTable to the naive
+// form bit for bit.
 //
 //hot:path
 func (sv *Solver) iterate(res *Result, model memsys.LoadModel, fixed, beta, mlpn, mpi []float64, allMLP1 bool) {
@@ -232,8 +246,17 @@ func (sv *Solver) iterate(res *Result, model memsys.LoadModel, fixed, beta, mlpn
 	oneBlocksConv := !(1 < tol)
 	tolLo := tol * (1 - 1e-12)
 	tolHi := tol * (1 + 1e-12)
+	raw := rate // the previous pass's undamped rate
 	iter := 1
 	for ; iter < maxIter; iter++ {
+		if math.Float64bits(load.Latency) == math.Float64bits(lat) && allPositive(tpis) {
+			// The pass would repeat the previous one bit for bit: same
+			// TPIs, same raw rate, and every core's change is zero, so it
+			// converges. Run only its damping and load evaluation.
+			res.MemRate = 0.5*raw + 0.5*res.MemRate
+			load = model.Evaluate(res.MemRate)
+			break
+		}
 		rate = 0.0
 		conv := true
 		lat = load.Latency
@@ -298,6 +321,7 @@ func (sv *Solver) iterate(res *Result, model memsys.LoadModel, fixed, beta, mlpn
 			}
 		}
 		// Damp the rate to avoid oscillation near saturation.
+		raw = rate
 		rate = 0.5*rate + 0.5*res.MemRate
 		res.MemRate = rate
 		load = model.Evaluate(rate)
@@ -307,6 +331,18 @@ func (sv *Solver) iterate(res *Result, model memsys.LoadModel, fixed, beta, mlpn
 	}
 	res.Mem = load
 	res.Iterations = iter + 1
+}
+
+// allPositive reports whether every TPI is > 0 (a NaN is not).
+//
+//hot:path
+func allPositive(tpis []float64) bool {
+	for _, t := range tpis {
+		if !(t > 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Resize returns s resized to length n with every element zeroed, reusing

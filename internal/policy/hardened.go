@@ -94,10 +94,9 @@ type Hardened struct {
 
 	zeros []int // owned all-max step vector backing failsafe decisions
 
-	// deficitEv is the persistent evaluator behind recordDeficit's
-	// per-epoch all-max reference estimate, so the watchdog adds no
-	// steady-state evaluator allocations to the epoch loop.
-	deficitEv Evaluator
+	// deficitMax solves recordDeficit's per-epoch all-max reference, so
+	// the watchdog adds no steady-state allocations to the epoch loop.
+	deficitMax allMax
 }
 
 // Harden wraps inner with a watchdog. Oracle policies are rejected: their
@@ -293,10 +292,10 @@ func (h *Hardened) obsSane(obs Observation, tol float64) bool {
 // recordDeficit accrues each thread's shortfall against its (1+γ) bound and
 // trips the watchdog on persistent violation. The all-max reference time is
 // estimated from the same (vetted) observation the inner policy received:
-// Instructions × the all-max TPI the evaluator's Reset solves.
+// Instructions × the all-max TPI (allMax), the one SlackBook.Observe
+// credits.
 func (h *Hardened) recordDeficit(epoch Observation) {
-	h.deficitEv.Reset(h.cfg, epoch)
-	base := h.deficitEv.BaselineTPI()
+	base := h.deficitMax.TPI(&h.cfg, epoch)
 	threads := epoch.CoreThreads()
 	limit := hardenDeficitEpochs * h.cfg.Gamma * h.cfg.EpochLen.Seconds()
 	violated := false

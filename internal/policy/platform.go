@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"coscale/internal/cache"
+	"coscale/internal/freq"
 	"coscale/internal/memsys"
 )
 
@@ -56,6 +57,35 @@ func BuildPlatformTables(cfg Config) *PlatformTables {
 	p.Models.Reset(cfg.Mem, p.MemHz)
 	p.Models.Prebuild()
 	return p
+}
+
+// platformRef remembers the platform tables of the last Config it served.
+// get fetches them from the shared Config.Tables cache when one is wired in
+// and builds them privately otherwise, and does so again only when the
+// platform changed (ladder identity plus memory parameters), so a
+// per-epoch caller does no ladder work in steady state — and shared-cache
+// mode does it once per process per platform.
+type platformRef struct {
+	tables *PlatformTables
+	core   *freq.Ladder
+	mem    *freq.Ladder
+	memP   memsys.Params
+}
+
+// get returns the platform tables for cfg's platform.
+//
+//hot:path
+func (r *platformRef) get(cfg *Config) *PlatformTables {
+	if r.tables != nil && r.core == cfg.CoreLadder && r.mem == cfg.MemLadder && r.memP == cfg.Mem {
+		return r.tables
+	}
+	if cfg.Tables != nil {
+		r.tables = cfg.Tables.Get(*cfg)
+	} else {
+		r.tables = BuildPlatformTables(*cfg)
+	}
+	r.core, r.mem, r.memP = cfg.CoreLadder, cfg.MemLadder, cfg.Mem
+	return r.tables
 }
 
 // TableCache memoizes PlatformTables per platform, so a process running many

@@ -257,18 +257,12 @@ type Evaluator struct {
 	maxSteps []int
 
 	// Memoized per-epoch prediction tables plus the platform-derived
-	// columns they are built over. plat is fetched from Cfg.Tables when
-	// set (shared per-platform build) and built privately otherwise;
-	// platCore/platMem/platMemP remember the platform it reflects so
-	// per-decision Resets skip the rebuild.
-	tbl      perf.StepTable
-	ptbl     power.CoreTable
-	mixes    []trace.InstrMix
-	l2pi     []float64 // L2PerInstr per core
-	plat     *PlatformTables
-	platCore *freq.Ladder
-	platMem  *freq.Ladder
-	platMemP memsys.Params
+	// columns they are built over.
+	tbl   perf.StepTable
+	ptbl  power.CoreTable
+	mixes []trace.InstrMix
+	l2pi  []float64 // L2PerInstr per core
+	plat  platformRef
 }
 
 // Eval is the predicted outcome of one frequency combination.
@@ -297,9 +291,7 @@ func NewEvaluator(cfg Config, obs Observation) *Evaluator {
 //hot:path
 func (ev *Evaluator) Reset(cfg Config, obs Observation) {
 	ev.Cfg = cfg
-	// Controller-side predictions need far less precision than ground
-	// truth; a looser fixed-point tolerance keeps the §3.1 search cheap.
-	ev.solver = perf.Solver{Tol: 1e-6, MaxIter: 25}
+	ev.solver = predictSolver()
 	ev.obs = obs
 	n := len(obs.Cores)
 	ev.stats = perf.Grow(ev.stats, n)
@@ -333,32 +325,15 @@ func (ev *Evaluator) resetTables() {
 		ev.mixes[i] = ev.obs.Cores[i].Mix
 		ev.l2pi[i] = ev.obs.Cores[i].L2PerInstr
 	}
-	ev.ensurePlatform()
-	ev.tbl.Reset(ev.stats, ev.plat.CoreHz)
-	ev.ptbl.Reset(ev.Cfg.Power.Core, ev.plat.CoreHz, ev.plat.CoreV, ev.mixes)
+	plat := ev.plat.get(&ev.Cfg)
+	ev.tbl.Reset(ev.stats, plat.CoreHz)
+	ev.ptbl.Reset(ev.Cfg.Power.Core, plat.CoreHz, plat.CoreV, ev.mixes)
 }
 
-// ensurePlatform points ev.plat at the tables for Cfg's platform, fetching
-// from the shared Cfg.Tables cache when one is wired in and building
-// privately otherwise. The platform is re-derived only when it actually
-// changed (ladder identity plus memory parameters), so the per-decision
-// Reset does no ladder work at all in steady state — and shared-cache mode
-// does it once per process per platform.
-//
-//hot:path
-func (ev *Evaluator) ensurePlatform() {
-	cfg := &ev.Cfg
-	if ev.plat != nil && ev.platCore == cfg.CoreLadder && ev.platMem == cfg.MemLadder &&
-		ev.platMemP == cfg.Mem {
-		return
-	}
-	if cfg.Tables != nil {
-		ev.plat = cfg.Tables.Get(ev.Cfg)
-	} else {
-		ev.plat = BuildPlatformTables(ev.Cfg)
-	}
-	ev.platCore, ev.platMem, ev.platMemP = cfg.CoreLadder, cfg.MemLadder, cfg.Mem
-}
+// predictSolver is the solver every controller-side prediction runs.
+// Controller-side predictions need far less precision than ground truth; a
+// looser fixed-point tolerance keeps the §3.1 search cheap.
+func predictSolver() perf.Solver { return perf.Solver{Tol: 1e-6, MaxIter: 25} }
 
 // Baseline returns the all-max evaluation (the SER denominator).
 func (ev *Evaluator) Baseline() Eval { return ev.baseline }
@@ -420,7 +395,7 @@ func (ev *Evaluator) EvaluateInto(dst *Eval, coreSteps []int, memStep int) {
 //
 //hot:path
 func (ev *Evaluator) evaluateInto(dst *Eval, coreSteps []int, memStep int) {
-	ev.solver.SolveTable(&ev.solveRes, &ev.tbl, coreSteps, ev.plat.Models.At(memStep))
+	ev.solver.SolveTable(&ev.solveRes, &ev.tbl, coreSteps, ev.plat.tables.Models.At(memStep))
 	n := len(ev.solveRes.TPI)
 	dst.TPI = perf.Grow(dst.TPI, n)
 	copy(dst.TPI, ev.solveRes.TPI)
@@ -465,8 +440,8 @@ func (ev *Evaluator) evaluateInto(dst *Eval, coreSteps []int, memStep int) {
 	// Split traffic into reads and writes in the observed proportion; the
 	// energy model treats them symmetrically anyway.
 	u := power.MemUsage{
-		BusHz:     ev.plat.MemHz[memStep],
-		MCVolts:   ev.plat.MemV[memStep],
+		BusHz:     ev.plat.tables.MemHz[memStep],
+		MCVolts:   ev.plat.tables.MemV[memStep],
 		ReadRate:  memRate * 0.8,
 		WriteRate: memRate * 0.2,
 		ActRate:   memRate,

@@ -22,9 +22,9 @@ type SlackBook struct {
 	cfg      Config
 	byThread map[int]*perf.Slack
 
-	ev  Evaluator // table-backed, re-pointed at each finished epoch
-	ids []int     // identity thread mapping, for observations without ThreadIDs
-	lim []float64 // Limits' result: slack, then limits in place
+	allMax allMax    // all-max TPI of each finished epoch
+	ids    []int     // identity thread mapping, for observations without ThreadIDs
+	lim    []float64 // Limits' result: slack, then limits in place
 }
 
 // NewSlackBook creates an empty book for cfg's bound (Gamma), reserve and
@@ -106,18 +106,49 @@ func (b *SlackBook) Limits(obs Observation) []float64 {
 
 // Observe accounts one finished epoch: each scheduled thread is credited
 // the time its core's committed instructions would have taken at the
-// all-max point (Instructions × the all-max TPI of the book's evaluator,
-// re-pointed at epoch) and charged the epoch's wall time plus the
-// configured Reserve, which persistently withholds headroom for transition
-// dead time and model drift so the measured bound is never grazed.
+// all-max point (Instructions × epoch's all-max TPI) and charged the
+// epoch's wall time plus the configured Reserve, which persistently
+// withholds headroom for transition dead time and model drift so the
+// measured bound is never grazed.
 //
 //hot:path
 func (b *SlackBook) Observe(epoch Observation) {
-	b.ev.Reset(b.cfg, epoch)
-	base := b.ev.BaselineTPI()
+	base := b.allMax.TPI(&b.cfg, epoch)
 	for i, id := range b.threads(epoch) {
 		b.Thread(id).Record(float64(epoch.Cores[i].Instructions)*base[i], epoch.Window+b.cfg.Reserve)
 	}
+}
+
+// allMax solves an observation's all-max operating point, every core and
+// the memory at step 0, on a StepTable that holds only the step-0 column:
+// the solve of Evaluator.Reset's baseline without the other columns, the
+// CoreTable or the power pass, so its TPIs equal Evaluator.BaselineTPI()
+// bit for bit. The zero value is ready for use.
+type allMax struct {
+	plat   platformRef
+	stats  []perf.CoreStats
+	tbl    perf.StepTable
+	solver perf.Solver
+	res    perf.Result
+	zeros  []int
+}
+
+// TPI returns obs's all-max TPI per core under cfg's platform. The result
+// aliases the solver's scratch and is valid until the next call.
+//
+//hot:path
+func (a *allMax) TPI(cfg *Config, obs Observation) []float64 {
+	n := len(obs.Cores)
+	a.stats = perf.Grow(a.stats, n)
+	for i := range obs.Cores {
+		a.stats[i] = obs.Cores[i].Stats
+	}
+	plat := a.plat.get(cfg)
+	a.tbl.Reset(a.stats, plat.CoreHz[:1])
+	a.zeros = perf.Resize(a.zeros, n)
+	a.solver = predictSolver()
+	a.solver.SolveTable(&a.res, &a.tbl, a.zeros, plat.Models.At(0))
+	return a.res.TPI
 }
 
 // identity returns [0, 1, ..., n).
