@@ -9,7 +9,9 @@
 //
 // Counters are free-running uint64s. A profiling window is expressed as the
 // difference of two snapshots (Sample = end - start), mirroring how an OS
-// driver reads MSR-style counters.
+// driver reads MSR-style counters. The package holds only the counters and
+// their deltas; the ratios the models read (α, β, CPI, MLP, the queueing
+// statistics) are derived in one place, sim.Engine.observationInto.
 package counters
 
 import "coscale/internal/perf"
@@ -64,58 +66,6 @@ func (c Core) Sub(start Core) Core {
 	}
 }
 
-// Add accumulates d into c.
-func (c *Core) Add(d Core) {
-	c.Cycles += d.Cycles
-	c.TIC += d.TIC
-	c.TMS += d.TMS
-	c.TLA += d.TLA
-	c.TLM += d.TLM
-	c.TLS += d.TLS
-	c.ALUOps += d.ALUOps
-	c.FPUOps += d.FPUOps
-	c.Branches += d.Branches
-	c.LoadStores += d.LoadStores
-	c.StallCyclesL2 += d.StallCyclesL2
-	c.StallCyclesMem += d.StallCyclesMem
-	c.L2Writebacks += d.L2Writebacks
-	c.PrefetchFills += d.PrefetchFills
-}
-
-// Alpha returns the fraction of committed instructions that accessed the L2
-// and stalled the pipeline (α in Eq. 1): TMS / TIC.
-func (c Core) Alpha() float64 {
-	if c.TIC == 0 {
-		return 0
-	}
-	return float64(c.TMS) / float64(c.TIC)
-}
-
-// Beta returns the fraction of committed instructions that missed the L2 and
-// stalled the pipeline (β in Eq. 1): TLS / TIC.
-func (c Core) Beta() float64 {
-	if c.TIC == 0 {
-		return 0
-	}
-	return float64(c.TLS) / float64(c.TIC)
-}
-
-// CPI returns overall cycles per instruction over the sampled window.
-func (c Core) CPI() float64 {
-	if c.TIC == 0 {
-		return 0
-	}
-	return float64(c.Cycles) / float64(c.TIC)
-}
-
-// MPKI returns L2 (last-level) misses per kilo-instruction.
-func (c Core) MPKI() float64 {
-	if c.TIC == 0 {
-		return 0
-	}
-	return 1000 * float64(c.TLM) / float64(c.TIC)
-}
-
 // Channel holds the free-running per-memory-channel counters: MemScale's
 // seven queuing/row-buffer statistics and the two counters used by the
 // memory power model.
@@ -165,62 +115,6 @@ func (c Channel) Sub(start Channel) Channel {
 	}
 }
 
-// Add accumulates d into c.
-func (c *Channel) Add(d Channel) {
-	c.BusCycles += d.BusCycles
-	c.Reads += d.Reads
-	c.Writes += d.Writes
-	c.Prefetches += d.Prefetches
-	c.ReadQueueOccupancy += d.ReadQueueOccupancy
-	c.BankOccupancy += d.BankOccupancy
-	c.BusBusyCycles += d.BusBusyCycles
-	c.LatencyCycles += d.LatencyCycles
-	c.RowHits += d.RowHits
-	c.RowMisses += d.RowMisses
-	c.ActiveCycles += d.ActiveCycles
-	c.IdleCycles += d.IdleCycles
-	c.PageOpens += d.PageOpens
-	c.PageCloses += d.PageCloses
-}
-
-// Accesses returns the total serviced requests (reads + writes).
-func (c Channel) Accesses() uint64 { return c.Reads + c.Writes }
-
-// BusUtilization returns the fraction of bus cycles spent transferring data.
-func (c Channel) BusUtilization() float64 {
-	if c.BusCycles == 0 {
-		return 0
-	}
-	return float64(c.BusBusyCycles) / float64(c.BusCycles)
-}
-
-// XiBus returns the average number of requests waiting for the data bus per
-// serviced request (ξ_bus in the TPI_Mem decomposition).
-func (c Channel) XiBus() float64 {
-	if c.Accesses() == 0 || c.BusCycles == 0 {
-		return 0
-	}
-	return float64(c.ReadQueueOccupancy) / float64(c.BusCycles) // time-average queue length
-}
-
-// AvgLatencySeconds returns the average request latency over the window
-// given the bus frequency in effect, derived from the residency integral.
-func (c Channel) AvgLatencySeconds(busHz float64) float64 {
-	if c.Accesses() == 0 || busHz <= 0 {
-		return 0
-	}
-	return float64(c.LatencyCycles) / busHz / float64(c.Accesses())
-}
-
-// XiBank returns the time-average number of requests holding or waiting for
-// banks (ξ_bank).
-func (c Channel) XiBank() float64 {
-	if c.BusCycles == 0 {
-		return 0
-	}
-	return float64(c.BankOccupancy) / float64(c.BusCycles)
-}
-
 // System bundles a full snapshot: one Core set per core and one Channel set
 // per memory channel.
 type System struct {
@@ -237,20 +131,9 @@ func NewSystem(nCores, nChannels int) *System {
 	}
 }
 
-// Snapshot returns a deep copy of the current counter state.
-func (s *System) Snapshot() System {
-	out := System{
-		Cores:    make([]Core, len(s.Cores)),
-		Channels: make([]Channel, len(s.Channels)),
-	}
-	copy(out.Cores, s.Cores)
-	copy(out.Channels, s.Channels)
-	return out
-}
-
 // SnapshotInto deep-copies the current counter state into dst, reusing
-// dst's slices when their capacities suffice. The allocation-free form of
-// Snapshot used by the per-epoch hot path (see DESIGN.md §7).
+// dst's slices when their capacities suffice, so the per-epoch hot path
+// allocates nothing (see DESIGN.md §7).
 //
 //hot:path
 func (s *System) SnapshotInto(dst *System) {
@@ -261,7 +144,7 @@ func (s *System) SnapshotInto(dst *System) {
 }
 
 // SubInto writes the element-wise deltas s - start into dst, reusing dst's
-// slices. The allocation-free form of Sub.
+// slices. The two snapshots must have identical shapes.
 //
 //hot:path
 func (s *System) SubInto(dst *System, start *System) {
@@ -273,20 +156,4 @@ func (s *System) SubInto(dst *System, start *System) {
 	for i := range s.Channels {
 		dst.Channels[i] = s.Channels[i].Sub(start.Channels[i])
 	}
-}
-
-// Sub returns the element-wise deltas s - start. The two snapshots must have
-// identical shapes.
-func (s System) Sub(start System) System {
-	out := System{
-		Cores:    make([]Core, len(s.Cores)),
-		Channels: make([]Channel, len(s.Channels)),
-	}
-	for i := range s.Cores {
-		out.Cores[i] = s.Cores[i].Sub(start.Cores[i])
-	}
-	for i := range s.Channels {
-		out.Channels[i] = s.Channels[i].Sub(start.Channels[i])
-	}
-	return out
 }

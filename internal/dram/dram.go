@@ -153,13 +153,6 @@ func (m *Memory) Stats() Stats {
 	return s
 }
 
-// ChannelStats returns one channel's statistics.
-func (m *Memory) ChannelStats(c int) Stats {
-	s := m.channels[c].stats
-	s.Cycles = m.now
-	return s
-}
-
 // Energy returns the accumulated energy in joules under the Micron IDD
 // methodology, summed over all ranks, plus the wall time simulated.
 func (m *Memory) Energy() (joules float64, seconds float64) {
@@ -219,8 +212,8 @@ func (s Stats) AvgReadLatency() float64 {
 	return float64(s.LatencySum) / float64(s.Reads)
 }
 
-// BusUtilization returns data-bus busy fraction (per channel when read via
-// ChannelStats; averaged when aggregated).
+// BusUtilization returns the data-bus busy fraction of aggregated Stats,
+// averaged over channels.
 func (s Stats) BusUtilization(channels int) float64 {
 	if s.Cycles == 0 {
 		return 0

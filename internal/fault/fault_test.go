@@ -89,7 +89,8 @@ func TestZeroConfigIsIdentity(t *testing.T) {
 	}
 	sys := counters.NewSystem(2, 2)
 	fill(sys, 1_000_000)
-	want := sys.Snapshot()
+	var want counters.System
+	sys.SnapshotInto(&want)
 	inj.PerturbCounters(ProfileWindow, sys)
 	inj.PerturbCounters(EpochWindow, sys)
 	for i := range sys.Cores {
@@ -142,7 +143,7 @@ func TestDeterministicReplayAfterReset(t *testing.T) {
 			inj.PerturbCounters(ProfileWindow, sys)
 			cs, ms := inj.Actuate([]int{epoch % 3, epoch % 5}, epoch%4, []int{0, 0}, 0)
 			sys.Cores[0].Cycles += uint64(cs[0]+cs[1]) + uint64(ms) // fold actuation into the fingerprint
-			out = append(out, sys.Snapshot())
+			out = append(out, *sys)                                 // sys is fresh each epoch, so nothing aliases
 		}
 		return out
 	}
@@ -176,7 +177,8 @@ func TestStaleWindowRepeatsPreviousReading(t *testing.T) {
 	sys := counters.NewSystem(1, 1)
 	fill(sys, 100)
 	inj.PerturbCounters(ProfileWindow, sys) // first window can never be stale
-	first := sys.Snapshot()
+	var first counters.System
+	sys.SnapshotInto(&first)
 	fill(sys, 999)
 	inj.PerturbCounters(ProfileWindow, sys)
 	if sys.Cores[0] != first.Cores[0] {

@@ -155,58 +155,29 @@ func clampUtil(u, max float64) float64 {
 // per-epoch search paths can evaluate many operating points without
 // re-deriving the per-frequency service-time constants. ModelAt is a pure
 // function of (Params, busHz), so a cached model is bit-identical to a fresh
-// one. Models are built lazily on first use; backing arrays are reused
-// across Resets, so the steady state allocates nothing. Not safe for
-// concurrent use.
+// one. Reset builds every step's model and At only reads, so a cache that
+// has been Reset is safe to share across goroutines (the per-platform table
+// cache does). The backing array is reused across Resets.
 type ModelCache struct {
-	p      Params
-	hz     []float64
 	models []LoadModel
-	built  []bool
 }
 
 // Reset re-points the cache at memory parameters p and the candidate bus
-// frequencies hz (index = ladder step), invalidating every memoized model.
+// frequencies hz (index = ladder step) and builds the model for every step.
 //
 //hot:path
 func (c *ModelCache) Reset(p Params, hz []float64) {
-	c.p = p
-	c.hz = hz
 	steps := len(hz)
 	if cap(c.models) < steps {
 		c.models = make([]LoadModel, steps) //hot:alloc-ok capacity miss: runs once until the ladder-sized scratch is warm
 	}
 	c.models = c.models[:steps]
-	if cap(c.built) < steps {
-		c.built = make([]bool, steps) //hot:alloc-ok capacity miss: runs once until the ladder-sized scratch is warm
-	}
-	c.built = c.built[:steps]
-	for s := range c.built {
-		c.built[s] = false
+	for s, f := range hz {
+		c.models[s] = p.ModelAt(f)
 	}
 }
 
-// Prebuild materializes every step's model, so subsequent At calls are pure
-// reads. A cache meant to be shared across goroutines (the per-platform
-// table cache) must be prebuilt: the lazy first-use build in At is a data
-// race under concurrent readers. ModelAt is a pure function of (Params, hz),
-// so eager and lazy builds produce identical models.
-func (c *ModelCache) Prebuild() {
-	for s := range c.built {
-		if !c.built[s] {
-			c.models[s] = c.p.ModelAt(c.hz[s])
-			c.built[s] = true
-		}
-	}
-}
-
-// At returns the memoized model for ladder step s, building it on first use.
+// At returns the model for ladder step s.
 //
 //hot:path
-func (c *ModelCache) At(s int) LoadModel {
-	if !c.built[s] {
-		c.models[s] = c.p.ModelAt(c.hz[s])
-		c.built[s] = true
-	}
-	return c.models[s]
-}
+func (c *ModelCache) At(s int) LoadModel { return c.models[s] }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"coscale/internal/freq"
 )
 
 func TestUnloadedLatency(t *testing.T) {
@@ -127,4 +129,58 @@ func TestEvaluateProperties(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestModelCacheMatchesModelAt checks that every step of a Reset cache is
+// ModelAt of that step's frequency, field by field and bit for bit, on the
+// default memory ladder with a zero-Hz step (the invalid model) appended,
+// and that a shorter and then a longer Reset reuse the backing array
+// without serving a stale model.
+func TestModelCacheMatchesModelAt(t *testing.T) {
+	t.Parallel()
+	p := DefaultParams()
+	ladder := freq.DefaultMemLadder()
+	hz := make([]float64, 0, ladder.Steps()+1)
+	for s := 0; s < ladder.Steps(); s++ {
+		hz = append(hz, ladder.Hz(s))
+	}
+	hz = append(hz, 0)
+
+	var c ModelCache
+	check := func(name string, p Params, hz []float64) {
+		t.Helper()
+		c.Reset(p, hz)
+		if len(c.models) != len(hz) {
+			t.Fatalf("%s: %d models for %d steps", name, len(c.models), len(hz))
+		}
+		for s, f := range hz {
+			got, want := c.At(s), p.ModelAt(f)
+			gb := []float64{got.channels, got.banks, got.maxUtil, got.sBus, got.sBank, got.bankOcc}
+			wb := []float64{want.channels, want.banks, want.maxUtil, want.sBus, want.sBank, want.bankOcc}
+			if got.invalid != want.invalid {
+				t.Errorf("%s: step %d (%g Hz) invalid = %v, ModelAt %v", name, s, f, got.invalid, want.invalid)
+			}
+			for k := range gb {
+				if math.Float64bits(gb[k]) != math.Float64bits(wb[k]) {
+					t.Errorf("%s: step %d (%g Hz) field %d = %v, ModelAt %v", name, s, f, k, gb[k], wb[k])
+				}
+			}
+		}
+	}
+	check("default", p, hz)
+	if !c.At(len(hz) - 1).invalid {
+		t.Error("zero-Hz step is not the invalid model")
+	}
+	backing := &c.models[0]
+
+	// A shorter ladder on other parameters reuses the array; the longer
+	// one after it must rebuild every step, not keep the shorter Reset's.
+	q := p
+	q.Channels, q.MaxUtil = 2, 0.9
+	check("shorter", q, hz[2:4])
+	if &c.models[0] != backing {
+		t.Error("a shorter Reset reallocated the models")
+	}
+	check("longer", p, hz)
+	check("grown", p, append(append([]float64(nil), hz...), hz...))
 }

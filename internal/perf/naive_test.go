@@ -130,7 +130,15 @@ func TestSolverMatchesNaiveLoop(t *testing.T) {
 		{name: "saturated-1024-mlp", cores: mixed(1024, []float64{1, 2}), repeats: true},
 		{name: "zero-tpi-1024", cores: zeroTPI(1024), repeats: true, nonPos: true},
 	}
-	solvers := []Solver{{Tol: 1e-6, MaxIter: 25}, {Tol: 1e-9, MaxIter: 60}}
+	solvers := []Solver{
+		{Tol: 1e-6, MaxIter: 25}, {Tol: 1e-9, MaxIter: 60},
+		// MaxIter 1 stops after pass 0; MaxIter 2 after the first pass
+		// that screens for convergence.
+		{Tol: 1e-6, MaxIter: 1}, {Tol: 1e-6, MaxIter: 2},
+		// Tol 2 passes every TPI check, so convergence rests on the
+		// latency check alone (oneBlocksConv false).
+		{Tol: 2, MaxIter: 25},
+	}
 
 	for _, f := range fixtures {
 		n := len(f.cores)

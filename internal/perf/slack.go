@@ -13,8 +13,6 @@ type Slack struct {
 	Gamma float64
 
 	accumulated float64 // seconds of remaining headroom
-	tMax        float64 // estimated total time at maximum frequencies
-	tActual     float64 // actual elapsed time
 }
 
 // NewSlack returns a tracker for the given performance bound.
@@ -26,8 +24,6 @@ func NewSlack(gamma float64) *Slack {
 // epoch's work would have taken at maximum frequencies; tActualEpoch is the
 // wall-clock duration it actually took.
 func (s *Slack) Record(tMaxEpoch, tActualEpoch float64) {
-	s.tMax += tMaxEpoch
-	s.tActual += tActualEpoch
 	s.accumulated += tMaxEpoch*(1+s.Gamma) - tActualEpoch
 }
 
@@ -35,22 +31,6 @@ func (s *Slack) Record(tMaxEpoch, tActualEpoch float64) {
 // program is behind its bound).
 func (s *Slack) Available() float64 { return s.accumulated }
 
-// Allowance returns the time budget for the next epoch whose work would take
-// tMaxEpoch at maximum frequencies: the epoch's own allowance plus any
-// accumulated slack (or minus any deficit).
-func (s *Slack) Allowance(tMaxEpoch float64) float64 {
-	return tMaxEpoch*(1+s.Gamma) + s.accumulated
-}
-
-// Degradation returns the achieved slowdown so far relative to the
-// estimated maximum-frequency execution: T_Actual/T_Max − 1.
-func (s *Slack) Degradation() float64 {
-	if s.tMax <= 0 {
-		return 0
-	}
-	return s.tActual/s.tMax - 1
-}
-
 // Reset clears all accumulated state, keeping the bound. Used when a
 // program context-switches (the paper keeps slack per software thread).
-func (s *Slack) Reset() { s.accumulated, s.tMax, s.tActual = 0, 0, 0 }
+func (s *Slack) Reset() { s.accumulated = 0 }

@@ -16,8 +16,8 @@ import (
 // They depend only on a Config's ladders and memory parameters — never on an
 // epoch's observation — so one build serves every evaluator on an identical
 // platform. All fields are written once by BuildPlatformTables (the model
-// cache eagerly, via Prebuild) and read-only afterwards, which is what makes
-// a shared instance safe under coscale-serve's concurrent workers.
+// cache's Reset builds every step) and read-only afterwards, which is what
+// makes a shared instance safe under coscale-serve's concurrent workers.
 //
 // The per-epoch prediction tables proper (perf.StepTable, power.CoreTable)
 // stay per-evaluator: their columns are functions of the epoch's counter
@@ -28,7 +28,7 @@ type PlatformTables struct {
 	MemHz  []float64 // MemLadder Hz per step
 	MemV   []float64 // MemLadder Volts per step
 
-	Models memsys.ModelCache // per-step memory queueing models, prebuilt
+	Models memsys.ModelCache // per-step memory queueing models
 }
 
 // BuildPlatformTables derives the platform tables from cfg's ladders and
@@ -55,7 +55,6 @@ func BuildPlatformTables(cfg Config) *PlatformTables {
 		p.MemV[s] = pt.Volts
 	}
 	p.Models.Reset(cfg.Mem, p.MemHz)
-	p.Models.Prebuild()
 	return p
 }
 
@@ -130,7 +129,7 @@ func (tc *TableCache) Stats() (builds, hits int64) {
 // value would be bit-identical.
 func platformKey(cfg Config) string {
 	// Keyed lookups run only when an evaluator's platform actually changed
-	// (ensurePlatform's identity guard skips them per-decision), so the key
+	// (platformRef.get's identity guard skips them per-decision), so the key
 	// buffer is off the steady-state path.
 	buf := make([]byte, 0, 512) //hot:alloc-ok runs only on evaluator platform change, not per decision
 	appendF := func(v float64) {

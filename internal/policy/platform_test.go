@@ -81,7 +81,7 @@ func TestTableCacheValueKeyed(t *testing.T) {
 	}
 }
 
-// TestEvaluatorPlatformIdentityGuard checks ensurePlatform's fast path: a
+// TestEvaluatorPlatformIdentityGuard checks platformRef.get's fast path: a
 // steady-state Reset with a pointer-identical platform must not touch the
 // shared cache at all — no build, not even a keyed hit — while swapping to
 // an equal-value ladder behind a new pointer goes through the cache once

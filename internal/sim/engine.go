@@ -618,6 +618,14 @@ func (e *Engine) busyFrac(l memsys.Load) float64 {
 // into the controller-facing Observation, reusing obs's slices. The result
 // is valid until the engine's next observationInto call on the same obs.
 //
+// It is the one place counters become model inputs (§3.3, Eq. 1): per core,
+// α = TMS/TIC (instructions that accessed the L2 and stalled), β = TLS/TIC
+// (instructions that missed the L2 and stalled), CPIBase from the cycles
+// not stalled on L2 or memory, E[TPI_L2] and the per-miss memory stall from
+// the stall-cycle counters, and MLP as the measured memory latency over that
+// stall; per memory system, the request rate, the average residency
+// latency, bus utilization and the rank-active fraction.
+//
 //hot:path
 func (e *Engine) observationInto(obs *policy.Observation, delta *counters.System, window float64) {
 	obs.Window = window
