@@ -157,10 +157,11 @@ func (sv *Solver) SolveInto(res *Result, cores []CoreStats, coreHz []float64, bu
 // step at large core counts — but every transformation relative to the
 // naive form is exact:
 //
-//   - iteration 0 never reads the previous TPI (the original zero-filled
-//     res.TPI forced maxRel = 1 there, and the loop cannot break before
-//     iteration 1 anyway), so it runs as a separate screen-free pass and
-//     res.TPI/res.IPS need not be zeroed between solves;
+//   - pass 0 never reads the previous TPI (the original zero-filled res.TPI
+//     forced maxRel = 1 there, and the loop cannot break before pass 1
+//     anyway), so it runs inside the pass loop with conv false from the
+//     start (no screen) and no damping, and res.TPI/res.IPS need not be
+//     zeroed between solves;
 //   - when every core has MLP == 1 the division by mlp is skipped — IEEE 754
 //     guarantees x/1.0 == x bitwise;
 //   - the convergence test replaces the per-core division rel = |Δ|/prev
@@ -204,52 +205,14 @@ func (sv *Solver) iterate(res *Result, model memsys.LoadModel, fixed, beta, mlpn
 	mlpn = mlpn[:n]
 	mpi = mpi[:n]
 
-	// Iteration 0: compute the unloaded-latency point; no convergence screen.
-	load := model.Evaluate(0)
-	lat := load.Latency
-	rate := 0.0
-	if allMLP1 {
-		for i := 0; i < n; i++ {
-			t := fixed[i] + beta[i]*lat
-			tpis[i] = t
-			// No +Inf screen needed: for t = +Inf, 1/t is exactly +0.0,
-			// the same value the screened branch would leave in v.
-			v := 0.0
-			if t > 0 {
-				v = 1 / t
-			}
-			ips[i] = v
-			rate += v * mpi[i]
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			var t float64
-			if m := mlpn[i]; m > 0 {
-				t = fixed[i] + beta[i]*lat/m
-			} else {
-				t = math.Inf(1)
-			}
-			tpis[i] = t
-			// No +Inf screen needed: for t = +Inf, 1/t is exactly +0.0,
-			// the same value the screened branch would leave in v.
-			v := 0.0
-			if t > 0 {
-				v = 1 / t
-			}
-			ips[i] = v
-			rate += v * mpi[i]
-		}
-	}
-	res.MemRate = rate
-	load = model.Evaluate(rate)
-
 	oneBlocksConv := !(1 < tol)
 	tolLo := tol * (1 - 1e-12)
 	tolHi := tol * (1 + 1e-12)
-	raw := rate // the previous pass's undamped rate
-	iter := 1
+	load := model.Evaluate(0) // pass 0 starts from the unloaded latency
+	var lat, raw float64      // the previous pass's latency and undamped rate
+	iter := 0
 	for ; iter < maxIter; iter++ {
-		if math.Float64bits(load.Latency) == math.Float64bits(lat) && allPositive(tpis) {
+		if iter > 0 && math.Float64bits(load.Latency) == math.Float64bits(lat) && allPositive(tpis) {
 			// The pass would repeat the previous one bit for bit: same
 			// TPIs, same raw rate, and every core's change is zero, so it
 			// converges. Run only its damping and load evaluation.
@@ -257,8 +220,8 @@ func (sv *Solver) iterate(res *Result, model memsys.LoadModel, fixed, beta, mlpn
 			load = model.Evaluate(res.MemRate)
 			break
 		}
-		rate = 0.0
-		conv := true
+		rate := 0.0
+		conv := iter > 0 // pass 0 has no previous TPI to screen against
 		lat = load.Latency
 		if allMLP1 {
 			for i := 0; i < n; i++ {
@@ -320,9 +283,11 @@ func (sv *Solver) iterate(res *Result, model memsys.LoadModel, fixed, beta, mlpn
 				rate += v * mpi[i]
 			}
 		}
-		// Damp the rate to avoid oscillation near saturation.
 		raw = rate
-		rate = 0.5*rate + 0.5*res.MemRate
+		if iter > 0 {
+			// Damp the rate to avoid oscillation near saturation.
+			rate = 0.5*rate + 0.5*res.MemRate
+		}
 		res.MemRate = rate
 		load = model.Evaluate(rate)
 		if conv {
