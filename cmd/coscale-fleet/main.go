@@ -30,7 +30,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -38,6 +37,7 @@ import (
 
 	"coscale/internal/buildinfo"
 	"coscale/internal/fleet"
+	"coscale/internal/server"
 )
 
 func main() {
@@ -68,7 +68,7 @@ func main() {
 	}
 	logger := log.New(os.Stderr, "coscale-fleet: ", 0)
 	if *pprofAddr != "" {
-		go servePprof(*pprofAddr, logger)
+		go server.ServePprof(*pprofAddr, logger)
 	}
 	if err := run(ln, logger, fleet.Config{
 		HeartbeatInterval:    *heartbeat,
@@ -80,24 +80,6 @@ func main() {
 		Logger:               logger,
 	}); err != nil {
 		log.Fatal(err)
-	}
-}
-
-// servePprof exposes net/http/pprof on its own listener, opt-in via -pprof
-// and never mounted on the coordinator mux: the profiling endpoints can stay
-// on loopback while the API listener is reachable from the fleet. Serving
-// errors are logged, not fatal — losing profiling must not take the
-// coordinator down.
-func servePprof(addr string, logger *log.Logger) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	logger.Printf("pprof listening on %s", addr)
-	if err := http.ListenAndServe(addr, mux); err != nil {
-		logger.Printf("pprof: %v", err)
 	}
 }
 
