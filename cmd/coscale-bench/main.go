@@ -8,7 +8,8 @@
 // a replay of all 48 recorded cells of the traffic Offline serves — plus a timed figure
 // regeneration, and writes the numbers as
 // machine-readable JSON, with the host's CPU count and GOMAXPROCS. The committed BENCH_baseline.json at the repository root
-// is this program's output; regenerate it with `make bench-json`. Each row
+// is this program's output; regenerate it with `make bench-json`, which
+// keeps each row's hand-copied parent numbers and spreads. Each row
 // runs the same body as the root package's BenchmarkX of that name
 // (internal/experiments and internal/fleet define them), and a body that
 // fails exits non-zero.
@@ -36,8 +37,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log"
 	"os"
 	"runtime"
@@ -86,14 +89,15 @@ type BenchRow struct {
 	// BeforeNsPerOp and BeforeAllocsPerOp record, for a row added with a
 	// change that speeds up its path, the same body measured on the same
 	// host at the parent of that change. They are copied in by hand; this
-	// program never fills them and -compare ignores them.
+	// program never measures them, -out carries them over from the report
+	// it overwrites, and -compare ignores them.
 	BeforeNsPerOp     float64 `json:"before_ns_per_op,omitempty"`
 	BeforeAllocsPerOp int64   `json:"before_allocs_per_op,omitempty"`
 	// Runs, NsPerOpMin and NsPerOpMax record, for a row measured over
 	// repeated runs, their number and the spread of ns/op (NsPerOp and
 	// BeforeNsPerOp are then medians); BeforeNsPerOpMin and
-	// BeforeNsPerOpMax are the parent's spread. Copied in by hand, like the
-	// Before fields.
+	// BeforeNsPerOpMax are the parent's spread. Copied in by hand and
+	// carried over by -out, like the Before fields.
 	Runs             int     `json:"runs,omitempty"`
 	NsPerOpMin       float64 `json:"ns_per_op_min,omitempty"`
 	NsPerOpMax       float64 `json:"ns_per_op_max,omitempty"`
@@ -187,17 +191,16 @@ func main() {
 		}
 	}
 
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	buf = append(buf, '\n')
 	switch {
 	case *out != "":
-		if err := os.WriteFile(*out, buf, 0o644); err != nil {
+		if err := writeReport(*out, rep); err != nil {
 			log.Fatal(err)
 		}
 	case *compare == "": // diff mode logs the comparison instead of the report
+		buf, err := marshalReport(rep)
+		if err != nil {
+			log.Fatal(err)
+		}
 		os.Stdout.Write(buf)
 	}
 
@@ -264,6 +267,51 @@ func bench(name string, fn func(b *testing.B)) (BenchRow, error) {
 		InfeasiblePerOp: res.Extra["infeasible/op"],
 		SkippedPerOp:    res.Extra["skipped/op"],
 	}, nil
+}
+
+func marshalReport(rep Report) ([]byte, error) {
+	buf, err := json.MarshalIndent(rep, "", "  ")
+	return append(buf, '\n'), err
+}
+
+// writeReport writes rep to path. When path already holds a report, each
+// row of rep keeps the hand-copied fields (the Before fields, Runs and the
+// four min/max fields) of the same-named row there, so regenerating a
+// baseline does not erase the recorded parent numbers and spreads.
+func writeReport(path string, rep Report) error {
+	prev, err := readReport(path)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+	case err != nil:
+		return err
+	default:
+		carryHandCopied(prev, rep)
+	}
+	buf, err := marshalReport(rep)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, buf, 0o644)
+}
+
+// carryHandCopied copies prev's hand-copied fields into the same-named rows
+// of rep.
+func carryHandCopied(prev, rep Report) {
+	byName := make(map[string]BenchRow, len(prev.Benchmarks))
+	for _, row := range prev.Benchmarks {
+		byName[row.Name] = row
+	}
+	for i := range rep.Benchmarks {
+		old, ok := byName[rep.Benchmarks[i].Name]
+		if !ok {
+			continue
+		}
+		row := &rep.Benchmarks[i]
+		row.BeforeNsPerOp, row.BeforeAllocsPerOp = old.BeforeNsPerOp, old.BeforeAllocsPerOp
+		row.Runs = old.Runs
+		row.NsPerOpMin, row.NsPerOpMax = old.NsPerOpMin, old.NsPerOpMax
+		row.BeforeNsPerOpMin, row.BeforeNsPerOpMax = old.BeforeNsPerOpMin, old.BeforeNsPerOpMax
+	}
 }
 
 func readReport(path string) (Report, error) {

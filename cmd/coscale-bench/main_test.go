@@ -2,6 +2,9 @@ package main
 
 import (
 	"flag"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -70,5 +73,52 @@ func TestDiffGates(t *testing.T) {
 	}
 	if f := diff(old, old, 3); len(f) != 0 {
 		t.Errorf("a report diffed against itself failed: %q", f)
+	}
+}
+
+// TestWriteReportKeepsHandCopiedFields checks that -out onto an existing
+// report carries each same-named row's hand-copied fields into the fresh
+// report, leaves the measured fields and rows the old report lacks as
+// measured, and drops rows only the old report has.
+func TestWriteReportKeepsHandCopiedFields(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	kept := BenchRow{
+		Name: "Kept", NsPerOp: 500, AllocsPerOp: 3, Iterations: 9,
+		BeforeNsPerOp: 700, BeforeAllocsPerOp: 4, Runs: 6,
+		NsPerOpMin: 450, NsPerOpMax: 550, BeforeNsPerOpMin: 650, BeforeNsPerOpMax: 750,
+	}
+	gone := BenchRow{Name: "Gone", NsPerOp: 1, BeforeNsPerOp: 2, Runs: 3}
+	if err := writeReport(path, Report{Benchmarks: []BenchRow{kept, gone}}); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := Report{Benchtime: "1ms", Benchmarks: []BenchRow{
+		{Name: "New", NsPerOp: 10, Iterations: 100},
+		{Name: "Kept", NsPerOp: 480, AllocsPerOp: 2, Iterations: 12},
+	}}
+	if err := writeReport(path, fresh); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readReport(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Report{Benchtime: "1ms", Benchmarks: []BenchRow{
+		{Name: "New", NsPerOp: 10, Iterations: 100},
+		{
+			Name: "Kept", NsPerOp: 480, AllocsPerOp: 2, Iterations: 12,
+			BeforeNsPerOp: 700, BeforeAllocsPerOp: 4, Runs: 6,
+			NsPerOpMin: 450, NsPerOpMax: 550, BeforeNsPerOpMin: 650, BeforeNsPerOpMax: 750,
+		},
+	}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("rewritten report = %+v\nwant %+v", got, want)
+	}
+
+	if err := os.WriteFile(path, []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeReport(path, fresh); err == nil {
+		t.Error("a report that does not parse was overwritten")
 	}
 }
