@@ -37,7 +37,7 @@ import (
 
 	"coscale/internal/buildinfo"
 	"coscale/internal/fleet"
-	"coscale/internal/server"
+	"coscale/internal/server/pprofsrv"
 )
 
 func main() {
@@ -68,7 +68,7 @@ func main() {
 	}
 	logger := log.New(os.Stderr, "coscale-fleet: ", 0)
 	if *pprofAddr != "" {
-		go server.ServePprof(*pprofAddr, logger)
+		go pprofsrv.Serve(*pprofAddr, logger)
 	}
 	if err := run(ln, logger, fleet.Config{
 		HeartbeatInterval:    *heartbeat,

@@ -39,6 +39,7 @@ import (
 	"coscale/internal/buildinfo"
 	"coscale/internal/fleet"
 	"coscale/internal/server"
+	"coscale/internal/server/pprofsrv"
 )
 
 func main() {
@@ -70,7 +71,7 @@ func main() {
 	}
 	logger := log.New(os.Stderr, "coscale-serve: ", 0)
 	if *pprofAddr != "" {
-		go server.ServePprof(*pprofAddr, logger)
+		go pprofsrv.Serve(*pprofAddr, logger)
 	}
 	fj := fleetJoin{coordinator: *join, id: *joinID, advertise: *advertise}
 	if fj.coordinator != "" {

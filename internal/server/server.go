@@ -8,7 +8,6 @@ import (
 	"log"
 	"math"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"runtime"
 	"strconv"
@@ -220,24 +219,6 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	_ = enc.Encode(v) // the connection is the only failure mode left here
-}
-
-// ServePprof exposes net/http/pprof on its own listener at addr, for the
-// commands' opt-in -pprof flag. It is never mounted on a service mux, so the
-// profiling endpoints can stay on loopback while the API listener is
-// reachable from the fleet. Serving errors are logged, not fatal: losing
-// profiling must not take the service down.
-func ServePprof(addr string, logger *log.Logger) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	logger.Printf("pprof listening on %s", addr)
-	if err := http.ListenAndServe(addr, mux); err != nil {
-		logger.Printf("pprof: %v", err)
-	}
 }
 
 func (s *Server) logf(format string, args ...any) {
