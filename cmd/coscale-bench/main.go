@@ -86,18 +86,23 @@ type BenchRow struct {
 	SweepsPerOp     float64 `json:"sweeps_per_op,omitempty"`
 	InfeasiblePerOp float64 `json:"infeasible_per_op,omitempty"`
 	SkippedPerOp    float64 `json:"skipped_per_op,omitempty"`
+
+	Recorded
+}
+
+// Recorded holds a row's fields that are copied in by hand: this program
+// never measures them, -out carries them over from the same-named row of
+// the report it overwrites, and -compare ignores them.
+type Recorded struct {
 	// BeforeNsPerOp and BeforeAllocsPerOp record, for a row added with a
 	// change that speeds up its path, the same body measured on the same
-	// host at the parent of that change. They are copied in by hand; this
-	// program never measures them, -out carries them over from the report
-	// it overwrites, and -compare ignores them.
+	// host at the parent of that change.
 	BeforeNsPerOp     float64 `json:"before_ns_per_op,omitempty"`
 	BeforeAllocsPerOp int64   `json:"before_allocs_per_op,omitempty"`
 	// Runs, NsPerOpMin and NsPerOpMax record, for a row measured over
 	// repeated runs, their number and the spread of ns/op (NsPerOp and
 	// BeforeNsPerOp are then medians); BeforeNsPerOpMin and
-	// BeforeNsPerOpMax are the parent's spread. Copied in by hand and
-	// carried over by -out, like the Before fields.
+	// BeforeNsPerOpMax are the parent's spread.
 	Runs             int     `json:"runs,omitempty"`
 	NsPerOpMin       float64 `json:"ns_per_op_min,omitempty"`
 	NsPerOpMax       float64 `json:"ns_per_op_max,omitempty"`
@@ -191,16 +196,22 @@ func main() {
 		}
 	}
 
+	if *out != "" {
+		if err := carryRecorded(*out, &rep); err != nil {
+			log.Fatal(err)
+		}
+	}
+	buf, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		log.Fatal(err)
+	}
+	buf = append(buf, '\n')
 	switch {
 	case *out != "":
-		if err := writeReport(*out, rep); err != nil {
+		if err := os.WriteFile(*out, buf, 0o644); err != nil {
 			log.Fatal(err)
 		}
 	case *compare == "": // diff mode logs the comparison instead of the report
-		buf, err := marshalReport(rep)
-		if err != nil {
-			log.Fatal(err)
-		}
 		os.Stdout.Write(buf)
 	}
 
@@ -269,49 +280,27 @@ func bench(name string, fn func(b *testing.B)) (BenchRow, error) {
 	}, nil
 }
 
-func marshalReport(rep Report) ([]byte, error) {
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	return append(buf, '\n'), err
-}
-
-// writeReport writes rep to path. When path already holds a report, each
-// row of rep keeps the hand-copied fields (the Before fields, Runs and the
-// four min/max fields) of the same-named row there, so regenerating a
-// baseline does not erase the recorded parent numbers and spreads.
-func writeReport(path string, rep Report) error {
+// carryRecorded copies into rep the Recorded fields of each same-named row
+// of the report at path, when there is one, so regenerating a baseline
+// keeps its recorded parent numbers and spreads.
+func carryRecorded(path string, rep *Report) error {
 	prev, err := readReport(path)
-	switch {
-	case errors.Is(err, fs.ErrNotExist):
-	case err != nil:
-		return err
-	default:
-		carryHandCopied(prev, rep)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
 	}
-	buf, err := marshalReport(rep)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, buf, 0o644)
-}
-
-// carryHandCopied copies prev's hand-copied fields into the same-named rows
-// of rep.
-func carryHandCopied(prev, rep Report) {
-	byName := make(map[string]BenchRow, len(prev.Benchmarks))
+	byName := make(map[string]Recorded, len(prev.Benchmarks))
 	for _, row := range prev.Benchmarks {
-		byName[row.Name] = row
+		byName[row.Name] = row.Recorded
 	}
 	for i := range rep.Benchmarks {
-		old, ok := byName[rep.Benchmarks[i].Name]
-		if !ok {
-			continue
+		if rec, ok := byName[rep.Benchmarks[i].Name]; ok {
+			rep.Benchmarks[i].Recorded = rec
 		}
-		row := &rep.Benchmarks[i]
-		row.BeforeNsPerOp, row.BeforeAllocsPerOp = old.BeforeNsPerOp, old.BeforeAllocsPerOp
-		row.Runs = old.Runs
-		row.NsPerOpMin, row.NsPerOpMax = old.NsPerOpMin, old.NsPerOpMax
-		row.BeforeNsPerOpMin, row.BeforeNsPerOpMax = old.BeforeNsPerOpMin, old.BeforeNsPerOpMax
 	}
+	return nil
 }
 
 func readReport(path string) (Report, error) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -76,19 +77,27 @@ func TestDiffGates(t *testing.T) {
 	}
 }
 
-// TestWriteReportKeepsHandCopiedFields checks that -out onto an existing
-// report carries each same-named row's hand-copied fields into the fresh
+// TestCarryRecordedKeepsHandCopiedFields checks that -out onto an existing
+// report carries each same-named row's Recorded fields into the fresh
 // report, leaves the measured fields and rows the old report lacks as
-// measured, and drops rows only the old report has.
-func TestWriteReportKeepsHandCopiedFields(t *testing.T) {
+// measured, and adds no row only the old report has.
+func TestCarryRecordedKeepsHandCopiedFields(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH.json")
-	kept := BenchRow{
-		Name: "Kept", NsPerOp: 500, AllocsPerOp: 3, Iterations: 9,
+	if err := carryRecorded(path, &Report{}); err != nil {
+		t.Fatalf("no previous report: %v", err)
+	}
+	rec := Recorded{
 		BeforeNsPerOp: 700, BeforeAllocsPerOp: 4, Runs: 6,
 		NsPerOpMin: 450, NsPerOpMax: 550, BeforeNsPerOpMin: 650, BeforeNsPerOpMax: 750,
 	}
-	gone := BenchRow{Name: "Gone", NsPerOp: 1, BeforeNsPerOp: 2, Runs: 3}
-	if err := writeReport(path, Report{Benchmarks: []BenchRow{kept, gone}}); err != nil {
+	prev, err := json.Marshal(Report{Benchmarks: []BenchRow{
+		{Name: "Kept", NsPerOp: 500, AllocsPerOp: 3, Iterations: 9, Recorded: rec},
+		{Name: "Gone", NsPerOp: 1, Recorded: Recorded{BeforeNsPerOp: 2, Runs: 3}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, prev, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -96,29 +105,21 @@ func TestWriteReportKeepsHandCopiedFields(t *testing.T) {
 		{Name: "New", NsPerOp: 10, Iterations: 100},
 		{Name: "Kept", NsPerOp: 480, AllocsPerOp: 2, Iterations: 12},
 	}}
-	if err := writeReport(path, fresh); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readReport(path)
-	if err != nil {
+	if err := carryRecorded(path, &fresh); err != nil {
 		t.Fatal(err)
 	}
 	want := Report{Benchtime: "1ms", Benchmarks: []BenchRow{
 		{Name: "New", NsPerOp: 10, Iterations: 100},
-		{
-			Name: "Kept", NsPerOp: 480, AllocsPerOp: 2, Iterations: 12,
-			BeforeNsPerOp: 700, BeforeAllocsPerOp: 4, Runs: 6,
-			NsPerOpMin: 450, NsPerOpMax: 550, BeforeNsPerOpMin: 650, BeforeNsPerOpMax: 750,
-		},
+		{Name: "Kept", NsPerOp: 480, AllocsPerOp: 2, Iterations: 12, Recorded: rec},
 	}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("rewritten report = %+v\nwant %+v", got, want)
+	if !reflect.DeepEqual(fresh, want) {
+		t.Errorf("carried report = %+v\nwant %+v", fresh, want)
 	}
 
 	if err := os.WriteFile(path, []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeReport(path, fresh); err == nil {
-		t.Error("a report that does not parse was overwritten")
+	if err := carryRecorded(path, &fresh); err == nil {
+		t.Error("a report that does not parse was accepted")
 	}
 }
