@@ -9,7 +9,7 @@
 // regeneration, and writes the numbers as
 // machine-readable JSON, with the host's CPU count and GOMAXPROCS. The committed BENCH_baseline.json at the repository root
 // is this program's output; regenerate it with `make bench-json`, which
-// keeps each row's hand-copied parent numbers and spreads. Each row
+// keeps each row's hand-copied parent numbers. Each row
 // runs the same body as the root package's BenchmarkX of that name
 // (internal/experiments and internal/fleet define them), and a body that
 // fails exits non-zero.
@@ -87,25 +87,26 @@ type BenchRow struct {
 	InfeasiblePerOp float64 `json:"infeasible_per_op,omitempty"`
 	SkippedPerOp    float64 `json:"skipped_per_op,omitempty"`
 
-	Recorded
+	// Runs, NsPerOpMin and NsPerOpMax are copied in by hand for a row
+	// measured over repeated runs: their number and the spread of ns/op
+	// (NsPerOp is then their median). -out measures the row once, so it
+	// drops them.
+	Runs       int     `json:"runs,omitempty"`
+	NsPerOpMin float64 `json:"ns_per_op_min,omitempty"`
+	NsPerOpMax float64 `json:"ns_per_op_max,omitempty"`
+
+	Parent
 }
 
-// Recorded holds a row's fields that are copied in by hand: this program
-// never measures them, -out carries them over from the same-named row of
-// the report it overwrites, and -compare ignores them.
-type Recorded struct {
-	// BeforeNsPerOp and BeforeAllocsPerOp record, for a row added with a
-	// change that speeds up its path, the same body measured on the same
-	// host at the parent of that change.
+// Parent holds, for a row added with a change that speeds up its path, the
+// same body measured on the same host at the parent of that change, copied
+// in by hand. -out carries it over from the same-named row of the report
+// it overwrites; -compare ignores it.
+type Parent struct {
 	BeforeNsPerOp     float64 `json:"before_ns_per_op,omitempty"`
 	BeforeAllocsPerOp int64   `json:"before_allocs_per_op,omitempty"`
-	// Runs, NsPerOpMin and NsPerOpMax record, for a row measured over
-	// repeated runs, their number and the spread of ns/op (NsPerOp and
-	// BeforeNsPerOp are then medians); BeforeNsPerOpMin and
-	// BeforeNsPerOpMax are the parent's spread.
-	Runs             int     `json:"runs,omitempty"`
-	NsPerOpMin       float64 `json:"ns_per_op_min,omitempty"`
-	NsPerOpMax       float64 `json:"ns_per_op_max,omitempty"`
+	// BeforeNsPerOpMin and BeforeNsPerOpMax, when set, mark BeforeNsPerOp
+	// as the median of repeated runs and give their spread.
 	BeforeNsPerOpMin float64 `json:"before_ns_per_op_min,omitempty"`
 	BeforeNsPerOpMax float64 `json:"before_ns_per_op_max,omitempty"`
 }
@@ -140,6 +141,12 @@ func main() {
 	}
 	// testing.Benchmark respects the -test.benchtime flag value.
 	if err := flag.Lookup("test.benchtime").Value.Set(benchtime.String()); err != nil {
+		log.Fatal(err)
+	}
+	// Read the report -out overwrites before any benchmark runs, so one
+	// that does not parse fails at once.
+	parents, err := previousParents(*out)
+	if err != nil {
 		log.Fatal(err)
 	}
 
@@ -196,10 +203,8 @@ func main() {
 		}
 	}
 
-	if *out != "" {
-		if err := carryRecorded(*out, &rep); err != nil {
-			log.Fatal(err)
-		}
+	for i, row := range rep.Benchmarks {
+		rep.Benchmarks[i].Parent = parents[row.Name]
 	}
 	buf, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -280,27 +285,23 @@ func bench(name string, fn func(b *testing.B)) (BenchRow, error) {
 	}, nil
 }
 
-// carryRecorded copies into rep the Recorded fields of each same-named row
-// of the report at path, when there is one, so regenerating a baseline
-// keeps its recorded parent numbers and spreads.
-func carryRecorded(path string, rep *Report) error {
+// previousParents returns, by row name, the Parent fields of the report
+// at path. A path that holds no report — none given, missing, empty, or
+// not a regular file, such as /dev/null — has none.
+func previousParents(path string) (map[string]Parent, error) {
+	if fi, err := os.Stat(path); errors.Is(err, fs.ErrNotExist) ||
+		err == nil && (!fi.Mode().IsRegular() || fi.Size() == 0) {
+		return nil, nil
+	}
 	prev, err := readReport(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
 	if err != nil {
-		return err
+		return nil, err
 	}
-	byName := make(map[string]Recorded, len(prev.Benchmarks))
+	parents := make(map[string]Parent, len(prev.Benchmarks))
 	for _, row := range prev.Benchmarks {
-		byName[row.Name] = row.Recorded
+		parents[row.Name] = row.Parent
 	}
-	for i := range rep.Benchmarks {
-		if rec, ok := byName[rep.Benchmarks[i].Name]; ok {
-			rep.Benchmarks[i].Recorded = rec
-		}
-	}
-	return nil
+	return parents, nil
 }
 
 func readReport(path string) (Report, error) {

@@ -77,22 +77,28 @@ func TestDiffGates(t *testing.T) {
 	}
 }
 
-// TestCarryRecordedKeepsHandCopiedFields checks that -out onto an existing
-// report carries each same-named row's Recorded fields into the fresh
-// report, leaves the measured fields and rows the old report lacks as
-// measured, and adds no row only the old report has.
-func TestCarryRecordedKeepsHandCopiedFields(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH.json")
-	if err := carryRecorded(path, &Report{}); err != nil {
-		t.Fatalf("no previous report: %v", err)
+// TestPreviousParents checks that -out reads, from the report it
+// overwrites, each row's parent fields by name; that a path with no report
+// yet (none given, missing, empty, or a device such as the one `make
+// profile` writes to) has none; and that a report that does not parse is
+// an error.
+func TestPreviousParents(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "BENCH.json")
+	empty := filepath.Join(dir, "empty.json")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	rec := Recorded{
-		BeforeNsPerOp: 700, BeforeAllocsPerOp: 4, Runs: 6,
-		NsPerOpMin: 450, NsPerOpMax: 550, BeforeNsPerOpMin: 650, BeforeNsPerOpMax: 750,
+	for _, p := range []string{"", path, empty, os.DevNull} {
+		if parents, err := previousParents(p); err != nil || parents != nil {
+			t.Errorf("previousParents(%q) = %v, %v; want no report", p, parents, err)
+		}
 	}
+
+	kept := Parent{BeforeNsPerOp: 700, BeforeAllocsPerOp: 4, BeforeNsPerOpMin: 650, BeforeNsPerOpMax: 750}
 	prev, err := json.Marshal(Report{Benchmarks: []BenchRow{
-		{Name: "Kept", NsPerOp: 500, AllocsPerOp: 3, Iterations: 9, Recorded: rec},
-		{Name: "Gone", NsPerOp: 1, Recorded: Recorded{BeforeNsPerOp: 2, Runs: 3}},
+		{Name: "Kept", NsPerOp: 500, AllocsPerOp: 3, Iterations: 9, Runs: 6, NsPerOpMin: 450, NsPerOpMax: 550, Parent: kept},
+		{Name: "Bare", NsPerOp: 1, Runs: 3},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -100,26 +106,18 @@ func TestCarryRecordedKeepsHandCopiedFields(t *testing.T) {
 	if err := os.WriteFile(path, prev, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	fresh := Report{Benchtime: "1ms", Benchmarks: []BenchRow{
-		{Name: "New", NsPerOp: 10, Iterations: 100},
-		{Name: "Kept", NsPerOp: 480, AllocsPerOp: 2, Iterations: 12},
-	}}
-	if err := carryRecorded(path, &fresh); err != nil {
+	parents, err := previousParents(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := Report{Benchtime: "1ms", Benchmarks: []BenchRow{
-		{Name: "New", NsPerOp: 10, Iterations: 100},
-		{Name: "Kept", NsPerOp: 480, AllocsPerOp: 2, Iterations: 12, Recorded: rec},
-	}}
-	if !reflect.DeepEqual(fresh, want) {
-		t.Errorf("carried report = %+v\nwant %+v", fresh, want)
+	if want := map[string]Parent{"Kept": kept, "Bare": {}}; !reflect.DeepEqual(parents, want) {
+		t.Errorf("parents = %+v, want %+v", parents, want)
 	}
 
 	if err := os.WriteFile(path, []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := carryRecorded(path, &fresh); err == nil {
+	if _, err := previousParents(path); err == nil {
 		t.Error("a report that does not parse was accepted")
 	}
 }
