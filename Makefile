@@ -45,7 +45,8 @@ bench-smoke:
 
 ## bit-identity: the determinism gate behind DESIGN.md §13 — the fleet
 ## rebalancer's per-node fan-out against its serial replica, its frontier
-## and decision reuse against a rebuild-everything replica, the frontier
+## and decision reuse against a rebuild-everything replica, its idle-lane
+## controller re-walks against that replica at GOMAXPROCS 1 to 8, the frontier
 ## walk against its reference walk, PowerCap's capped walk and its trail
 ## replay against their reference oracle, CoScale's eligibility-list sorts
 ## against the comparison sorts they replace, the joint solver against its
@@ -61,8 +62,8 @@ bench-smoke:
 ## machine default, so neither scheduler width, reuse nor a shared search
 ## can reach an assignment bit
 bit-identity:
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica|RebalancerReuseMatchesRebuild|BuilderMatchesReferenceWalk' ./internal/fastcap
-	$(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica|RebalancerReuseMatchesRebuild|BuilderMatchesReferenceWalk' ./internal/fastcap
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica|RebalancerReuseMatchesRebuild|RebalancerRewalkMatchesSerialReplica|BuilderMatchesReferenceWalk' ./internal/fastcap
+	$(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica|RebalancerReuseMatchesRebuild|RebalancerRewalkMatchesSerialReplica|BuilderMatchesReferenceWalk' ./internal/fastcap
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'PowerCapMatchesReferenceOracle|PowerCapReplayMatchesReferenceOracle|CapWalkEndsAtFloor|EligibilitySortsMatchComparator' ./internal/core
 	$(GO) test -race -count=1 -run 'PowerCapMatchesReferenceOracle|PowerCapReplayMatchesReferenceOracle|CapWalkEndsAtFloor|EligibilitySortsMatchComparator' ./internal/core
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'SolverMatchesNaiveLoop' ./internal/perf
@@ -137,7 +138,7 @@ fleet-smoke:
 ## fastcap-smoke job; see DESIGN.md §13)
 fastcap-smoke:
 	$(GO) test -race -count=1 ./internal/fastcap
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica|RebalancerReuseMatchesRebuild|BuilderMatchesReferenceWalk' ./internal/fastcap
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'RebalancerMatchesSerialReplica|RebalancerReuseMatchesRebuild|RebalancerRewalkMatchesSerialReplica|BuilderMatchesReferenceWalk' ./internal/fastcap
 	$(GO) test -race -count=1 -run 'TestFastCap' ./internal/experiments
 	$(GO) run -race ./cmd/coscale-experiments -exp fastcap -fastcap-nodes 3 -fastcap-epochs 12
 

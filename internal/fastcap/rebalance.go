@@ -48,7 +48,8 @@ type rbNode struct {
 	decided bool
 	capBits uint64
 
-	// Per-epoch slots, written only by the lane that claimed this node.
+	// Per-epoch slots, written only by the lane that claimed this node's
+	// build or decision item.
 	power   float64 // the decision's predicted total power
 	slow    float64 // the decision's predicted worst slowdown
 	clamped bool    // DecideCapped reported ErrCapInfeasible
@@ -68,8 +69,20 @@ type Rebalancer struct {
 	// Scratch reused across epochs.
 	anodes  []Node
 	assigns []Assignment
-	work    []int // indices of the nodes a phase must process
 
+	// The fan-out's state, kept here so that an epoch allocates nothing
+	// of its own: the items a phase runs, the inputs they read (obs is set
+	// only while Epoch runs; scale is this epoch's budget over the last
+	// one's), the lane counter and join, and lane, the lane body bound
+	// once so that starting a lane allocates nothing.
+	work  []workItem
+	obs   []policy.Observation
+	scale float64
+	next  atomic.Int64 // the next unclaimed position in work
+	wg    sync.WaitGroup
+	lane  func()
+
+	budget     float64 // the last epoch's budget
 	rebalances int64
 	builds     int64
 	epochs     int64
@@ -77,7 +90,9 @@ type Rebalancer struct {
 
 // NewRebalancer returns a rebalancer allocating under the given strategy.
 func NewRebalancer(s Strategy) *Rebalancer {
-	return &Rebalancer{alloc: Allocator{Strategy: s}}
+	r := &Rebalancer{alloc: Allocator{Strategy: s}}
+	r.lane = r.runLane
+	return r
 }
 
 // Strategy returns the allocation strategy this rebalancer runs.
@@ -96,7 +111,11 @@ func (r *Rebalancer) Rebalances() int64 { return r.rebalances }
 func (r *Rebalancer) Builds() int64 { return r.builds }
 
 // Evals returns how many operating points the nodes' frontier walks and
-// capped decisions have evaluated, summed over the nodes now managed.
+// capped walks have evaluated, summed over the nodes now managed. An
+// epoch that rebuilds some nodes but not all can re-walk their
+// controllers on idle lanes (see Epoch), and a re-walk may evaluate
+// points the decision does not need, so the count then depends on
+// GOMAXPROCS; the decisions do not.
 func (r *Rebalancer) Evals() int64 {
 	var sum int64
 	for i := range r.nodes {
@@ -165,6 +184,14 @@ func (r *Rebalancer) NodeIDs(dst []string) []string {
 // observation matches its previous one field for field (floats by
 // Float64bits) keeps its frontier, and if its assignment bits match too,
 // its decision; an epoch that changes nothing starts no goroutines.
+//
+// When the builds leave a lane idle (fewer builds than min(GOMAXPROCS,
+// Len)), each rebuilt node that has decided before also re-walks its
+// PowerCap during the build phase, under its previous assignment scaled
+// by the budget's change. The walk is a pure function of the observation
+// and the slowdown limits, so the decision phase then replays that trail
+// or steps it only past its end: the re-walk moves work off the critical
+// path and no output bit.
 func (r *Rebalancer) Epoch(budget float64, obs []policy.Observation, out []NodeEpoch) ([]NodeEpoch, error) {
 	if len(obs) != len(r.nodes) {
 		return out, fmt.Errorf("fastcap: %d observations for %d nodes", len(obs), len(r.nodes))
@@ -172,27 +199,43 @@ func (r *Rebalancer) Epoch(budget float64, obs []policy.Observation, out []NodeE
 	if len(r.nodes) == 0 {
 		return out, nil
 	}
+	r.obs = obs
+	out, err := r.epoch(budget, out)
+	r.obs = nil // the caller owns obs; keep no reference past the call
+	return out, err
+}
 
+func (r *Rebalancer) epoch(budget float64, out []NodeEpoch) ([]NodeEpoch, error) {
 	r.work = r.work[:0]
 	for i := range r.nodes {
 		n := &r.nodes[i]
 		n.err = nil
-		if n.built && n.seen.BitEqual(&obs[i]) {
+		if n.built && n.seen.BitEqual(&r.obs[i]) {
 			continue
 		}
 		n.built, n.decided = false, false
-		r.work = append(r.work, i)
+		r.work = append(r.work, workItem{node: i, kind: build})
 	}
-	// Both phases test for work before building their closure: it escapes
-	// to the lanes, so building it allocates.
-	if len(r.work) > 0 {
-		r.builds += int64(len(r.work))
-		r.forEachNode(func(i int, n *rbNode) {
-			if n.err = n.b.Build(&n.f, n.cfg, obs[i]); n.err == nil {
-				obs[i].CloneInto(&n.seen)
-				n.built = true
+	if builds := len(r.work); builds > 0 {
+		r.builds += int64(builds)
+		if builds < min(runtime.GOMAXPROCS(0), len(r.nodes)) {
+			// A re-walk guesses the new assignment as the previous one
+			// scaled by the budget's change, so that the decision phase
+			// has the least trail left to walk. It is scheduled only for
+			// observations Build accepts: the decision phase never runs
+			// on the others.
+			r.scale = budget / r.budget
+			if !(r.scale > 0 && r.scale <= math.MaxFloat64) {
+				r.scale = 1
 			}
-		})
+			for _, it := range r.work[:builds] {
+				n := &r.nodes[it.node]
+				if n.capBits != 0 && len(r.obs[it.node].Cores) == n.cfg.NCores {
+					r.work = append(r.work, workItem{node: it.node, kind: rewalk})
+				}
+			}
+		}
+		r.forEachNode()
 	}
 	r.anodes = r.anodes[:0]
 	for i := range r.nodes {
@@ -209,10 +252,6 @@ func (r *Rebalancer) Epoch(budget float64, obs []policy.Observation, out []NodeE
 		return out, err
 	}
 
-	// Drive each node's controller against its slice. The frontier's floor
-	// watts and PowerCap's own min-eval are bit-identical (both run the
-	// same evaluator), so an assignment at the floor is feasible at
-	// the boundary rather than spuriously infeasible.
 	r.work = r.work[:0]
 	for i := range r.nodes {
 		n := &r.nodes[i]
@@ -220,26 +259,10 @@ func (r *Rebalancer) Epoch(budget float64, obs []policy.Observation, out []NodeE
 			continue
 		}
 		n.decided = false
-		r.work = append(r.work, i)
+		r.work = append(r.work, workItem{node: i, kind: decide})
 	}
 	if len(r.work) > 0 {
-		r.forEachNode(func(i int, n *rbNode) {
-			n.clamped = false
-			w := r.assigns[i].Watts
-			if n.err = n.cap.SetCap(w); n.err != nil {
-				return
-			}
-			_, derr := n.cap.DecideCapped(obs[i])
-			if derr != nil {
-				if !errors.Is(derr, core.ErrCapInfeasible) {
-					n.err = derr
-					return
-				}
-				n.clamped = true
-			}
-			n.power, n.slow = n.cap.Predicted()
-			n.decided, n.capBits = true, math.Float64bits(w)
-		})
+		r.forEachNode()
 	}
 
 	changed := false
@@ -266,34 +289,87 @@ func (r *Rebalancer) Epoch(budget float64, obs []policy.Observation, out []NodeE
 		r.rebalances++
 	}
 	r.epochs++
+	r.budget = budget
 	return out, err
 }
 
-// forEachNode runs fn once for every node listed in r.work, across
-// min(GOMAXPROCS, len(r.work)) lanes that claim list positions from a
-// shared counter; the calling goroutine is one of the lanes, and the call
-// returns after every listed node is done. fn must touch only node i's own
-// state and shared read-only inputs.
-func (r *Rebalancer) forEachNode(fn func(i int, n *rbNode)) {
-	lanes := min(runtime.GOMAXPROCS(0), len(r.work))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(lanes)
-	lane := func() {
-		defer wg.Done()
-		for {
-			k := int(next.Add(1)) - 1
-			if k >= len(r.work) {
+// itemKind is what a work item does to its node.
+type itemKind uint8
+
+const (
+	build  itemKind = iota // rebuild the node's frontier
+	rewalk                 // walk the node's PowerCap under a guess at its new assignment
+	decide                 // decide under the node's new assignment
+)
+
+// workItem is one entry of a phase's work list.
+type workItem struct {
+	node int
+	kind itemKind
+}
+
+// run does one work item. A build writes only its node's builder,
+// frontier, observation copy and result slots; a re-walk writes only its
+// node's controller and discards what it returns. So the two items of one
+// node can run concurrently: they share only read-only inputs.
+func (r *Rebalancer) run(it workItem) {
+	n, obs := &r.nodes[it.node], r.obs[it.node]
+	switch it.kind {
+	case build:
+		if n.err = n.b.Build(&n.f, n.cfg, obs); n.err == nil {
+			obs.CloneInto(&n.seen)
+			n.built = true
+		}
+	case rewalk:
+		if n.cap.SetCap(r.scale*math.Float64frombits(n.capBits)) == nil {
+			_, _ = n.cap.DecideCapped(obs)
+		}
+	case decide:
+		// The frontier's floor watts and PowerCap's own min-eval are
+		// bit-identical (both run the same evaluator), so an assignment
+		// at the floor is feasible at the boundary rather than spuriously
+		// infeasible.
+		n.clamped = false
+		w := r.assigns[it.node].Watts
+		if n.err = n.cap.SetCap(w); n.err != nil {
+			return
+		}
+		if _, derr := n.cap.DecideCapped(obs); derr != nil {
+			if !errors.Is(derr, core.ErrCapInfeasible) {
+				n.err = derr
 				return
 			}
-			i := r.work[k]
-			fn(i, &r.nodes[i])
+			n.clamped = true
 		}
+		n.power, n.slow = n.cap.Predicted()
+		n.decided, n.capBits = true, math.Float64bits(w)
 	}
+}
+
+// forEachNode runs every item of r.work across min(GOMAXPROCS,
+// len(r.work)) lanes that claim list positions from a shared counter; the
+// calling goroutine is one of the lanes, and the call returns after every
+// item is done.
+func (r *Rebalancer) forEachNode() {
+	lanes := min(runtime.GOMAXPROCS(0), len(r.work))
+	r.next.Store(0)
+	r.wg.Add(lanes)
 	for range lanes - 1 {
-		//lint:ignore dettaint deterministic by construction: each node index is claimed by exactly one lane, which writes only that node's own builder, controller, observation copy and result slots from read-only inputs, and the caller reads the slots in node order only after the join — which lane ran a node, and when, cannot reach any output bit (DESIGN.md §13)
-		go lane()
+		//lint:ignore dettaint deterministic by construction: each work item is claimed by exactly one lane, a node's items write disjoint parts of that node from read-only inputs (its build: its builder, frontier, observation copy and slots; its re-walk: its controller alone; its decision, in a later phase: its controller and slots), and the caller reads the slots in node order only after the join — which lane ran an item, and when, cannot reach any output bit (DESIGN.md §13)
+		go r.lane()
 	}
-	lane()
-	wg.Wait()
+	r.lane()
+	r.wg.Wait()
+}
+
+// runLane claims and runs work items until the list is exhausted.
+func (r *Rebalancer) runLane() {
+	defer r.wg.Done()
+	for {
+		k := int(r.next.Add(1)) - 1
+		if k >= len(r.work) {
+			return
+		}
+		r.run(r.work[k])
+	}
 }

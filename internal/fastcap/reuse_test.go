@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"coscale/internal/core"
@@ -183,6 +184,76 @@ func TestRebalancerReuseMatchesRebuild(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRebalancerRewalkMatchesSerialReplica re-profiles one node per epoch
+// under a budget that rises and falls, so each build phase leaves lanes
+// idle and re-walks the rebuilt node's controller under a guess at its new
+// assignment that both overshoots and falls short. Every epoch must be
+// Float64bits-identical to the serial rebuild replica at GOMAXPROCS 1, 2, 4
+// and 8, and the re-walks must have run (other evaluation counts than at
+// 1). A final epoch that re-profiles every node leaves no lane idle, so it
+// must evaluate the same points at every GOMAXPROCS. make bit-identity runs
+// it under -race.
+func TestRebalancerRewalkMatchesSerialReplica(t *testing.T) {
+	const nodes, epochs = 8, 17
+	cfg := testCfg(8)
+	cfg.Tables = &policy.TableCache{}
+	full := float64(nodes) * policy.NewEvaluator(cfg, mixObs(cfg, 0)).Baseline().Power.Total
+	shares := [...]float64{1, 0.8, 0.6, 0.9, 0.65, 1, 0.7, 0.85}
+	mix := func(i, e int) float64 { return math.Mod(0.17*float64(i)+0.31*float64(e)+0.05, 1) }
+
+	// run returns the points evaluated by the one-node epochs and by the
+	// final every-node epoch.
+	run := func(procs int) (lone, every int64) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		r := NewRebalancer(Fair)
+		rep := &rebuildReplica{cfg: cfg, alloc: Allocator{Strategy: Fair}}
+		obs := make([]policy.Observation, nodes)
+		for i := range obs {
+			id := fmt.Sprintf("node-%02d", i)
+			if err := r.AddNode(id, cfg); err != nil {
+				t.Fatal(err)
+			}
+			rep.add(t, id)
+			obs[i] = mixObs(cfg, mix(i, 0))
+		}
+		var got []NodeEpoch
+		epoch := func(e int, budget float64) {
+			var err error
+			got, err = r.Epoch(budget, obs, got[:0])
+			want, werr := rep.epoch(budget, obs)
+			if err != nil || werr != nil {
+				t.Fatalf("GOMAXPROCS=%d epoch %d: rebalancer error %v, replica error %v", procs, e, err, werr)
+			}
+			if !sameEpochs(got, want) {
+				t.Fatalf("GOMAXPROCS=%d epoch %d:\nrebalancer %+v\nreplica    %+v", procs, e, got, want)
+			}
+		}
+		epoch(0, full)
+		e0 := r.Evals()
+		for e := 1; e < epochs-1; e++ {
+			obs[e%nodes] = mixObs(cfg, mix(e%nodes, e))
+			epoch(e, shares[e%len(shares)]*full)
+		}
+		e1 := r.Evals()
+		for i := range obs {
+			obs[i] = mixObs(cfg, mix(i, epochs-1))
+		}
+		epoch(epochs-1, 0.75*full)
+		return e1 - e0, r.Evals() - e1
+	}
+
+	lone1, every1 := run(1)
+	for _, procs := range []int{2, 4, 8} {
+		lone, every := run(procs)
+		if lone == lone1 {
+			t.Errorf("GOMAXPROCS=%d: one-node epochs evaluated %d points, as at GOMAXPROCS=1: no re-walk ran", procs, lone)
+		}
+		if every != every1 {
+			t.Errorf("GOMAXPROCS=%d: the every-node epoch evaluated %d points, %d at GOMAXPROCS=1", procs, every, every1)
+		}
 	}
 }
 
