@@ -294,6 +294,7 @@ func BenchmarkPowerCapRedecide(b *testing.B)      { experiments.BenchPowerCapRed
 func BenchmarkFrontierBuild(b *testing.B)         { experiments.BenchFrontierBuild(b) }
 func BenchmarkRebalancerEpoch(b *testing.B)       { experiments.BenchRebalancerEpoch(b) }
 func BenchmarkRebalancerEpochStable(b *testing.B) { experiments.BenchRebalancerEpochStable(b) }
+func BenchmarkRebalancerEpochLone(b *testing.B)   { experiments.BenchRebalancerEpochLone(b) }
 func BenchmarkStoreDispatchable(b *testing.B)     { fleet.BenchStoreDispatchable(b) }
 func BenchmarkEpochSimulation(b *testing.B)       { experiments.BenchEpochSimulation(b) }
 func BenchmarkOfflineDecide(b *testing.B)         { experiments.BenchOfflineDecide(b) }

@@ -254,6 +254,7 @@ var headline = []struct {
 	{"FrontierBuild", experiments.BenchFrontierBuild},
 	{"RebalancerEpoch", experiments.BenchRebalancerEpoch},
 	{"RebalancerEpochStable", experiments.BenchRebalancerEpochStable},
+	{"RebalancerEpochLone", experiments.BenchRebalancerEpochLone},
 	{"StoreDispatchable", fleet.BenchStoreDispatchable},
 	{"EpochSimulation", experiments.BenchEpochSimulation},
 	{"OfflineDecide", experiments.BenchOfflineDecide},

@@ -11,6 +11,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -414,15 +415,58 @@ func BenchFrontierBuild(b *testing.B) {
 // decisions, fanned out across min(GOMAXPROCS, 8) lanes. Iterations
 // alternate between the fixture's two observation sets, which differ on
 // every node, so no node can keep its frontier.
-func BenchRebalancerEpoch(b *testing.B) { benchRebalancerEpoch(b, false) }
+func BenchRebalancerEpoch(b *testing.B) {
+	benchRebalancerEpoch(b, func(fx FastCapBench) [2][]policy.Observation {
+		return [2][]policy.Observation{fx.Later, fx.Obs}
+	}, [2]float64{0.8, 0.8})
+}
 
 // BenchRebalancerEpochStable measures the same fleet epoch while every node
 // holds its phase and the budget holds: each node keeps its frontier and its
 // capped decision, so the epoch is the observation compares plus the
 // allocation.
-func BenchRebalancerEpochStable(b *testing.B) { benchRebalancerEpoch(b, true) }
+func BenchRebalancerEpochStable(b *testing.B) {
+	benchRebalancerEpoch(b, func(fx FastCapBench) [2][]policy.Observation {
+		return [2][]policy.Observation{fx.Obs, fx.Obs}
+	}, [2]float64{0.8, 0.8})
+}
 
-func benchRebalancerEpoch(b *testing.B, stable bool) {
+// BenchRebalancerEpochLone measures the same fleet epoch when one node is
+// re-profiled: node 0 alternates between its two observations while the
+// other seven hold theirs, and the budget alternates between 60% and 80%
+// of provisioned power. Each epoch rebuilds one frontier, reallocates and
+// re-decides every node under its moved assignment; the seven held nodes
+// replay their walks.
+func BenchRebalancerEpochLone(b *testing.B) {
+	benchRebalancerEpoch(b, func(fx FastCapBench) [2][]policy.Observation {
+		lone := append([]policy.Observation(nil), fx.Obs...)
+		lone[0] = fx.Later[0]
+		return [2][]policy.Observation{lone, fx.Obs}
+	}, [2]float64{0.6, 0.8})
+}
+
+// warmGoroutines starts and joins 128 goroutines, once per process. Until
+// a process has started about that many, starting one can allocate its
+// descriptor (runtime.malg): a goroutine's descriptor returns to the free
+// list of the P it exited on, which reaches the spawning P's list only
+// once that list overflows. The rebalancer starts up to GOMAXPROCS-1 lanes
+// per phase, so in a short run those allocations would read as the
+// epoch's own.
+var warmGoroutines = sync.OnceFunc(func() {
+	var wg sync.WaitGroup
+	wg.Add(128)
+	for range 128 {
+		go wg.Done()
+	}
+	wg.Wait()
+})
+
+// benchRebalancerEpoch times epochs that alternate between the two
+// observation sets sets returns, each under its share frac of the fleet's
+// provisioned power. The warm-up runs the second set, the first and the
+// second again, so every scratch array has grown for both.
+func benchRebalancerEpoch(b *testing.B, sets func(FastCapBench) [2][]policy.Observation, frac [2]float64) {
+	warmGoroutines()
 	fx, err := FastCapBenchFleet(8)
 	if err != nil {
 		b.Fatal(err)
@@ -433,20 +477,18 @@ func benchRebalancerEpoch(b *testing.B, stable bool) {
 			b.Fatal(err)
 		}
 	}
-	sets := [2][]policy.Observation{fx.Later, fx.Obs}
-	if stable {
-		sets[0] = fx.Obs
-	}
+	obs := sets(fx)
 	var eps []fastcap.NodeEpoch
-	for _, obs := range [...][]policy.Observation{fx.Obs, fx.Later, fx.Obs} { // warm: grows scratch for both sets
-		if eps, err = r.Epoch(0.8*fx.Provisioned, obs, eps[:0]); err != nil {
+	epoch := func(i int) error {
+		eps, err = r.Epoch(frac[i%2]*fx.Provisioned, obs[i%2], eps[:0])
+		return err
+	}
+	for _, i := range [...]int{1, 0, 1} {
+		if err := epoch(i); err != nil {
 			b.Fatal(err)
 		}
 	}
-	benchCounted(b, r.Evals, func(i int) error {
-		eps, err = r.Epoch(0.8*fx.Provisioned, sets[i%2], eps[:0])
-		return err
-	})
+	benchCounted(b, r.Evals, epoch)
 }
 
 // FormatFastCap renders the fleet capping study as a strategy × segment
