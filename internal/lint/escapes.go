@@ -168,7 +168,12 @@ func runEscapes(prog *Program, root, baselinePath string, update bool, stdout, s
 			baselinePath, len(recs), runtime.Version())
 		return ExitClean
 	}
+	return checkEscapes(recs, baselinePath, stdout, stderr)
+}
 
+// checkEscapes diffs the hot-closure escapes recs against the baseline at
+// baselinePath and fails on new ones.
+func checkEscapes(recs []EscapeRecord, baselinePath string, stdout, stderr io.Writer) int {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
 		fmt.Fprintf(stderr, "coscale-lint: no escapes baseline: %v (run coscale-lint -escapes -update)\n", err)
