@@ -296,6 +296,7 @@ func BenchmarkRebalancerEpoch(b *testing.B)       { experiments.BenchRebalancerE
 func BenchmarkRebalancerEpochStable(b *testing.B) { experiments.BenchRebalancerEpochStable(b) }
 func BenchmarkRebalancerEpochLone(b *testing.B)   { experiments.BenchRebalancerEpochLone(b) }
 func BenchmarkStoreDispatchable(b *testing.B)     { fleet.BenchStoreDispatchable(b) }
+func BenchmarkStoreSweepCommit(b *testing.B)      { fleet.BenchStoreSweepCommit(b) }
 func BenchmarkEpochSimulation(b *testing.B)       { experiments.BenchEpochSimulation(b) }
 func BenchmarkOfflineDecide(b *testing.B)         { experiments.BenchOfflineDecide(b) }
 func BenchmarkOfflineTraffic(b *testing.B)        { experiments.BenchOfflineTraffic(b) }

@@ -3,7 +3,8 @@
 // (Observe then Decide), the slack book's Observe at 1024 cores, one capped
 // PowerCap decision (cold, and
 // replayed under a moving cap), one frontier build, one
-// fleet rebalancing epoch (cold, and with every node holding its phase), one scheduler scan of the fleet job store, the raw
+// fleet rebalancing epoch (cold, and with every node holding its phase), one scheduler scan of the fleet job store, one
+// 96-cell sweep committed through a journaled store, the raw
 // epoch-simulation throughput, one Offline comparison-policy decision and
 // a replay of all 48 recorded cells of the traffic Offline serves — plus a timed figure
 // regeneration, and writes the numbers as
@@ -256,6 +257,7 @@ var headline = []struct {
 	{"RebalancerEpochStable", experiments.BenchRebalancerEpochStable},
 	{"RebalancerEpochLone", experiments.BenchRebalancerEpochLone},
 	{"StoreDispatchable", fleet.BenchStoreDispatchable},
+	{"StoreSweepCommit", fleet.BenchStoreSweepCommit},
 	{"EpochSimulation", experiments.BenchEpochSimulation},
 	{"OfflineDecide", experiments.BenchOfflineDecide},
 	{"OfflineTraffic", experiments.BenchOfflineTraffic},

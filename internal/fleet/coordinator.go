@@ -151,7 +151,7 @@ func (w *workerState) health(now time.Time, cfg Config) string {
 // fleetMetrics aggregates the coordinator counters exposed at /metrics.
 type fleetMetrics struct {
 	dispatched atomic.Int64 // leases handed to the transport
-	committed  atomic.Int64 // results committed to the journal
+	committed  atomic.Int64 // results applied to the store; durable at the next status read's sync
 	duplicates atomic.Int64 // late results for already-terminal jobs
 	retried    atomic.Int64 // failed attempts returned to pending
 	failed     atomic.Int64 // jobs failed terminally at the attempt cap
@@ -587,40 +587,50 @@ func (c *Coordinator) Submit(req server.SweepRequest) (SweepStatus, error) {
 		return SweepStatus{}, err
 	}
 	c.logf("sweep %s admitted: %d cells", id, total)
+	// The reply is built before the scheduler wakes, so it shows the
+	// admission AddSweep just synced, and its read syncs only what other
+	// sweeps wrote since.
+	st, _, err := c.store.Status(id)
 	c.bump()
 	c.wake()
-	st, _ := c.store.Status(id)
-	return st, nil
+	return st, err
 }
 
-// Status snapshots one sweep.
-func (c *Coordinator) Status(id string) (SweepStatus, bool) { return c.store.Status(id) }
+// Status snapshots one sweep through the store's commit barrier (see
+// Store.Status).
+func (c *Coordinator) Status(id string) (SweepStatus, bool, error) { return c.store.Status(id) }
 
 // WaitSweep blocks until the sweep is terminal (done or failed) or the
-// context ends, returning its status either way. Each wake-up reads only
-// the sweep's state; the full status is built once, at the end.
+// context ends, returning its status with the context's error in the
+// latter case. Each wake-up reads only the sweep's unsynced state; the full
+// status is built once, at the end, through the commit barrier. An unknown
+// sweep is a 404 APIError; a failed journal sync returns that error and no
+// status.
 func (c *Coordinator) WaitSweep(ctx context.Context, id string) (SweepStatus, error) {
-	for {
+	var cause error
+	for cause == nil {
 		ch := c.updated() // subscribe before reading to not miss a wakeup
 		state, ok := c.store.State(id)
 		if !ok {
-			return SweepStatus{}, fmt.Errorf("unknown sweep %q", id)
+			return SweepStatus{}, server.Errorf(http.StatusNotFound, "unknown sweep %q", id)
 		}
 		if state != "running" {
 			break
 		}
 		select {
 		case <-ctx.Done():
-			st, _ := c.store.Status(id)
-			return st, ctx.Err()
+			cause = ctx.Err()
 		case <-ch:
 		}
 	}
-	st, ok := c.store.Status(id)
-	if !ok {
-		return SweepStatus{}, fmt.Errorf("unknown sweep %q", id)
+	st, ok, err := c.store.Status(id)
+	switch {
+	case err != nil:
+		return SweepStatus{}, err
+	case !ok:
+		return SweepStatus{}, server.Errorf(http.StatusNotFound, "unknown sweep %q", id)
 	}
-	return st, nil
+	return st, cause
 }
 
 // WorkerInfo is the externally visible state of one registered worker.
@@ -724,6 +734,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) erro
 	fmt.Fprintf(w, "coscale_fleet_workers_dead %d\n", fr.WorkersDead)
 	fmt.Fprintf(w, "coscale_fleet_leases_dispatched_total %d\n", c.m.dispatched.Load())
 	fmt.Fprintf(w, "coscale_fleet_jobs_committed_total %d\n", c.m.committed.Load())
+	fmt.Fprintf(w, "coscale_fleet_journal_syncs_total %d\n", c.store.Syncs())
 	fmt.Fprintf(w, "coscale_fleet_duplicate_results_total %d\n", c.m.duplicates.Load())
 	fmt.Fprintf(w, "coscale_fleet_attempts_retried_total %d\n", c.m.retried.Load())
 	fmt.Fprintf(w, "coscale_fleet_jobs_failed_total %d\n", c.m.failed.Load())
@@ -766,13 +777,16 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) error 
 	if v := r.URL.Query().Get("wait"); v == "1" || v == "true" {
 		st, err := c.WaitSweep(r.Context(), id)
 		if err != nil && st.ID == "" {
-			return server.Errorf(http.StatusNotFound, "unknown sweep %q", id)
+			return err // unknown sweep (404) or a failed journal sync (500)
 		}
 		server.WriteJSON(w, http.StatusOK, st)
 		return nil
 	}
-	st, ok := c.store.Status(id)
-	if !ok {
+	st, ok, err := c.store.Status(id)
+	switch {
+	case err != nil:
+		return err
+	case !ok:
 		return server.Errorf(http.StatusNotFound, "unknown sweep %q", id)
 	}
 	server.WriteJSON(w, http.StatusOK, st)

@@ -264,7 +264,7 @@ func TestFleetChaosE2E(t *testing.T) {
 	// Kill the victim once the sweep is demonstrably mid-flight: at least
 	// one cell committed, and not all of them.
 	waitFor(t, 60*time.Second, "first commit", func() bool {
-		cur, _ := coord.Status(st.ID)
+		cur, _, _ := coord.Status(st.ID)
 		return cur.Done >= 1
 	})
 	agentCancel[victim]() // heartbeats stop
@@ -385,10 +385,13 @@ func TestCoordinatorRestartRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 60*time.Second, "first commit before crash", func() bool {
-		cur, _ := c1.Status(st.ID)
+		cur, _, _ := c1.Status(st.ID)
 		return cur.Done >= 1
 	})
-	mid, _ := c1.Status(st.ID)
+	mid, _, err := c1.Status(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := c1.Close(); err != nil { // the "crash": in-flight leases simply stop
 		t.Fatal(err)
 	}
@@ -398,9 +401,9 @@ func TestCoordinatorRestartRecovers(t *testing.T) {
 		t.Fatalf("reopen journal: %v", err)
 	}
 	defer c2.Close()
-	rec, ok := c2.Status(st.ID)
-	if !ok {
-		t.Fatal("sweep lost across restart")
+	rec, ok, err := c2.Status(st.ID)
+	if err != nil || !ok {
+		t.Fatalf("sweep lost across restart: %v", err)
 	}
 	if rec.Done < mid.Done {
 		t.Fatalf("commits lost across restart: %d < %d", rec.Done, mid.Done)

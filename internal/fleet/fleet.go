@@ -7,9 +7,9 @@
 // when a worker dies, times out, or returns a transport error.
 //
 // Jobs and their committed results flow through a crash-safe append-only
-// JSON-lines journal (fsync on commit, torn-tail recovery on replay), so a
-// coordinator restart resumes in-flight sweeps without recomputing finished
-// scenarios. Degraded modes are explicit: zero live workers sheds new
+// JSON-lines journal (fsynced before a status read shows a result,
+// torn-tail recovery on replay), so a coordinator restart resumes in-flight
+// sweeps without recomputing finished scenarios. Degraded modes are explicit: zero live workers sheds new
 // sweeps with 503/Retry-After, a shrunken fleet rebalances outstanding
 // leases onto the survivors, and partial sweep results are queryable while
 // the remainder retries.

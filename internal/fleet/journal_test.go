@@ -21,6 +21,17 @@ func normSweep(t *testing.T, workloads, policies []string) server.SweepRequest {
 	return n
 }
 
+// mustStatus reads a sweep's status through the commit barrier, failing
+// the test on a sync error or an unknown sweep.
+func mustStatus(t *testing.T, st *Store, id string) SweepStatus {
+	t.Helper()
+	stat, ok, err := st.Status(id)
+	if err != nil || !ok {
+		t.Fatalf("Status(%s) = (ok %v, %v), want the sweep", id, ok, err)
+	}
+	return stat
+}
+
 // TestJournalTornTailRecovery is the crash-recovery scenario: a journal
 // truncated mid-record (a torn write) reopens cleanly, recovers every
 // committed job, and discards the torn tail so the next append starts on a
@@ -71,10 +82,7 @@ func TestJournalTornTailRecovery(t *testing.T) {
 		t.Fatalf("reopen after torn write: %v", err)
 	}
 	defer st2.Close()
-	stat, ok := st2.Status(id)
-	if !ok {
-		t.Fatalf("sweep %s lost in replay", id)
-	}
+	stat := mustStatus(t, st2, id)
 	if stat.Done != 1 || stat.Pending != 1 {
 		t.Fatalf("replayed status = %+v, want 1 done / 1 pending", stat)
 	}
@@ -155,7 +163,7 @@ func TestStoreRestartReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	stat, _ := st2.Status(id)
+	stat := mustStatus(t, st2, id)
 	if stat.Done != 1 || string(stat.Cells[0].Result) != `{"r":0}` {
 		t.Fatalf("done cell not recovered: %+v", stat.Cells[0])
 	}

@@ -55,12 +55,12 @@ func TestRetentionKeepsNewestFinished(t *testing.T) {
 		t.Fatalf("SweepIDs = %v, want %v", got, want)
 	}
 	for _, id := range finished[:k] {
-		if _, ok := st.Status(id); ok {
+		if _, ok, _ := st.Status(id); ok {
 			t.Fatalf("dropped sweep %s still has a status", id)
 		}
 	}
 	for _, id := range want {
-		if _, ok := st.Status(id); !ok {
+		if _, ok, _ := st.Status(id); !ok {
 			t.Fatalf("held sweep %s has no status", id)
 		}
 	}
@@ -84,7 +84,7 @@ func TestLateResultsForDroppedSweep(t *testing.T) {
 	for range retainSweeps {
 		finishSweep(t, st)
 	}
-	if _, ok := st.Status(first); ok {
+	if _, ok, _ := st.Status(first); ok {
 		t.Fatalf("sweep %s not dropped after %d newer sweeps finished", first, retainSweeps)
 	}
 	size := func() int64 {
@@ -147,8 +147,8 @@ func TestPartlyFailedSweepNotRetired(t *testing.T) {
 	if ok, err := st.Done(j1, json.RawMessage(`{"x":1}`)); err != nil || !ok {
 		t.Fatalf("Done(%s) = (%v, %v), want committed", j1, ok, err)
 	}
-	stat, ok := st.Status(id)
-	if !ok || stat.State != "failed" || stat.Done != 1 || stat.Failed != 1 {
+	stat := mustStatus(t, st, id)
+	if stat.State != "failed" || stat.Done != 1 || stat.Failed != 1 {
 		t.Fatalf("status = %+v, want failed with 1 done and 1 failed", stat)
 	}
 }

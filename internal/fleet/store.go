@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -14,10 +15,11 @@ import (
 
 // Store is the crash-safe job store: an in-memory sweep/job table mirrored
 // into the append-only journal. Every state transition is journaled before
-// it takes effect in memory; "done" commits are fsynced, so an acknowledged
-// result is never lost and — because replay restores Done state — never
-// recomputed after a coordinator restart. A Store opened with an empty path
-// is purely in-memory (tests, journal-less quickstarts).
+// it takes effect in memory. The commit barrier sits at the status read:
+// Status fsyncs the journal before it shows any cell, so a result that a
+// client has seen is never lost and — because replay restores Done state —
+// never recomputed after a coordinator restart. A Store opened with an
+// empty path is purely in-memory (tests, journal-less quickstarts).
 //
 // All mutable job state lives behind the store's lock; accessors hand out
 // value snapshots (JobRef, SweepStatus), never shared pointers, so the
@@ -86,11 +88,22 @@ func OpenStore(path string) (*Store, error) {
 	return s, nil
 }
 
-// Close releases the journal.
+// Close syncs and releases the journal, so that everything committed before
+// it survives a power loss too.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.j.close()
+	return errors.Join(s.j.sync(), s.j.close())
+}
+
+// Syncs reports how many fsyncs the journal has run.
+func (s *Store) Syncs() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.j == nil {
+		return 0
+	}
+	return s.j.syncs
 }
 
 // applyLocked folds one journal record into the in-memory table. It is the
@@ -226,8 +239,9 @@ func refOf(job *Job) JobRef {
 }
 
 // AddSweep admits a normalized sweep: one job per cell, hashed with the
-// canonical simulate hash, journaled (with fsync — admission is a promise)
-// before becoming visible. It returns the new sweep's ID and job count.
+// canonical simulate hash, journaled (with fsync — admission is a promise;
+// the fsync covers every record written before it too) before becoming
+// visible. It returns the new sweep's ID and job count.
 func (s *Store) AddSweep(req server.SweepRequest) (string, int, error) {
 	cells := req.Cells()
 	s.mu.Lock()
@@ -247,7 +261,10 @@ func (s *Store) AddSweep(req server.SweepRequest) (string, int, error) {
 			Hash: hash, Cell: &cell,
 		})
 	}
-	if err := s.j.append(true, recs...); err != nil {
+	if err := s.j.append(recs...); err != nil {
+		return "", 0, err
+	}
+	if err := s.j.sync(); err != nil {
 		return "", 0, err
 	}
 	for _, rec := range recs {
@@ -271,7 +288,7 @@ func (s *Store) Lease(jobID, worker string) (int, error) {
 		return 0, fmt.Errorf("job %q is %s, not pending", jobID, job.State)
 	}
 	rec := record{Type: "lease", Job: jobID, Worker: worker, Attempt: job.Attempts + 1}
-	if err := s.j.append(false, rec); err != nil {
+	if err := s.j.append(rec); err != nil {
 		return 0, err
 	}
 	if err := s.applyLocked(rec); err != nil {
@@ -280,12 +297,14 @@ func (s *Store) Lease(jobID, worker string) (int, error) {
 	return job.Attempts, nil
 }
 
-// Fail records a failed attempt. Unless the attempt cap is reached the job
-// returns to pending, not dispatchable before notBefore (the backoff); at
-// the cap it fails terminally. A stale failure — the lease was already
-// reclaimed and re-attempted, or the job committed — is ignored so it
-// cannot clobber newer state, and so is a failure for a job whose sweep
-// retention has dropped. Reports whether the job failed terminally.
+// Fail records a failed attempt, without an fsync; a terminal failure
+// becomes durable at the next Status read, as a Done does. Unless the
+// attempt cap is reached the job returns to pending, not dispatchable
+// before notBefore (the backoff); at the cap it fails terminally. A stale
+// failure — the lease was already reclaimed and re-attempted, or the job
+// committed — is ignored so it cannot clobber newer state, and so is a
+// failure for a job whose sweep retention has dropped. Reports whether the
+// job failed terminally.
 func (s *Store) Fail(jobID string, attempt int, cause string, maxAttempts int, notBefore time.Time) (terminal bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -303,7 +322,7 @@ func (s *Store) Fail(jobID string, attempt int, cause string, maxAttempts int, n
 	if job.Attempts >= maxAttempts {
 		rec.Type = "failed"
 	}
-	if err := s.j.append(rec.Type == "failed", rec); err != nil {
+	if err := s.j.append(rec); err != nil {
 		return false, err
 	}
 	if err := s.applyLocked(rec); err != nil {
@@ -313,9 +332,11 @@ func (s *Store) Fail(jobID string, attempt int, cause string, maxAttempts int, n
 	return rec.Type == "failed", nil
 }
 
-// Done commits a job's result: journaled with fsync before the in-memory
-// table (and therefore any client) sees it. Committing an already-terminal
-// job is a no-op — a late duplicate response from a retried attempt whose
+// Done commits a job's result: journaled, without an fsync, before the
+// in-memory table holds it. The record survives a coordinator crash at
+// once, and a power loss from the next Status read on, which fsyncs before
+// it shows the result to any client. Committing an already-terminal job is
+// a no-op — a late duplicate response from a retried attempt whose
 // first response was cut cannot double-commit; nor can a late result for a
 // job whose sweep retention has dropped. Reports whether this call
 // committed.
@@ -333,7 +354,7 @@ func (s *Store) Done(jobID string, result json.RawMessage) (committed bool, err 
 		return false, nil
 	}
 	rec := record{Type: "done", Job: jobID, Attempt: job.Attempts, Result: result}
-	if err := s.j.append(true, rec); err != nil {
+	if err := s.j.append(rec); err != nil {
 		return false, err
 	}
 	if err := s.applyLocked(rec); err != nil {
@@ -406,7 +427,11 @@ type SweepStatus struct {
 }
 
 // State reports a sweep's aggregate state (Sweep.State) without building
-// its status rows; ok is false for a sweep the store does not hold.
+// its status rows; ok is false for a sweep the store does not hold. It is
+// an unsynced probe: WaitSweep calls it on every wake-up, one per commit,
+// and a sync there would put an fsync back on every commit. The state it
+// reports may rest on records a power loss could drop, so it returns no
+// cell and no result; those come from Status.
 func (s *Store) State(id string) (state string, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -417,15 +442,22 @@ func (s *Store) State(id string) (state string, ok bool) {
 	return sw.State(), true
 }
 
-// Status snapshots a sweep for rendering.
-func (s *Store) Status(id string) (SweepStatus, bool) {
+// Status snapshots a sweep for rendering. It is the commit barrier: it
+// first fsyncs the journal if any record is unsynced, so one fsync covers
+// every record written before it, and everything the snapshot shows
+// survives a power loss. If that fsync fails, Status returns the error and
+// no snapshot; ok is false for a sweep the store does not hold.
+func (s *Store) Status(id string) (st SweepStatus, ok bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err = s.j.sync(); err != nil {
+		return SweepStatus{}, false, err
+	}
 	sw, ok := s.sweeps[id]
 	if !ok {
-		return SweepStatus{}, false
+		return SweepStatus{}, false, nil
 	}
-	st := SweepStatus{ID: id, State: sw.State(), Total: len(sw.Jobs)}
+	st = SweepStatus{ID: id, State: sw.State(), Total: len(sw.Jobs)}
 	for _, job := range sw.Jobs {
 		switch job.State {
 		case JobDone:
@@ -443,7 +475,7 @@ func (s *Store) Status(id string) (SweepStatus, bool) {
 			Worker: job.Worker, Error: job.Err, Result: job.Result,
 		})
 	}
-	return st, true
+	return st, true, nil
 }
 
 // SweepIDs returns the IDs of every held sweep — each active one and the

@@ -74,7 +74,7 @@ func TestLeaseStateMachine(t *testing.T) {
 	if terminal, err := st.Fail(job, 2, "late", 4, nb); err != nil || terminal {
 		t.Fatalf("post-done Fail = (%v, %v), want ignored", terminal, err)
 	}
-	stat, _ := st.Status(id)
+	stat := mustStatus(t, st, id)
 	if stat.State != "done" || string(stat.Cells[0].Result) != `{"x":1}` {
 		t.Fatalf("final status = %+v", stat)
 	}
@@ -102,7 +102,7 @@ func TestAttemptCap(t *testing.T) {
 			t.Fatalf("fail %d terminal = %v, want %v", n, terminal, want)
 		}
 	}
-	stat, _ := st.Status(id)
+	stat := mustStatus(t, st, id)
 	if stat.State != "failed" || stat.Cells[0].Error != "boom" || stat.Cells[0].Attempts != maxAttempts {
 		t.Fatalf("capped status = %+v", stat)
 	}

@@ -200,27 +200,36 @@ func TestCallGraphConservative(t *testing.T) {
 	}
 }
 
-// TestDriverExitCodes runs the real driver entry point over each fixture:
-// every violating package must fail the build, every clean one must pass.
-// The dettaint fixtures are absent here — their cross-package import only
-// resolves through the test loader's fixture fallback, not the CLI.
+// TestDriverExitCodes runs the real driver entry point over the fixtures,
+// one call for the violating packages and one for the clean ones: the bad
+// call must fail the build with at least one finding in every bad package,
+// and the clean call must pass. The dettaint fixtures are absent here —
+// their cross-package import only resolves through the test loader's
+// fixture fallback, not the CLI.
 func TestDriverExitCodes(t *testing.T) {
 	testdata := testdataDir(t)
+	fixtureArgs := func(rels []string) []string {
+		args := make([]string, len(rels))
+		for i, rel := range rels {
+			args[i] = filepath.Join(testdata, "src", rel)
+		}
+		return args
+	}
 	bad := []string{"floateq/bad", "unitliteral/bad", "sim/determbad", "fault/determbad", "nopanic/bad", "server/handlerbad", "noprint/bad", "hotalloc/bad", "hotprop/bad", "server/ctxbad", "ignore/bad"}
+	var out, errOut bytes.Buffer
+	if code := Main(fixtureArgs(bad), &out, &errOut); code != ExitFindings {
+		t.Errorf("Main(bad fixtures) = %d, want %d\nstdout: %s\nstderr: %s",
+			code, ExitFindings, out.String(), errOut.String())
+	}
 	for _, rel := range bad {
-		var out, errOut bytes.Buffer
-		if code := Main([]string{filepath.Join(testdata, "src", rel)}, &out, &errOut); code != ExitFindings {
-			t.Errorf("Main(%s) = %d, want %d\nstdout: %s\nstderr: %s",
-				rel, code, ExitFindings, out.String(), errOut.String())
+		if !strings.Contains(filepath.ToSlash(out.String()), "testdata/src/"+rel+"/") {
+			t.Errorf("Main(bad fixtures) reported no finding in %s\nstdout: %s", rel, out.String())
 		}
 	}
 	clean := []string{"floateq/clean", "unitliteral/clean", "sim/determclean", "fault/determclean", "dram/determexempt", "nopanic/clean", "server/handlerclean", "noprint/clean", "hotalloc/clean", "hotprop/clean", "server/ctxclean"}
-	args := make([]string, len(clean))
-	for i, rel := range clean {
-		args[i] = filepath.Join(testdata, "src", rel)
-	}
-	var out, errOut bytes.Buffer
-	if code := Main(args, &out, &errOut); code != ExitClean {
+	out.Reset()
+	errOut.Reset()
+	if code := Main(fixtureArgs(clean), &out, &errOut); code != ExitClean {
 		t.Errorf("Main(clean fixtures) = %d, want %d\nstdout: %s\nstderr: %s",
 			code, ExitClean, out.String(), errOut.String())
 	}
